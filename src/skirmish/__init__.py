@@ -12,7 +12,7 @@ them against each other:
 * exact residue sums of the duel's rational generating function, for
   simple poles, higher-order poles via truncated-series jets, single-speed
   closed forms, and the small-perturbation approximation (`residues`,
-  `series`);
+  `series`), all reached by route name through `solve`;
 * reproducible Monte Carlo play-out (`montecarlo`) and hypercube-volume
   sampling (`volume`), the stochastic corroboration;
 * matching/beating verdicts, matching curves, and intransitivity
@@ -27,7 +27,6 @@ from .model import (
     GroupedInstance,
     Instance,
     InvalidInstance,
-    canonical_key,
     decimal_str,
     group,
     parse_instance,
@@ -43,22 +42,22 @@ from .relations import (
     verify_cycle,
 )
 from .residues import (
+    ROUTES,
     MethodReport,
     closed_form_report,
     default_epsilon,
     p_a_wins_distinct,
     p_a_wins_epsilon,
     p_a_wins_series,
-    p_equal_speeds,
     p_two_speeds,
     perturb,
+    solve,
 )
 from .series import TruncatedSeries
 from .montecarlo import (
     POLICIES,
     SimConfig,
     SimReport,
-    collide,
     order_invariance_probe,
     simulate,
     win_threshold,
@@ -75,14 +74,13 @@ __all__ = [
     "InvalidInstance",
     "MethodReport",
     "POLICIES",
+    "ROUTES",
     "RelationVerdict",
     "SimConfig",
     "SimReport",
     "TruncatedSeries",
     "VolumeEstimate",
-    "canonical_key",
     "closed_form_report",
-    "collide",
     "complement_estimates",
     "decimal_str",
     "default_epsilon",
@@ -97,13 +95,13 @@ __all__ = [
     "p_a_wins_recursive",
     "p_a_wins_series",
     "p_a_wins_single_a",
-    "p_equal_speeds",
     "p_two_speeds",
     "parse_instance",
     "parse_speed",
     "perturb",
     "relate",
     "simulate",
+    "solve",
     "verify_cycle",
     "win_threshold",
     "__version__",

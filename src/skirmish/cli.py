@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library: solve (exact and
-perturbation solvers), simulate (Monte Carlo play-out), volume (hypercube
-sampling), relate / curve / cycle (group relations), and crosscheck, which
-runs every route on one instance and verifies they agree.
+Subcommands map one-to-one onto the library: solve (any route of the one
+route table, `residues.solve`), simulate (Monte Carlo play-out), volume
+(hypercube sampling), relate / curve / cycle (group relations), and
+crosscheck, which runs every route on one instance; `_verify` checks both.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error.  Reports go to standard output as compact
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,17 +29,11 @@ from .model import (
 )
 from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
-from .residues import (
-    closed_form_report,
-    default_epsilon,
-    p_a_wins_distinct,
-    p_a_wins_epsilon,
-    p_a_wins_series,
-)
+from .residues import ROUTES, MethodReport, default_epsilon, solve
 from .montecarlo import POLICIES, SimConfig, simulate
 from .volume import estimate_volume
 
-STOCHASTIC_SIGMAS = 4.0
+STOCHASTIC_SIGMAS = 4
 
 
 class Inconsistency(Exception):
@@ -47,6 +42,10 @@ class Inconsistency(Exception):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact results may have any number of digits: lift CPython's int<->str cap.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except Inconsistency as exc:
@@ -55,6 +54,9 @@ def main(argv=None) -> int:
     except (InvalidInstance, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _instance_flags(solve)
     solve.add_argument(
         "--method",
-        choices=("auto", "recursive", "distinct", "series", "epsilon", "closed-form"),
+        choices=("auto", *ROUTES),
         default="auto",
         help="solver route; auto picks distinct or series by repetition",
     )
@@ -159,37 +161,28 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 def _run_solve(args) -> int:
     inst = _read_instance(args)
-    method = args.method
-    if method == "auto":
-        method = "distinct" if len(set(inst.a)) == len(inst.a) else "series"
-
-    if method == "recursive":
-        value = p_a_wins_recursive(inst)
-        payload = {"value": str(value), "decimal": decimal_str(value), "method": "recursive"}
-        _emit(args, payload, _plain_value(payload))
-        return 0
-
-    if method == "distinct":
-        report = p_a_wins_distinct(inst)
-    elif method == "series":
-        report = p_a_wins_series(group(inst))
-    elif method == "closed-form":
-        report = closed_form_report(group(inst))
-    else:
-        grouped = group(inst)
-        eps = Fraction(args.epsilon) if args.epsilon else default_epsilon(grouped)
-        report = p_a_wins_epsilon(grouped, eps)
-
-    if report.method != "epsilon":
-        # Exact routes are always cross-verified against the reference solver.
-        reference = p_a_wins_recursive(inst)
-        if report.value != reference:
-            _emit(args, report.to_json(), _plain_value(report.to_json()))
-            raise Inconsistency(
-                f"{report.method} gave {report.value}, recursive reference gives {reference}"
-            )
+    report = solve(inst, args.method, args.epsilon or None)
+    failure = _verify(inst, report)
     _emit(args, report.to_json(), _plain_value(report.to_json()))
+    if failure:
+        raise Inconsistency(failure)
     return 0
+
+
+def _verify(
+    inst: Instance, report: MethodReport, reference: Fraction | None = None
+) -> str | None:
+    """What disagreed, or None: exact routes must equal the recursive reference.
+
+    Recursive is the reference and epsilon is approximate, so neither is compared.
+    """
+    if report.method in ("recursive", "epsilon"):
+        return None
+    if reference is None:
+        reference = p_a_wins_recursive(inst)
+    if report.value == reference:
+        return None
+    return f"{report.method} gave {report.value}, recursive reference gives {reference}"
 
 
 def _plain_value(payload: dict) -> str:
@@ -259,26 +252,17 @@ def _run_crosscheck(args) -> int:
     inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
-    grouped = group(inst)
     exact = p_a_wins_recursive(inst)
-    failures: list[str] = []
     rows: list[dict] = [{"method": "recursive", "value": str(exact), "agree": True}]
 
-    if len(set(inst.a)) == len(inst.a):
-        residue_report = p_a_wins_distinct(inst)
-    else:
-        residue_report = p_a_wins_series(grouped)
-    agree = residue_report.value == exact
-    rows.append(
-        {"method": residue_report.method, "value": str(residue_report.value), "agree": agree}
-    )
-    if not agree:
-        failures.append(
-            f"{residue_report.method} gave {residue_report.value}, expected {exact}"
-        )
+    report = solve(inst)
+    failure = _verify(inst, report, exact)
+    failures = [failure] if failure else []
+    rows.append({"method": report.method, "value": str(report.value), "agree": not failure})
 
-    eps = Fraction(args.epsilon) if args.epsilon else default_epsilon(grouped)
-    eps_report = p_a_wins_epsilon(grouped, eps)
+    # The row prints the perturbation, so the default is resolved here.
+    eps = Fraction(args.epsilon) if args.epsilon else default_epsilon(group(inst))
+    eps_report = solve(inst, "epsilon", eps)
     # Informational row: the perturbation is approximate by design, so its
     # deviation is reported but never gates the exit code.
     rows.append(
@@ -291,9 +275,12 @@ def _run_crosscheck(args) -> int:
     )
 
     sim = simulate(inst, SimConfig(args.trials, args.seed))
-    rows.append(_stochastic_row("montecarlo", sim.estimate, sim.std_error, exact, failures))
     vol = estimate_volume(inst, args.samples, args.seed)
-    rows.append(_stochastic_row("hypervolume", vol.estimate, vol.std_error, exact, failures))
+    for name, hits, draws, std_error in (
+        ("montecarlo", sim.a_wins, sim.trials, sim.std_error),
+        ("hypervolume", vol.hits, vol.samples, vol.std_error),
+    ):
+        rows.append(_stochastic_row(name, hits, draws, std_error, exact, failures))
 
     payload = {
         "value": str(exact),
@@ -309,15 +296,16 @@ def _run_crosscheck(args) -> int:
 
 
 def _stochastic_row(
-    name: str, estimate: float, std_error: float, exact: Fraction, failures: list[str]
+    name: str, hits: int, draws: int, std_error: float, exact: Fraction, failures: list[str]
 ) -> dict:
-    deviation = abs(estimate - float(exact))
-    if std_error > 0:
-        agree = deviation <= STOCHASTIC_SIGMAS * std_error
-        sigmas = deviation / std_error
-    else:
-        agree = deviation == 0.0
-        sigmas = 0.0 if agree else float("inf")
+    """Gate `hits` out of `draws` on its exact z-score under p = `exact`.
+
+    The null variance draws*p*(1-p) is never 0 with particles on both sides.
+    """
+    z_squared = (hits - draws * exact) ** 2 / (draws * exact * (1 - exact))
+    agree = z_squared <= STOCHASTIC_SIGMAS**2
+    sigmas = math.sqrt(min(z_squared, sys.float_info.max))
+    estimate = hits / draws
     if not agree:
         failures.append(
             f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"

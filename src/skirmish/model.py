@@ -50,10 +50,9 @@ class Instance:
     """Ordered speed lists for the two sides.
 
     Order matters to the simulators (collisions happen front to back) but
-    not to any exact solver; `canonical_key` captures the order-free
-    identity.  One side may be empty, in which case the other side has
-    already won; both sides empty is rejected because the duel has no
-    outcome to define.
+    not to any exact solver.  One side may be empty, in which case the
+    other side has already won; both sides empty is rejected because the
+    duel has no outcome to define.
     """
 
     a: tuple[Fraction, ...]
@@ -125,11 +124,6 @@ def group(inst: Instance) -> GroupedInstance:
 def _grouped(speeds: Iterable[Fraction]) -> tuple[tuple[Fraction, int], ...]:
     counts = Counter(speeds)
     return tuple((s, counts[s]) for s in sorted(counts))
-
-
-def canonical_key(inst: Instance):
-    """Order-independent identity of a duel: both speed multisets, sorted."""
-    return (tuple(sorted(inst.a)), tuple(sorted(inst.b)))
 
 
 def parse_instance(text: str) -> Instance:

@@ -78,12 +78,6 @@ def win_threshold(a, b) -> int:
     return (p.numerator << 64) // p.denominator
 
 
-def collide(a, b, rng: np.random.Generator) -> str:
-    """Resolve one collision with one draw from `rng`; returns "A" or "B"."""
-    u = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-    return "A" if u < win_threshold(a, b) else "B"
-
-
 def simulate(inst: Instance, cfg: SimConfig) -> SimReport:
     """Play the whole duel cfg.trials times and report the A-win frequency."""
     if not inst.a or not inst.b:

@@ -10,11 +10,11 @@ for every distinct A speed, and a pole of order y_j at w = -1/b_j for every
 distinct B speed; all residues sum to zero.  P(A wins) is minus the sum of
 the a-pole residues, so swapping the sides gives the complement.
 
-Routes provided here, all exact:
+Routes provided here, all exact, with `solve` as the one route table:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
 * `p_a_wins_series`: poles of any order, local truncated-series expansion.
-* `p_equal_speeds` / `p_two_speeds`: closed forms for one speed per side.
+* `p_two_speeds` / `closed_form_report`: closed forms for one speed per side.
 * `p_a_wins_epsilon`: split repeated speeds apart by a small rational
   perturbation and fall back to the simple-pole formula; approximate in a
   controlled way, since the error vanishes with the perturbation.
@@ -31,9 +31,13 @@ from .model import (
     Instance,
     InvalidInstance,
     decimal_str,
+    group,
     parse_speed,
 )
+from .recurrence import p_a_wins_recursive
 from .series import TruncatedSeries
+
+ROUTES = ("recursive", "distinct", "series", "epsilon", "closed-form")
 
 
 @dataclass(frozen=True)
@@ -41,20 +45,46 @@ class MethodReport:
     """Solver outcome: the exact value, the route taken, per-pole residues.
 
     `residues` lists the residue of Phi at each a-pole, in the order the
-    corresponding speeds were given; their negated sum is `value`.
+    corresponding speeds were given; their negated sum is `value`.  None
+    for the recursive route, and `to_json` then leaves the key out.
     """
 
     value: Fraction
     method: str
-    residues: tuple[Fraction, ...]
+    residues: tuple[Fraction, ...] | None
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "value": str(self.value),
             "decimal": decimal_str(self.value),
             "method": self.method,
-            "residues": [str(r) for r in self.residues],
         }
+        if self.residues is not None:
+            payload["residues"] = [str(r) for r in self.residues]
+        return payload
+
+
+def solve(inst: Instance, method: str = "auto", eps=None) -> MethodReport:
+    """The route table: run the route named `method` (in ROUTES, or auto).
+
+    auto is distinct when every A speed differs, else series.  `eps` is the
+    epsilon route's perturbation, `default_epsilon` when None.  Route names
+    resolve at call time, so wrapping a module attribute wraps the route.
+    """
+    if method == "auto":
+        method = "distinct" if len(set(inst.a)) == len(inst.a) else "series"
+    if method not in ROUTES:
+        raise ValueError(f"unknown route {method!r}; choose from auto, {', '.join(ROUTES)}")
+    if method == "recursive":
+        return MethodReport(p_a_wins_recursive(inst), "recursive", None)
+    if method == "distinct":
+        return p_a_wins_distinct(inst)
+    grouped = group(inst)
+    if method == "series":
+        return p_a_wins_series(grouped)
+    if method == "closed-form":
+        return closed_form_report(grouped)
+    return p_a_wins_epsilon(grouped, default_epsilon(grouped) if eps is None else eps)
 
 
 def p_a_wins_distinct(inst: Instance) -> MethodReport:
@@ -121,24 +151,11 @@ def _total(residues) -> Fraction:
     return sum(residues, Fraction(0))
 
 
-def p_equal_speeds(m: int, n: int) -> Fraction:
-    """m attackers versus n defenders, all at one common speed.
-
-    Every collision is then a fair coin: sum over how many attackers die
-    before the last defender does.
-    """
-    _check_counts(m, n)
-    return sum(
-        (math.comb(n + i - 1, i) * Fraction(1, 2 ** (n + i)) for i in range(m)),
-        Fraction(0),
-    )
-
-
 def p_two_speeds(m: int, n: int, v) -> Fraction:
     """m speed-1 attackers versus n speed-v defenders.
 
-    Generalizes `p_equal_speeds` (v = 1); each collision now has odds
-    1 : v.  Any duel with one speed per side scales to this form.
+    Each collision has odds 1 : v, a fair coin at v = 1.  Any duel with one
+    speed per side scales to this form.
     """
     _check_counts(m, n)
     v = parse_speed(v)

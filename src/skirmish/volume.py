@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,11 +82,15 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
 
     Each particle owns a fixed column of the per-sample slot: side A takes
     the first m, side B the next n.  A zero draw makes log(0) = -inf, which
-    compares correctly and only warns, hence the errstate guard.
+    compares correctly and only warns, hence the errstate guard.  The
+    weights are the speeds over a power of two near the largest: finite,
+    and scaled exactly, so no comparison changes.
     """
     m, n = len(inst.a), len(inst.b)
-    weights_a = np.array([float(s) for s in inst.a])
-    weights_b = np.array([float(s) for s in inst.b])
+    top = max(inst.a + inst.b)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    weights_a = np.array([float(s * scale) for s in inst.a])
+    weights_b = np.array([float(s * scale) for s in inst.b])
     width = streams.slot_width(m + n)
     a_hits = 0
     b_hits = 0

@@ -26,9 +26,10 @@ from skirmish import (
     p_a_wins_epsilon,
     p_a_wins_recursive,
     p_a_wins_series,
-    p_equal_speeds,
+    p_two_speeds,
     relate,
     simulate,
+    solve,
     verify_cycle,
 )
 
@@ -58,9 +59,7 @@ def _announce(capsys, number, verdict):
 
 def exact_value(instance):
     """Residue-route value for any instance, checked later against recursion."""
-    if len(set(instance.a)) == len(instance.a):
-        return p_a_wins_distinct(instance).value
-    return p_a_wins_series(group(instance)).value
+    return solve(instance).value
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +103,7 @@ def test_criterion_2_equal_speed_law(criterion):
     with criterion(2):
         for k in range(1, 11):
             grouped = GroupedInstance(((Fraction(1), k),), ((Fraction(1), k),))
-            assert p_equal_speeds(k, k) == HALF
+            assert p_two_speeds(k, k, 1) == HALF
             assert p_a_wins_series(grouped).value == HALF
             assert p_a_wins_recursive(grouped.expand()) == HALF
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from skirmish import MethodReport
-from skirmish.cli import main
+from skirmish import ROUTES, Instance, MethodReport, p_a_wins_recursive
+from skirmish.cli import _stochastic_row, build_parser, main
 
 
 def run_cli(*argv):
@@ -19,6 +20,37 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
     )
+
+
+def strict_json(text):
+    """Parse JSON, refusing the non-standard Infinity and NaN constants."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Three distinct speeds a side, each over 1000 digits: the exact result runs
+# past CPython's default 4300-digit int<->str conversion limit.
+HUGE_A = ",".join(str(10**1000 + k) for k in (1, 3, 5))
+HUGE_B = ",".join(str(10**1000 + k) for k in (2, 4, 6))
+
+
+def huge_reference():
+    return p_a_wins_recursive(Instance(HUGE_A.split(","), HUGE_B.split(",")))
+
+
+def parse_huge(text):
+    """Fraction(text) of any size; the CLI itself runs under the default limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return Fraction(text)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -119,13 +151,29 @@ class TestSolve:
         result = run_cli("solve", "--a", "1", "--b", "1", "--method", "newton")
         assert result.returncode == 2
 
+    def test_method_choices_are_the_route_table(self):
+        commands = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        )
+        method = next(
+            action for action in commands.choices["solve"]._actions if action.dest == "method"
+        )
+        assert tuple(method.choices) == ("auto", *ROUTES)
+
+    @pytest.mark.parametrize("method", ["auto", "recursive", "series"])
+    def test_result_beyond_the_digit_limit(self, capsys, method):
+        assert main(["solve", "--a", HUGE_A, "--b", HUGE_B, "--method", method]) == 0
+        value = parse_huge(json.loads(capsys.readouterr().out)["value"])
+        assert value == huge_reference()
+        assert value.denominator > 10**4300
+
     def test_inconsistency_exits_one(self, capsys, monkeypatch):
-        import skirmish.cli as cli_mod
+        import skirmish.residues as residues_mod
 
         def broken(inst):
             return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
 
-        monkeypatch.setattr(cli_mod, "p_a_wins_distinct", broken)
+        monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
         assert main(["solve", "--a", "1", "--b", "1"]) == 1
         assert "inconsistency:" in capsys.readouterr().err
 
@@ -168,6 +216,10 @@ class TestVolume:
     def test_empty_side_is_usage_error(self, capsys):
         assert main(["volume", "--a", "1", "--b", ""]) == 2
 
+    def test_speed_beyond_float_range(self, capsys):
+        assert main(["volume", "--a", "1e400", "--b", "1", "--samples", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["hits"] == 1000
+
 
 class TestRelate:
     def test_matched_json(self, capsys):
@@ -181,6 +233,10 @@ class TestRelate:
 
     def test_empty_group_is_usage_error(self, capsys):
         assert main(["relate", "--a", "", "--b", "1"]) == 2
+
+    def test_result_beyond_the_digit_limit(self, capsys):
+        assert main(["relate", "--a", HUGE_A, "--b", HUGE_B]) == 0
+        assert parse_huge(json.loads(capsys.readouterr().out)["p"]) == huge_reference()
 
 
 class TestCurve:
@@ -261,12 +317,12 @@ class TestCrosscheck:
         assert eps_row["epsilon"] == "1/5000"
 
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
-        import skirmish.cli as cli_mod
+        import skirmish.residues as residues_mod
 
         def broken(inst):
             return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
 
-        monkeypatch.setattr(cli_mod, "p_a_wins_distinct", broken)
+        monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
         argv = [
             "crosscheck", "--a", "1", "--b", "1",
             "--trials", "1000", "--samples", "1000",
@@ -276,6 +332,39 @@ class TestCrosscheck:
         assert "inconsistency:" in captured.err
         payload = json.loads(captured.out)
         assert payload["agree"] is False
+
+    def test_single_trial_is_no_false_alarm(self, capsys):
+        argv = ["crosscheck", "--a", "1", "--b", "1", "--trials", "1", "--samples", "1"]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["agree"] is True
+        assert [row["sigmas"] for row in payload["methods"][3:]] == [1.0, 1.0]
+
+    def test_gate_uses_the_exact_probability(self):
+        # 2000 trials of a fair duel: 1000 +/- 4*sqrt(500) hits pass, one more fails.
+        failures = []
+        row = _stochastic_row("montecarlo", 1089, 2000, 0.0, Fraction(1, 2), failures)
+        assert row["agree"] is True and not failures
+        row = _stochastic_row("montecarlo", 1090, 2000, 0.0, Fraction(1, 2), failures)
+        assert row["agree"] is False and len(failures) == 1
+        assert row["sigmas"] == pytest.approx(90 / 500**0.5)
+        # No hits where p is within 1e-400 of one: a z-score past the float range.
+        row = _stochastic_row("montecarlo", 0, 1000, 0.0, 1 - Fraction(1, 10**400), [])
+        assert row["agree"] is False
+        assert math.isfinite(row["sigmas"]) and row["sigmas"] > 1e150
+
+    def test_speed_beyond_float_range(self, capsys):
+        argv = ["crosscheck", "--a", "1e400", "--b", "1", "--trials", "1000", "--samples", "1000"]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["agree"] is True
+
+    def test_result_beyond_the_digit_limit(self, capsys):
+        argv = ["crosscheck", "--a", HUGE_A, "--b", HUGE_B, "--trials", "100", "--samples", "100"]
+        assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["agree"] is True
+        assert parse_huge(payload["value"]) == huge_reference()
 
     def test_plain_table(self, capsys):
         argv = [

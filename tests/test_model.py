@@ -11,7 +11,6 @@ from skirmish import (
     GroupedInstance,
     Instance,
     InvalidInstance,
-    canonical_key,
     decimal_str,
     group,
     parse_instance,
@@ -132,17 +131,6 @@ class TestGrouping:
         expanded = group(inst).expand()
         assert sorted(expanded.a) == sorted(inst.a)
         assert sorted(expanded.b) == sorted(inst.b)
-
-
-class TestCanonicalKey:
-    def test_permutation_invariant(self):
-        assert canonical_key(Instance((30, 20), (15, 36))) == canonical_key(
-            Instance((20, 30), (36, 15))
-        )
-
-    def test_distinguishes_sides_and_multiplicity(self):
-        assert canonical_key(Instance((1,), (2,))) != canonical_key(Instance((2,), (1,)))
-        assert canonical_key(Instance((1, 1), ())) != canonical_key(Instance((1,), ()))
 
 
 class TestDecimalStr:

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from skirmish import (
     Instance,
     InvalidInstance,
     SimConfig,
-    collide,
     order_invariance_probe,
     p_a_wins_recursive,
     simulate,
@@ -61,17 +59,6 @@ class TestThreshold:
         # The collision rule preserves momentum on average, exactly.
         p = a / (a + b)
         assert a * p - b * (1 - p) == a - b
-
-
-class TestCollide:
-    def test_empirical_frequencies(self):
-        rng = np.random.default_rng(1234)
-        draws = 100_000
-        fair = sum(collide(1, 1, rng) == "A" for _ in range(draws)) / draws
-        assert abs(fair - 0.5) <= 4 * math.sqrt(0.25 / draws)
-        rng = np.random.default_rng(1234)
-        skew = sum(collide(3, 1, rng) == "A" for _ in range(draws)) / draws
-        assert abs(skew - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / draws)
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import (
+    ROUTES,
     GroupedInstance,
     Instance,
     InvalidInstance,
@@ -17,12 +18,12 @@ from skirmish import (
     p_a_wins_epsilon,
     p_a_wins_recursive,
     p_a_wins_series,
-    p_equal_speeds,
     p_two_speeds,
     perturb,
+    solve,
 )
 
-from conftest import instances
+from conftest import instances, speeds
 
 F = Fraction
 
@@ -114,25 +115,25 @@ class TestSeries:
 
 class TestClosedForms:
     def test_equal_speed_values(self):
-        assert p_equal_speeds(1, 1) == F(1, 2)
-        assert p_equal_speeds(2, 2) == F(1, 2)
-        assert p_equal_speeds(2, 1) == F(3, 4)
-        assert p_equal_speeds(3, 2) == F(11, 16)
+        assert p_two_speeds(1, 1, 1) == F(1, 2)
+        assert p_two_speeds(2, 2, 1) == F(1, 2)
+        assert p_two_speeds(2, 1, 1) == F(3, 4)
+        assert p_two_speeds(3, 2, 1) == F(11, 16)
 
     def test_equal_speed_law(self):
         for k in range(1, 11):
-            assert p_equal_speeds(k, k) == F(1, 2)
+            assert p_two_speeds(k, k, 1) == F(1, 2)
 
     def test_matches_series_route(self):
         for m in range(1, 6):
             for n in range(1, 6):
-                assert p_equal_speeds(m, n) == p_a_wins_series(
+                assert p_two_speeds(m, n, 1) == p_a_wins_series(
                     grouped([(1, m)], [(1, n)])
                 ).value
 
     def test_two_speed_values(self):
         assert p_two_speeds(1, 1, 3) == F(1, 4)
-        assert p_two_speeds(3, 2, 1) == p_equal_speeds(3, 2)
+        assert p_two_speeds(3, 2, 1) == F(11, 16)
         assert p_two_speeds(2, 1, 2) == F(5, 9)
 
     @given(
@@ -146,14 +147,14 @@ class TestClosedForms:
 
     def test_invalid_counts(self):
         with pytest.raises(InvalidInstance):
-            p_equal_speeds(0, 1)
+            p_two_speeds(0, 1, 1)
         with pytest.raises(InvalidInstance):
             p_two_speeds(1, -2, 1)
 
     def test_closed_form_report_labels(self):
         all_equal = closed_form_report(grouped([(3, 2)], [(3, 1)]))
         assert all_equal.method == "all-equal"
-        assert all_equal.value == p_equal_speeds(2, 1)
+        assert all_equal.value == p_two_speeds(2, 1, 1)
         scaled = closed_form_report(grouped([(3, 2)], [(6, 1)]))
         assert scaled.method == "per-type-equal"
         assert scaled.value == p_two_speeds(2, 1, 2) == F(5, 9)
@@ -192,7 +193,7 @@ class TestPerturbation:
 
     def test_error_shrinks_with_epsilon(self):
         g = grouped([(1, 3)], [(1, 2)])
-        exact = p_equal_speeds(3, 2)
+        exact = p_two_speeds(3, 2, 1)
         eps = default_epsilon(g)
         errors = [abs(p_a_wins_epsilon(g, e).value - exact) for e in (eps, eps / 10)]
         assert errors[1] < errors[0]
@@ -224,3 +225,51 @@ class TestMethodReportJson:
             "method": "distinct",
             "residues": ["-10/11", "20/49"],
         }
+
+
+def route_domain(route):
+    """Instances the named exact route accepts."""
+    if route == "distinct":
+        return instances(min_side=0, max_side=4).map(
+            lambda inst: Instance(tuple(set(inst.a)), inst.b)
+        )
+    if route == "closed-form":
+        return st.builds(
+            lambda a, m, b, n: Instance((a,) * m, (b,) * n),
+            speeds, st.integers(1, 4), speeds, st.integers(1, 4),
+        )
+    return instances(min_side=0, max_side=4)
+
+
+EXACT_ROUTES = [route for route in ROUTES if route != "epsilon"]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("route", EXACT_ROUTES)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_every_exact_route_matches_reference(self, route, data):
+        inst = data.draw(route_domain(route))
+        assert solve(inst, route).value == p_a_wins_recursive(inst)
+
+    def test_auto_picks_distinct_or_series(self):
+        assert solve(Instance((30, 20), (15, 36))).method == "distinct"
+        assert solve(Instance((1, 1), (2,))).method == "series"
+
+    def test_recursive_has_no_residues(self):
+        report = solve(Instance((1,), (1, 1)), "recursive")
+        assert report.residues is None
+        assert report.to_json() == {"value": "1/4", "decimal": "0.25", "method": "recursive"}
+
+    def test_no_a_poles_keep_empty_residues(self):
+        assert solve(Instance((), (1,)), "series").to_json()["residues"] == []
+
+    def test_epsilon_default_and_override(self):
+        inst = Instance((1, 1), (1,))
+        g = group(inst)
+        assert solve(inst, "epsilon") == p_a_wins_epsilon(g, default_epsilon(g))
+        assert solve(inst, "epsilon", "1/100") == p_a_wins_epsilon(g, F(1, 100))
+
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="unknown route"):
+            solve(Instance((1,), (1,)), "newton")

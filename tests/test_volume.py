@@ -56,6 +56,15 @@ class TestEstimates:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("shift", [-2000, -3, 5, 2000])
+    def test_power_of_two_rescaling_is_exact(self, shift):
+        # Speeds far outside the float range give the same hits as FIGHT.
+        scale = Fraction(2) ** shift
+        scaled = Instance(
+            tuple(s * scale for s in FIGHT.a), tuple(s * scale for s in FIGHT.b)
+        )
+        assert estimate_volume(scaled, 20_000, seed=3) == estimate_volume(FIGHT, 20_000, seed=3)
+
     def test_repeatable(self):
         assert estimate_volume(FIGHT, 50_000, seed=4) == estimate_volume(
             FIGHT, 50_000, seed=4
