@@ -10,9 +10,9 @@ them against each other:
 
 * exact suffix recurrence (`recurrence`), the reference for everything;
 * exact residue sums of the duel's rational generating function, for
-  simple poles, higher-order poles via truncated-series jets, single-speed
-  closed forms, and the small-perturbation approximation (`residues`,
-  `series`), all reached by route name through `solve`;
+  simple poles, higher-order poles via a power-sum recurrence, single-speed
+  closed forms, and the small-perturbation approximation (`residues`), all
+  reached by route name through `solve`;
 * reproducible Monte Carlo play-out (`montecarlo`) and hypercube-volume
   sampling (`volume`), the stochastic corroboration;
 * matching/beating verdicts, matching curves, and intransitivity
@@ -53,7 +53,6 @@ from .residues import (
     perturb,
     solve,
 )
-from .series import TruncatedSeries
 from .montecarlo import (
     POLICIES,
     SimConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "RelationVerdict",
     "SimConfig",
     "SimReport",
-    "TruncatedSeries",
     "VolumeEstimate",
     "closed_form_report",
     "complement_estimates",

@@ -6,9 +6,11 @@ route table, `residues.solve`), simulate (Monte Carlo play-out), volume
 crosscheck, which runs every route on one instance; `_verify` checks both.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
-2 usage or validation error.  Reports go to standard output as compact
-JSON (or --format plain); diagnostics go to standard error.  Output is
-deterministic for fixed arguments and seed.
+2 usage or validation error, 3 any other (unexpected) error, with its
+traceback on standard error, so that 1 always means the routes disagree.
+Reports go to standard output as compact JSON (or --format plain);
+diagnostics go to standard error.  Output is deterministic for fixed
+arguments and seed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from .model import (
 )
 from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
-from .residues import ROUTES, MethodReport, default_epsilon, solve
+from .residues import ROUTES, MethodReport, default_epsilon, parse_perturbation, solve
 from .montecarlo import POLICIES, SimConfig, simulate
 from .volume import estimate_volume
 
@@ -54,6 +57,9 @@ def main(argv=None) -> int:
     except (InvalidInstance, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
@@ -261,7 +267,7 @@ def _run_crosscheck(args) -> int:
     rows.append({"method": report.method, "value": str(report.value), "agree": not failure})
 
     # The row prints the perturbation, so the default is resolved here.
-    eps = Fraction(args.epsilon) if args.epsilon else default_epsilon(group(inst))
+    eps = parse_perturbation(args.epsilon) if args.epsilon else default_epsilon(group(inst))
     eps_report = solve(inst, "epsilon", eps)
     # Informational row: the perturbation is approximate by design, so its
     # deviation is reported but never gates the exit code.

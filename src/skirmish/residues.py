@@ -13,7 +13,8 @@ the a-pole residues, so swapping the sides gives the complement.
 Routes provided here, all exact, with `solve` as the one route table:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
-* `p_a_wins_series`: poles of any order, local truncated-series expansion.
+* `p_a_wins_series`: poles of any order, one Taylor coefficient per pole
+  from the power-sum (Newton) recurrence on plain Fractions.
 * `p_two_speeds` / `closed_form_report`: closed forms for one speed per side.
 * `p_a_wins_epsilon`: split repeated speeds apart by a small rational
   perturbation and fall back to the simple-pole formula; approximate in a
@@ -35,7 +36,6 @@ from .model import (
     parse_speed,
 )
 from .recurrence import p_a_wins_recursive
-from .series import TruncatedSeries
 
 ROUTES = ("recursive", "distinct", "series", "epsilon", "closed-form")
 
@@ -112,39 +112,54 @@ def p_a_wins_distinct(inst: Instance) -> MethodReport:
 
 
 def p_a_wins_series(grouped: GroupedInstance) -> MethodReport:
-    """Exact residues at a-poles of any order via local series expansion.
+    """Exact residues at a-poles of any order via a power-sum recurrence.
 
     Substituting w = 1/a_i + u isolates the pole factor:
     (1 - a_i*w)^-x_i = (-a_i*u)^-x_i.  The residue is therefore
     (-a_i)^-x_i times the u^(x_i - 1) Taylor coefficient of the remaining,
-    regular factors.  Each of those is an affine jet in u, inverted and
-    powered at truncation degree x_i - 1, so the whole computation is a
-    handful of exact polynomial multiplications per pole.
+    regular factors, which `_regular_coefficient` computes.
     """
     residues = []
     for i, (ai, xi) in enumerate(grouped.a_groups):
-        regular = _regular_part(grouped, i, ai, xi - 1)
-        coefficient = regular.coefficients[xi - 1]
+        coefficient = _regular_coefficient(grouped, i, ai, xi - 1)
         residues.append((-1) ** xi * coefficient / ai**xi)
     residues = tuple(residues)
     return MethodReport(-_total(residues), "series", residues)
 
 
-def _regular_part(
+def _regular_coefficient(
     grouped: GroupedInstance, pole_index: int, ai: Fraction, degree: int
-) -> TruncatedSeries:
-    """Taylor jet around w = 1/a_i of every factor except the pole itself."""
-    # 1/w = a_i/(1 + a_i*u)
-    regular = TruncatedSeries.affine(1, ai, degree).inverse() * ai
-    for k, (ak, xk) in enumerate(grouped.a_groups):
-        if k == pole_index:
-            continue
-        # 1 - a_k*w = (a_i - a_k)/a_i - a_k*u
-        regular = regular * TruncatedSeries.affine((ai - ak) / ai, -ak, degree).inverse() ** xk
-    for bj, yj in grouped.b_groups:
-        # 1 + b_j*w = (a_i + b_j)/a_i + b_j*u
-        regular = regular * TruncatedSeries.affine((ai + bj) / ai, bj, degree).inverse() ** yj
-    return regular
+) -> Fraction:
+    """u^degree Taylor coefficient, around w = 1/a_i, of all factors but the pole.
+
+    Every regular factor has the form (c0 + s*u)^-x = c0^-x * (1 + r*u)^-x
+    with r = s/c0, so the product is R(u) = R_0 * prod (1 + r_k*u)^-x_k.
+    Its log-derivative is sum_{t>=1} P_t u^(t-1) with the power sums
+    P_t = sum_k x_k*(-r_k)^t, and R' = R * (log R)' gives Newton's
+    recurrence t*R_t = sum_{s=1..t} P_s*R_(t-s) (Brent & Kung 1978).
+    """
+    # (1/c0, s, x) for the factor (c0 + s*u)^-x.  1/w = a_i * (1 + a_i*u)^-1;
+    # 1 - a_k*w = (a_i - a_k)/a_i - a_k*u;  1 + b_j*w = (a_i + b_j)/a_i + b_j*u.
+    factors = [(Fraction(1), ai, 1)]
+    factors += [
+        (ai / (ai - ak), -ak, xk)
+        for k, (ak, xk) in enumerate(grouped.a_groups)
+        if k != pole_index
+    ]
+    factors += [(ai / (ai + bj), bj, yj) for bj, yj in grouped.b_groups]
+    coefficients = [ai * math.prod(inv_c0**x for inv_c0, _, x in factors)]
+    if not degree:
+        return coefficients[0]
+    ratios = [-s * inv_c0 for inv_c0, s, _ in factors]
+    terms = [x for _, _, x in factors]  # x_k * (-r_k)^t, at t = 0
+    power_sums = []
+    for t in range(1, degree + 1):
+        terms = [term * q for term, q in zip(terms, ratios)]
+        power_sums.append(sum(terms))
+        # P_1..P_t against R_(t-1)..R_0
+        total = sum(p * r for p, r in zip(power_sums, reversed(coefficients)))
+        coefficients.append(total / t)
+    return coefficients[degree]
 
 
 def _total(residues) -> Fraction:
@@ -184,15 +199,23 @@ def closed_form_report(grouped: GroupedInstance) -> MethodReport:
     return MethodReport(value, method, (-value,))
 
 
+def parse_perturbation(eps) -> Fraction:
+    """Read a perturbation by the rules for a speed: exact, positive, well-formed."""
+    try:
+        return parse_speed(eps)
+    except InvalidInstance as exc:
+        raise InvalidInstance(
+            f"perturbation must be an exact positive rational, got {eps!r}"
+        ) from exc
+
+
 def perturb(grouped: GroupedInstance, eps) -> Instance:
     """Split repeated speeds apart: q-th copy of speed s becomes s + q*eps.
 
     Raises if eps is so large that two perturbed speeds on one side
     coincide (possible when different base speeds sit close together).
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInstance("perturbation must be positive")
+    eps = parse_perturbation(eps)
     a = tuple(ai + q * eps for ai, xi in grouped.a_groups for q in range(1, xi + 1))
     b = tuple(bj + r * eps for bj, yj in grouped.b_groups for r in range(1, yj + 1))
     for side, speeds in (("a", a), ("b", b)):

@@ -1,10 +1,10 @@
-"""Truncated power-series arithmetic over exact rationals.
+"""Truncated power-series arithmetic over exact rationals: a test oracle.
 
 A series is a plain coefficient vector c[0..d]; every operation stays at
-the fixed truncation degree d and is exact.  This is all the machinery the
-higher-order residue solver needs: the pole factor is pulled out in closed
-form by the caller, so ordinary Taylor jets suffice and no Laurent terms
-ever appear.  Instances are immutable; arithmetic returns new objects.
+the fixed truncation degree d and is exact.  The series route no longer
+uses it (`residues` computes the one Taylor coefficient a residue needs
+from a power-sum recurrence); the tests build the same coefficient from
+affine jets, inverses and powers here and compare.
 """
 
 from __future__ import annotations
@@ -24,69 +24,20 @@ class TruncatedSeries:
         coeffs = tuple(Fraction(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @classmethod
-    def constant(cls, value, degree: int) -> "TruncatedSeries":
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return cls((Fraction(value),) + (Fraction(0),) * degree)
-
-    @classmethod
-    def zero(cls, degree: int) -> "TruncatedSeries":
-        return cls.constant(0, degree)
-
-    @classmethod
-    def one(cls, degree: int) -> "TruncatedSeries":
-        return cls.constant(1, degree)
+        self.coefficients = coeffs
 
     @classmethod
     def affine(cls, c0, c1, degree: int) -> "TruncatedSeries":
         """c0 + c1*u, padded (or, at degree 0, truncated) to `degree`."""
-        return cls.constant(c0, degree) + cls.linear_term(c1, degree)
-
-    @classmethod
-    def linear_term(cls, c1, degree: int) -> "TruncatedSeries":
-        if degree < 1:
-            return cls.zero(degree)
-        return cls((Fraction(0), Fraction(c1)) + (Fraction(0),) * (degree - 1))
-
-    def _matched(self, other: "TruncatedSeries") -> None:
-        if self.degree != other.degree:
-            raise ValueError(
-                f"truncation degrees differ: {self.degree} vs {other.degree}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._matched(other)
-        return TruncatedSeries(
-            x + y for x, y in zip(self.coefficients, other.coefficients)
-        )
-
-    def __neg__(self):
-        return TruncatedSeries(-x for x in self.coefficients)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._matched(other)
-        return TruncatedSeries(
-            x - y for x, y in zip(self.coefficients, other.coefficients)
-        )
+        return cls(([c0, c1] + [0] * degree)[: degree + 1])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._matched(other)
             size = len(self.coefficients)
+            if len(other.coefficients) != size:
+                raise ValueError(
+                    f"truncation degrees differ: {size - 1} vs {len(other.coefficients) - 1}"
+                )
             out = [Fraction(0)] * size
             for i, ci in enumerate(self.coefficients):
                 if not ci:
@@ -106,7 +57,7 @@ class TruncatedSeries:
             raise TypeError("exponent must be an int")
         if exponent < 0:
             raise ValueError("negative exponent; call inverse() first")
-        result = TruncatedSeries.one(self.degree)
+        result = TruncatedSeries([1] + [0] * (len(self.coefficients) - 1))
         base = self
         while exponent:
             if exponent & 1:
@@ -128,21 +79,3 @@ class TruncatedSeries:
         for k in range(1, len(s)):
             t.append(-sum(s[i] * t[k - i] for i in range(1, k + 1)) / s[0])
         return TruncatedSeries(t)
-
-    def truncate(self, degree: int) -> "TruncatedSeries":
-        """Drop coefficients above `degree` (which must not exceed self.degree)."""
-        if not 0 <= degree <= self.degree:
-            raise ValueError(f"cannot truncate degree {self.degree} to {degree}")
-        return TruncatedSeries(self.coefficients[: degree + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        inside = ", ".join(str(c) for c in self.coefficients)
-        return f"TruncatedSeries([{inside}])"

@@ -1,10 +1,10 @@
-"""Shared hypothesis strategies for duel instances."""
+"""Shared hypothesis strategies for duel instances, flat and grouped."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from skirmish import Instance
+from skirmish import GroupedInstance, Instance
 
 # Small pool so repeated speeds actually happen; the open range keeps
 # denominators tame enough for exact arithmetic to stay fast.
@@ -30,3 +30,20 @@ def instances(draw, min_side=1, max_side=5):
     if not a and not b:
         a = [draw(speeds)]
     return Instance(tuple(a), tuple(b))
+
+
+@st.composite
+def grouped_instances(draw):
+    """Random grouped instances whose a-poles reach order 12.
+
+    `instances` draws at most a handful of speeds a side, so its poles stay
+    low; here each of up to three distinct speeds a side gets its own
+    multiplicity.  Side A is never empty, so there is always an a-pole.
+    """
+    multiplicity = st.integers(1, 12)
+
+    def side(min_groups):
+        distinct = draw(st.lists(speeds, min_size=min_groups, max_size=3, unique=True))
+        return tuple((s, draw(multiplicity)) for s in sorted(distinct))
+
+    return GroupedInstance(side(1), side(0))

@@ -177,6 +177,24 @@ class TestSolve:
         assert main(["solve", "--a", "1", "--b", "1"]) == 1
         assert "inconsistency:" in capsys.readouterr().err
 
+    def test_unexpected_error_exits_three(self, capsys, monkeypatch):
+        import skirmish.residues as residues_mod
+
+        def crashing(inst):
+            raise RuntimeError("route crashed")
+
+        monkeypatch.setattr(residues_mod, "p_a_wins_distinct", crashing)
+        assert main(["solve", "--a", "1", "--b", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: route crashed" in err
+
+    def test_epsilon_division_by_zero_is_usage_error(self):
+        result = run_cli("solve", "--a", "1,1", "--b", "2", "--method", "epsilon",
+                         "--epsilon", "1/0")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "error: perturbation" in result.stderr
+
 
 class TestSimulate:
     def test_json_shape_and_determinism(self, capsys):
@@ -315,6 +333,12 @@ class TestCrosscheck:
         payload = json.loads(capsys.readouterr().out)
         eps_row = payload["methods"][2]
         assert eps_row["epsilon"] == "1/5000"
+
+    def test_epsilon_division_by_zero_is_usage_error(self):
+        result = run_cli("crosscheck", "--a", "1,1", "--b", "2", "--epsilon", "1/0")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "error: perturbation" in result.stderr
 
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
         import skirmish.residues as residues_mod

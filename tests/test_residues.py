@@ -23,7 +23,7 @@ from skirmish import (
     solve,
 )
 
-from conftest import instances, speeds
+from conftest import grouped_instances, instances, speeds
 
 F = Fraction
 
@@ -79,6 +79,19 @@ class TestSeries:
         assert value == p_a_wins_recursive(Instance((2, 2, 3), (5,)))
         assert value == F(267, 392)
 
+    @pytest.mark.parametrize(
+        "a_groups, b_groups, residues, value",
+        [
+            ([(2, 2), (3, 1)], [(5, 1)], (F(132, 49), F(-27, 8)), F(267, 392)),
+            ([(1, 3)], [(2, 2)], (F(-11, 27),), F(11, 27)),
+            ([(1, 2), (3, 2)], [(2, 3)], (F(-1, 18), F(-729, 1250)), F(3593, 5625)),
+        ],
+    )
+    def test_residues_at_higher_order_poles(self, a_groups, b_groups, residues, value):
+        report = p_a_wins_series(grouped(a_groups, b_groups))
+        assert report.residues == residues
+        assert report.value == value
+
     def test_report_method_and_residue_sum(self):
         report = p_a_wins_series(grouped([(1, 3)], [(2, 2)]))
         assert report.method == "series"
@@ -95,6 +108,11 @@ class TestSeries:
     @settings(max_examples=60)
     def test_matches_reference_with_repeats(self, inst):
         assert p_a_wins_series(group(inst)).value == p_a_wins_recursive(inst)
+
+    @given(grouped_instances())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_at_high_order(self, g):
+        assert p_a_wins_series(g).value == p_a_wins_recursive(g.expand())
 
     @given(instances(min_side=1, max_side=4))
     @settings(max_examples=40)
