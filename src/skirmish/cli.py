@@ -166,8 +166,10 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 
 def _run_solve(args) -> int:
+    if args.epsilon is not None and args.method != "epsilon":
+        raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
     inst = _read_instance(args)
-    report = solve(inst, args.method, args.epsilon or None)
+    report = solve(inst, args.method, args.epsilon)
     failure = _verify(inst, report)
     _emit(args, report.to_json(), _plain_value(report.to_json()))
     if failure:
@@ -267,7 +269,11 @@ def _run_crosscheck(args) -> int:
     rows.append({"method": report.method, "value": str(report.value), "agree": not failure})
 
     # The row prints the perturbation, so the default is resolved here.
-    eps = parse_perturbation(args.epsilon) if args.epsilon else default_epsilon(group(inst))
+    eps = (
+        default_epsilon(group(inst))
+        if args.epsilon is None
+        else parse_perturbation(args.epsilon)
+    )
     eps_report = solve(inst, "epsilon", eps)
     # Informational row: the perturbation is approximate by design, so its
     # deviation is reported but never gates the exit code.

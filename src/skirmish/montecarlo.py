@@ -21,8 +21,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import streams
 from .model import Instance, InvalidInstance, parse_speed
 
@@ -99,6 +97,8 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     the void (their death counters stop moving), which keeps the stream
     layout independent of how long each duel happens to last.
     """
+    import numpy as np
+
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
     # Entry [i][j]: threshold for the duel's current front pair after i A

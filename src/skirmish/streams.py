@@ -7,11 +7,17 @@ to a whole Philox block of four outputs.  Any contiguous trial range can
 then be regenerated on its own by starting the counter at the range's
 first block, so partitioning trials across blocks (or workers) reproduces
 a serial run bit for bit.
+
+numpy is imported inside the functions that draw, not at module level, so
+the exact commands, which never draw, start without loading it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 
@@ -28,6 +34,8 @@ def raw_slots(seed: int, start: int, count: int, width: int) -> np.ndarray:
         raise ValueError("slot width must be a multiple of the Philox block size")
     if count < 1:
         raise ValueError("need at least one trial")
+    import numpy as np
+
     bit_generator = np.random.Philox(
         key=seed, counter=start * width // OUTPUTS_PER_BLOCK
     )
@@ -36,9 +44,13 @@ def raw_slots(seed: int, start: int, count: int, width: int) -> np.ndarray:
 
 def unit_floats(raw: np.ndarray) -> np.ndarray:
     """Map raw 64-bit words to doubles in [0, 1), filling the 53-bit mantissa."""
+    import numpy as np
+
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
 def derived_seed(seed: int, index: int) -> int:
     """Stable 64-bit sub-seed for auxiliary runs (e.g. permutation probes)."""
+    import numpy as np
+
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])

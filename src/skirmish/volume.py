@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import streams
 from .model import Instance, InvalidInstance
 
@@ -86,6 +84,8 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
     weights are the speeds over a power of two near the largest: finite,
     and scaled exactly, so no comparison changes.
     """
+    import numpy as np
+
     m, n = len(inst.a), len(inst.b)
     top = max(inst.a + inst.b)
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())

@@ -1,14 +1,19 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skirmish import ROUTES, Instance, MethodReport, p_a_wins_recursive
 from skirmish.cli import _stochastic_row, build_parser, main
@@ -195,6 +200,24 @@ class TestSolve:
         assert "Traceback" not in result.stderr
         assert "error: perturbation" in result.stderr
 
+    @pytest.mark.parametrize(
+        "method, eps",
+        [("auto", "1/0"), *((m, "1/100") for m in ROUTES if m != "epsilon")],
+    )
+    def test_epsilon_with_another_route_is_usage_error(self, capsys, method, eps):
+        argv = ["solve", "--a", "1", "--b", "2", "--method", method, "--epsilon", eps]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --epsilon applies only to --method epsilon" in captured.err
+
+    def test_empty_epsilon_is_usage_error(self, capsys):
+        argv = ["solve", "--a", "1,1", "--b", "2", "--method", "epsilon", "--epsilon", ""]
+        assert main(argv) == 2
+        assert "error: perturbation must be an exact positive rational, got ''" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSimulate:
     def test_json_shape_and_determinism(self, capsys):
@@ -340,6 +363,12 @@ class TestCrosscheck:
         assert "Traceback" not in result.stderr
         assert "error: perturbation" in result.stderr
 
+    def test_empty_epsilon_is_usage_error(self, capsys):
+        assert main(["crosscheck", "--a", "1,1", "--b", "2", "--epsilon", ""]) == 2
+        assert "error: perturbation must be an exact positive rational, got ''" in (
+            capsys.readouterr().err
+        )
+
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
         import skirmish.residues as residues_mod
 
@@ -437,3 +466,77 @@ class TestEntryPoints:
     def test_no_command_is_usage_error(self):
         result = run_cli()
         assert result.returncode == 2
+
+
+def numpy_loaded_after(commands):
+    """Whether running `commands` through `main` in a fresh interpreter loads numpy."""
+    script = (
+        "import sys\n"
+        "from skirmish.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'nonzero exit from {argv}')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+class TestNumpyImport:
+    def test_exact_commands_never_load_numpy(self):
+        # One speed a side (B repeated) is in every route's domain.
+        commands = [
+            ["solve", "--a", "2", "--b", "3,3", "--method", method]
+            for method in ("auto", *ROUTES)
+        ]
+        commands += [
+            ["relate", "--a", "1,2", "--b", "3"],
+            ["curve", "--points", "3"],
+            ["cycle", "1", "2", "3"],
+        ]
+        assert not numpy_loaded_after(commands)
+
+    def test_simulate_loads_numpy(self):
+        assert numpy_loaded_after([["simulate", "--a", "1", "--b", "2", "--trials", "10"]])
+
+
+# 300-digit integers, and small ones that include zero and negatives.
+_BIG = st.integers(10**299, 10**300 - 1)
+_SMALL = st.integers(-3, 60)
+_SPEED_TEXTS = st.one_of(
+    st.builds("1e{}".format, st.integers(-400, 400)),
+    st.builds("{}/{}".format, st.one_of(_BIG, _SMALL), st.one_of(_BIG, _SMALL)),
+    _BIG.map(str),
+    _SMALL.map(str),
+)
+_BAD_TEXTS = st.sampled_from(["", " ", "1/0", "-1/2", "0.0", "nan", "inf", "1e", "x"])
+# Lists of only well-formed texts keep the exit-0 paths common.
+_SIDES = st.one_of(
+    st.lists(_SPEED_TEXTS, max_size=6),
+    st.lists(st.one_of(_SPEED_TEXTS, _BAD_TEXTS), max_size=6),
+).map(",".join)
+_COMMANDS = st.sampled_from(
+    [
+        ["solve", "--method", method]
+        for method in ("auto", "recursive", "series", "distinct", "closed-form")
+    ]
+    + [["relate"]]
+)
+
+
+class TestRobustness:
+    @settings(max_examples=80, deadline=None)
+    @given(_COMMANDS, _SIDES, _SIDES)
+    def test_adversarial_speeds_never_crash(self, command, a, b):
+        """Valid input gives 0, anything else a usage error; never a traceback."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*command, f"--a={a}", f"--b={b}"])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
