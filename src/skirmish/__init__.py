@@ -57,7 +57,6 @@ from .montecarlo import (
     POLICIES,
     SimConfig,
     SimReport,
-    order_invariance_probe,
     simulate,
     win_threshold,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "group",
     "matching_curve",
     "matching_curve_grid",
-    "order_invariance_probe",
     "p_a_wins_distinct",
     "p_a_wins_epsilon",
     "p_a_wins_recursive",

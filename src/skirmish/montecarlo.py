@@ -13,20 +13,21 @@ beams.  "random-adjacent" collides a uniformly chosen surviving A with a
 uniformly chosen surviving B; the duel's winner distribution is invariant
 under collision order, so both policies estimate the same probability, and
 the pair of them exists to let tests demonstrate exactly that.
+
+Both policies run every trial of a block in lockstep, one numpy operation
+per collision step over the whole block, reading the step's draws from a
+transposed copy of the block so that each step touches one contiguous row.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import streams
 from .model import Instance, InvalidInstance, parse_speed
 
 POLICIES = ("frontmost", "random-adjacent")
-
-_BLOCK_TRIALS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -93,38 +94,43 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     """All trials advance in lockstep; one draw column per collision step.
 
     A duel of m vs n particles lasts at most m + n - 1 collisions, so each
-    trial's slot holds that many draws.  Finished trials keep drawing into
-    the void (their death counters stop moving), which keeps the stream
-    layout independent of how long each duel happens to last.
+    trial's slot holds that many draws.  After `step` collisions a live duel
+    has lost `dead_b` B particles and `step - dead_b` A particles, so
+    `dead_b` alone is the state.  Row `step` of the threshold table maps
+    `dead_b` to the front pair's threshold, and to 0 once the duel is over:
+    no draw is below 0, so finished trials keep drawing into the void with
+    their counter frozen, which keeps the stream layout independent of how
+    long each duel happens to last.  Each block is transposed once, so a
+    step reads one contiguous column: one gather, one compare, one add.
     """
     import numpy as np
 
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
-    # Entry [i][j]: threshold for the duel's current front pair after i A
-    # deaths and j B deaths.  B dies front to back; A from the rear, since
-    # its leading particle is the last one fired.
-    thresholds = np.array(
+    # pair[i][j]: threshold for the front pair after i A deaths and j B
+    # deaths.  B dies front to back; A from the rear, since its leading
+    # particle is the last one fired.
+    pair = np.array(
         [[win_threshold(a[m - 1 - i], b[j]) for j in range(n)] for i in range(m)],
         dtype=np.uint64,
     )
     collisions = m + n - 1
+    # rows[step][dead_b] = pair[step - dead_b][dead_b] while the duel is live.
+    steps = np.arange(collisions)[:, None]
+    b_deaths = np.arange(n + 1)
+    a_deaths = steps - b_deaths
+    live = (a_deaths >= 0) & (a_deaths < m) & (b_deaths < n)
+    rows = np.where(
+        live, pair[np.clip(a_deaths, 0, m - 1), np.minimum(b_deaths, n - 1)], np.uint64(0)
+    )
     width = streams.slot_width(collisions)
     a_wins = 0
-    for start in range(0, cfg.trials, _BLOCK_TRIALS):
-        count = min(_BLOCK_TRIALS, cfg.trials - start)
-        raw = streams.raw_slots(cfg.seed, start, count, width)
-        dead_a = np.zeros(count, dtype=np.int64)
-        dead_b = np.zeros(count, dtype=np.int64)
-        for step in range(collisions):
-            active = (dead_a < m) & (dead_b < n)
-            if not active.any():
-                break
-            front = thresholds[np.minimum(dead_a, m - 1), np.minimum(dead_b, n - 1)]
-            a_survives = raw[:, step] < front
-            dead_b += active & a_survives
-            dead_a += active & ~a_survives
-        if not ((dead_a == m) ^ (dead_b == n)).all():
+    for raw in streams.trial_blocks(cfg.seed, cfg.trials, width):
+        columns = np.ascontiguousarray(raw[:, :collisions].T)
+        dead_b = np.zeros(len(raw), dtype=np.intp)
+        for row, column in zip(rows, columns):
+            dead_b += column < row.take(dead_b)
+        if not ((dead_b == n) | (len(columns) - dead_b >= m)).all():
             raise AssertionError("a duel failed to finish within its draw budget")
         a_wins += int((dead_b == n).sum())
     return a_wins
@@ -133,61 +139,58 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
 def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
     """Each collision spends three draws: pick A, pick B, resolve.
 
-    Survivor picks map a raw word u to floor(u * k / 2^64), the uniform
-    index trick on exact integers.  Trials run one by one in Python; this
-    policy is the order-invariance witness, not the throughput path.
+    All trials of a block advance in lockstep, collision c reading columns
+    3c, 3c + 1 and 3c + 2 of the trial's slot.  A pick maps a raw word u
+    to the alive particle of rank floor(u * k / 2^64) among the k alive on
+    its side, ranked in firing order; `_scaled_floor` takes that floor
+    exactly.  Finished trials keep drawing with their alive masks frozen.
     """
+    import numpy as np
+
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
-    thresholds = [[win_threshold(ai, bj) for bj in b] for ai in a]
-    width = streams.slot_width((m + n - 1) * 3)
+    pair = np.array([[win_threshold(ai, bj) for bj in b] for ai in a], dtype=np.uint64)
+    collisions = m + n - 1
+    width = streams.slot_width(3 * collisions)
     a_wins = 0
-    for start in range(0, cfg.trials, _BLOCK_TRIALS):
-        count = min(_BLOCK_TRIALS, cfg.trials - start)
-        raw = streams.raw_slots(cfg.seed, start, count, width)
-        for row in raw:
-            alive_a = list(range(m))
-            alive_b = list(range(n))
-            position = 0
-            while alive_a and alive_b:
-                pick_a, pick_b, outcome = (int(x) for x in row[position : position + 3])
-                position += 3
-                ia = alive_a[(pick_a * len(alive_a)) >> 64]
-                ib = alive_b[(pick_b * len(alive_b)) >> 64]
-                if outcome < thresholds[ia][ib]:
-                    alive_b.remove(ib)
-                else:
-                    alive_a.remove(ia)
-            if not alive_b:
-                a_wins += 1
+    for raw in streams.trial_blocks(cfg.seed, cfg.trials, width):
+        columns = np.ascontiguousarray(raw[:, : 3 * collisions].T)
+        trials = np.arange(len(raw))
+        alive_a = np.ones((len(raw), m), dtype=bool)
+        alive_b = np.ones((len(raw), n), dtype=bool)
+        left_a = np.full(len(raw), m, dtype=np.uint64)
+        left_b = np.full(len(raw), n, dtype=np.uint64)
+        for c in range(collisions):
+            live = (left_a > 0) & (left_b > 0)
+            ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
+            ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
+            a_survives = columns[3 * c + 2] < pair[ia, ib]
+            b_dies = live & a_survives
+            a_dies = live & ~a_survives
+            alive_b[trials, ib] &= ~b_dies
+            alive_a[trials, ia] &= ~a_dies
+            left_b -= b_dies
+            left_a -= a_dies
+        if not ((left_a == 0) ^ (left_b == 0)).all():
+            raise AssertionError("a duel failed to finish within its draw budget")
+        a_wins += int((left_b == 0).sum())
     return a_wins
 
 
-def order_invariance_probe(
-    inst: Instance, cfg: SimConfig, permutations: int
-) -> list[SimReport]:
-    """Simulate random reorderings of both sides under derived seeds.
+def _scaled_floor(words, k):
+    """floor(words * k / 2^64) on uint64 arrays, exact for every k < 2^32.
 
-    Samples `permutations` shuffles and keeps the distinct orderings (an
-    all-equal side can only produce one), so the list may be shorter than
-    asked.  Every estimate should land within a few standard errors of the
-    common exact value; the exercise exists to check that ordering is
-    statistical noise, not signal.
+    Split each word into 32-bit halves: (hi * k + (lo * k >> 32)) >> 32.
+    Neither product nor the sum can pass 2^64 (Lemire 2019).
     """
-    if permutations < 1:
-        raise ValueError("need at least one permutation")
-    shuffler = random.Random(cfg.seed)
-    orderings: list[tuple[tuple, tuple]] = []
-    for _ in range(permutations):
-        a = list(inst.a)
-        b = list(inst.b)
-        shuffler.shuffle(a)
-        shuffler.shuffle(b)
-        ordering = (tuple(a), tuple(b))
-        if ordering not in orderings:
-            orderings.append(ordering)
-    reports = []
-    for index, (a, b) in enumerate(orderings):
-        sub_cfg = SimConfig(cfg.trials, streams.derived_seed(cfg.seed, index), cfg.policy)
-        reports.append(simulate(Instance(a, b), sub_cfg))
-    return reports
+    import numpy as np
+
+    half = np.uint64(32)
+    return ((words >> half) * k + ((words & np.uint64(0xFFFFFFFF)) * k >> half)) >> half
+
+
+def _ranked(alive, rank):
+    """Column of each row's alive entry of the given rank, counting from 0."""
+    import numpy as np
+
+    return (alive.cumsum(axis=1) > rank.astype(np.intp)[:, None]).argmax(axis=1)

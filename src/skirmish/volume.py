@@ -24,8 +24,6 @@ from fractions import Fraction
 from . import streams
 from .model import Instance, InvalidInstance
 
-_BLOCK_SAMPLES = 1 << 16
-
 
 @dataclass(frozen=True)
 class VolumeEstimate:
@@ -94,9 +92,8 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
     width = streams.slot_width(m + n)
     a_hits = 0
     b_hits = 0
-    for start in range(0, samples, _BLOCK_SAMPLES):
-        count = min(_BLOCK_SAMPLES, samples - start)
-        draws = streams.unit_floats(streams.raw_slots(seed, start, count, width))
+    for raw in streams.trial_blocks(seed, samples, width):
+        draws = streams.unit_floats(raw)
         with np.errstate(divide="ignore"):
             logs = np.log(draws)
         score_a = logs[:, :m] @ weights_a

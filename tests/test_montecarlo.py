@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skirmish.montecarlo as mc
@@ -12,14 +13,14 @@ from skirmish import (
     Instance,
     InvalidInstance,
     SimConfig,
-    order_invariance_probe,
     p_a_wins_recursive,
     simulate,
     win_threshold,
 )
 from skirmish import streams
 
-from conftest import speeds
+from conftest import instances, speeds
+from oracles import order_invariance_probe, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = float(Fraction(270, 539))
@@ -27,6 +28,56 @@ FIGHT_P = float(Fraction(270, 539))
 
 def within_four_sigma(report, exact):
     return abs(report.estimate - float(exact)) <= 4 * report.std_error
+
+
+def frontmost_reference(inst, seed, trials):
+    """(A wins, collisions per trial), replayed one draw at a time."""
+    m, n = len(inst.a), len(inst.b)
+    raw = streams.raw_slots(seed, 0, trials, streams.slot_width(m + n - 1))
+    a_wins = 0
+    collisions_used = []
+    for row in raw:
+        dead_a = dead_b = step = 0
+        while dead_a < m and dead_b < n:
+            a_speed = inst.a[m - 1 - dead_a]
+            b_speed = inst.b[dead_b]
+            if int(row[step]) < win_threshold(a_speed, b_speed):
+                dead_b += 1
+            else:
+                dead_a += 1
+            step += 1
+        collisions_used.append(step)
+        a_wins += dead_b == n
+    return a_wins, collisions_used
+
+
+def random_adjacent_reference(inst, seed, trials):
+    """A wins, replayed one trial at a time on Python ints."""
+    a, b = inst.a, inst.b
+    m, n = len(a), len(b)
+    thresholds = [[win_threshold(ai, bj) for bj in b] for ai in a]
+    raw = streams.raw_slots(seed, 0, trials, streams.slot_width((m + n - 1) * 3))
+    a_wins = 0
+    for row in raw:
+        alive_a = list(range(m))
+        alive_b = list(range(n))
+        position = 0
+        while alive_a and alive_b:
+            pick_a, pick_b, outcome = (int(x) for x in row[position : position + 3])
+            position += 3
+            ia = alive_a[(pick_a * len(alive_a)) >> 64]
+            ib = alive_b[(pick_b * len(alive_b)) >> 64]
+            if outcome < thresholds[ia][ib]:
+                alive_b.remove(ib)
+            else:
+                alive_a.remove(ia)
+        a_wins += not alive_b
+    return a_wins
+
+
+def slot_width(inst, policy):
+    collisions = len(inst.a) + len(inst.b) - 1
+    return streams.slot_width(collisions if policy == "frontmost" else 3 * collisions)
 
 
 class TestConfig:
@@ -72,11 +123,19 @@ class TestSimulate:
         cfg = SimConfig(50_000, seed=3)
         assert simulate(FIGHT, cfg) == simulate(FIGHT, cfg)
 
-    def test_partitioning_invariance(self, monkeypatch):
-        serial = simulate(FIGHT, SimConfig(10_000, seed=3))
-        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 1 << 7)
-        blocked = simulate(FIGHT, SimConfig(10_000, seed=3))
-        assert blocked == serial
+    def test_partitioning_invariance(self):
+        # Pinned on a build that ran all 3000 trials in one block.
+        for policy, a_wins in (("frontmost", 1489), ("random-adjacent", 1527)):
+            width = slot_width(FIGHT, policy)
+            for block_trials in (1, 7, None):
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    use_block_trials(monkeypatch, block_trials, width)
+                    blocks = record_blocks(monkeypatch)
+                    report = simulate(FIGHT, SimConfig(3_000, seed=3, policy=policy))
+                assert report.a_wins == a_wins
+                expected = block_trials or streams.BLOCK_BYTES // (8 * width)
+                assert blocks[:-1] == [expected] * (len(blocks) - 1)
+                assert sum(blocks) == 3_000
 
     def test_report_arithmetic(self):
         report = simulate(FIGHT, SimConfig(5_000, seed=2))
@@ -112,26 +171,57 @@ class TestSimulate:
         inst = Instance((3, 1), (2, 2))
         trials = 512
         report = simulate(inst, SimConfig(trials, seed=13))
-        m, n = len(inst.a), len(inst.b)
-        width = streams.slot_width(m + n - 1)
-        raw = streams.raw_slots(13, 0, trials, width)
-        a_wins = 0
-        collisions_used = []
-        for row in raw:
-            dead_a = dead_b = step = 0
-            while dead_a < m and dead_b < n:
-                a_speed = inst.a[m - 1 - dead_a]
-                b_speed = inst.b[dead_b]
-                if int(row[step]) < win_threshold(a_speed, b_speed):
-                    dead_b += 1
-                else:
-                    dead_a += 1
-                step += 1
-            collisions_used.append(step)
-            a_wins += dead_b == n
+        a_wins, collisions_used = frontmost_reference(inst, 13, trials)
         assert report.a_wins == a_wins
         # Every duel ends after m + n - survivors collisions.
+        m, n = len(inst.a), len(inst.b)
         assert all(1 <= c <= m + n - 1 for c in collisions_used)
+
+    def test_random_adjacent_matches_scalar_reference(self):
+        inst = Instance((3, 1, 2), (2, 2))
+        report = simulate(inst, SimConfig(512, seed=13, policy="random-adjacent"))
+        assert report.a_wins == random_adjacent_reference(inst, 13, 512)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        inst=instances(max_side=6),
+        seed=st.integers(0, 2**64 - 1),
+        block_trials=st.sampled_from([1, 7, None]),
+    )
+    def test_lockstep_runners_match_scalar_references(self, inst, seed, block_trials):
+        # Ragged sides, repeated speeds and every block size replay the
+        # scalar loops draw for draw.
+        trials = 40
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_block_trials(monkeypatch, block_trials, slot_width(inst, "frontmost"))
+            front = simulate(inst, SimConfig(trials, seed)).a_wins
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_block_trials(monkeypatch, block_trials, slot_width(inst, "random-adjacent"))
+            adjacent = simulate(inst, SimConfig(trials, seed, "random-adjacent")).a_wins
+        assert front == frontmost_reference(inst, seed, trials)[0]
+        assert adjacent == random_adjacent_reference(inst, seed, trials)
+
+    def test_short_draw_budget_is_caught(self, monkeypatch):
+        # One collision too few leaves some duel unfinished.
+        monkeypatch.setattr(streams, "slot_width", lambda draws: 4)
+        with pytest.raises(AssertionError, match="draw budget"):
+            simulate(Instance((1,) * 4, (1,) * 4), SimConfig(200, seed=1))
+
+
+class TestScaledFloor:
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2**32 - 1))
+    @example(2**64 - 1, 2**32 - 1)
+    @example(2**64 - 1, 1)
+    @example(0, 2**32 - 1)
+    @example(2**32 - 1, 2**32 - 1)
+    # The low half's carry decides these: hi * k alone is one short.
+    @example(2**33 - 1, 2**32 - 1)
+    @example(0x55555555FFFFFFFF, 3)
+    @example(0xAAAAAAAAFFFFFFFF, 3)
+    def test_matches_python_int_product(self, u, k):
+        words = np.array([u], dtype=np.uint64)
+        counts = np.array([k], dtype=np.uint64)
+        assert int(mc._scaled_floor(words, counts)[0]) == (u * k) >> 64
 
 
 class TestOrderInvarianceProbe:

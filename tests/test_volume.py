@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import skirmish.volume as vol_mod
 from skirmish import (
     Instance,
     InvalidInstance,
@@ -15,6 +14,8 @@ from skirmish import (
     p_a_wins_recursive,
 )
 from skirmish import streams
+
+from oracles import record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = float(Fraction(270, 539))
@@ -70,12 +71,17 @@ class TestDeterminism:
             FIGHT, 50_000, seed=4
         )
 
-    def test_partitioning_invariance(self, monkeypatch):
-        serial = estimate_volume(FIGHT, 30_000, seed=9)
-        monkeypatch.setattr(vol_mod, "_BLOCK_SAMPLES", 1 << 9)
-        blocked = estimate_volume(FIGHT, 30_000, seed=9)
-        assert blocked == serial
-
+    def test_partitioning_invariance(self):
+        # Pinned on a build that drew all 5000 samples in one block.
+        width = streams.slot_width(len(FIGHT.a) + len(FIGHT.b))
+        for block_samples in (1, 7, None):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                use_block_trials(monkeypatch, block_samples, width)
+                blocks = record_blocks(monkeypatch)
+                hits = estimate_volume(FIGHT, 5_000, seed=9).hits
+            assert hits == 2519
+            expected = block_samples or streams.BLOCK_BYTES // (8 * width)
+            assert blocks[:-1] == [expected] * (len(blocks) - 1) and sum(blocks) == 5_000
 
 class TestComplementSharing:
     def test_hits_partition_the_samples(self):
