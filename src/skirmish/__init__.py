@@ -32,7 +32,7 @@ from .model import (
     parse_instance,
     parse_speed,
 )
-from .recurrence import DpTable, fill_table, p_a_wins_recursive, p_a_wins_single_a
+from .recurrence import DpTable, fill_table, p_a_wins_recursive
 from .relations import (
     CycleWitness,
     RelationVerdict,
@@ -90,7 +90,6 @@ __all__ = [
     "p_a_wins_epsilon",
     "p_a_wins_recursive",
     "p_a_wins_series",
-    "p_a_wins_single_a",
     "p_two_speeds",
     "parse_instance",
     "parse_speed",

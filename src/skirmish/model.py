@@ -5,15 +5,17 @@ speeds ``b``.  Whenever opposing particles meet, exactly one survives: the
 one with speed ``u`` beats the one with speed ``v`` with probability
 ``u/(u+v)``.  Side A wins the duel once every B particle is gone.
 
-Every speed and probability in this package is a `fractions.Fraction`, so
-the deterministic solvers can be compared for exact equality.  Floats only
-appear in the stochastic estimators, and decimal strings in input are
-converted exactly ("0.9" becomes 9/10, never a binary float).
+Every speed and probability the package hands around is a
+`fractions.Fraction`, so the deterministic solvers can be compared for
+exact equality; inside, the exact kernels work on `Instance.integer_speeds`.
+Floats only appear in the stochastic estimators, and decimal strings in
+input are converted exactly ("0.9" becomes 9/10, never a binary float).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -67,6 +69,18 @@ class Instance:
     def swapped(self) -> "Instance":
         """The same duel seen from side B."""
         return Instance(self.b, self.a)
+
+    def integer_speeds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both sides scaled by the lcm L of all denominators, as Python ints.
+
+        Only speed ratios matter to the duel, so the exact solvers may work
+        on these.  Each product s*L is formed exactly by construction.
+        """
+        scale = math.lcm(*(s.denominator for s in self.a + self.b))
+        return tuple(
+            tuple(s.numerator * (scale // s.denominator) for s in side)
+            for side in (self.a, self.b)
+        )
 
 
 @dataclass(frozen=True)

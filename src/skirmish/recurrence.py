@@ -4,16 +4,33 @@ Conditioning on the first collision removes one particle: with front
 speeds a and b, side A keeps its particle with probability a/(a+b) and the
 duel continues one B short, otherwise one A short.  Tabulating that
 recurrence over suffix pairs of the two speed lists costs O(m*n) exact
-rational operations.  Every other solver in this package is checked
-against this one.
+operations.  Every other solver in this package is checked against this
+one.
+
+`p_a_wins_recursive` runs the recurrence fraction-free, in the manner of
+Bareiss's integer-preserving elimination.  On integer speeds (same ratios),
+P(i, j) for the suffix duel a[i:] versus b[j:] is a sum over paths from
+cell (i, j) to the boundary of products of step probabilities, and a step
+out of cell (i, j) has denominator a_i + b_j.  Every step raises i + j by
+one, so a path leaves each anti-diagonal i + j = d at most once, and
+
+    D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
+
+is a multiple of every path product's denominator.  Hence N(i, j) =
+P(i, j) * D is an integer in every cell, and each step of
+
+    N(i, j) = (a_i * N(i, j+1) + b_j * N(i+1, j)) / (a_i + b_j)
+
+is an exact integer division.  The only reduction is Fraction(N(0, 0), D).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, parse_speed
+from .model import Instance
 
 
 @dataclass(frozen=True)
@@ -35,7 +52,12 @@ class DpTable:
 
 
 def fill_table(inst: Instance) -> DpTable:
-    """Tabulate all suffix duels bottom-up (no recursion depth limit)."""
+    """The full-table oracle: every suffix duel as a reduced Fraction.
+
+    This is the recurrence read literally, one Fraction per cell, kept so
+    that tests can check `p_a_wins_recursive` and the table itself against
+    it; no solver calls it.
+    """
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
     memo: dict[tuple[int, int], Fraction] = {}
@@ -53,16 +75,33 @@ def fill_table(inst: Instance) -> DpTable:
     return DpTable(m, n, memo)
 
 
+def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """D: the product over anti-diagonals of the lcm of their a_i + b_j."""
+    m, n = len(a), len(b)
+    return math.prod(
+        math.lcm(*(a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1)))
+        for d in range(m + n - 1)
+    )
+
+
 def p_a_wins_recursive(inst: Instance) -> Fraction:
     """Exact probability that side A annihilates all of side B."""
-    return fill_table(inst).value
-
-
-def p_a_wins_single_a(a1, b) -> Fraction:
-    """One A particle must win every collision in turn: a product, no table."""
-    speed = parse_speed(a1)
-    result = Fraction(1)
-    for bj in b:
-        bj = parse_speed(bj)
-        result *= speed / (speed + bj)
-    return result
+    a, b = inst.integer_speeds()
+    if not b:
+        return Fraction(1)
+    denominator = path_denominator(a, b)
+    # row[j] holds N(i+1, j) until cell (i, j) overwrites it with N(i, j).
+    row = [0] * len(b)
+    for i in range(len(a) - 1, -1, -1):
+        ai = a[i]
+        right = denominator
+        for j in range(len(b) - 1, -1, -1):
+            bj = b[j]
+            right, remainder = divmod(ai * right + bj * row[j], ai + bj)
+            if remainder:
+                raise AssertionError(
+                    f"inexact division at cell ({i}, {j}): "
+                    "the path denominator does not clear this cell"
+                )
+            row[j] = right
+    return Fraction(row[0], denominator)

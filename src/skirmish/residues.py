@@ -90,24 +90,25 @@ def solve(inst: Instance, method: str = "auto", eps=None) -> MethodReport:
 def p_a_wins_distinct(inst: Instance) -> MethodReport:
     """Residue sum when every A speed is distinct (all a-poles simple).
 
-    residue_i = -prod_{k != i} a_i/(a_i - a_k) * prod_j a_i/(a_i + b_j).
-    B speeds may repeat freely; only the a-poles are evaluated.
+    residue_i = -prod_{k != i} a_i/(a_i - a_k) * prod_j a_i/(a_i + b_j)
+              = -A_i^(m+n-1) / (prod_{k != i} (A_i - A_k) * prod_j (A_i + B_j))
+    on the integer speeds A, B, so each residue is one reduction.  B speeds
+    may repeat freely; only the a-poles are evaluated.
     """
-    a, b = inst.a, inst.b
-    if len(set(a)) != len(a):
+    if len(set(inst.a)) != len(inst.a):
         raise InvalidInstance(
             "repeated a-speed: the simple-pole formula needs distinct A speeds"
         )
-    residues = []
-    for i, ai in enumerate(a):
-        term = Fraction(1)
-        for k, ak in enumerate(a):
-            if k != i:
-                term *= ai / (ai - ak)
-        for bj in b:
-            term *= ai / (ai + bj)
-        residues.append(-term)
-    residues = tuple(residues)
+    a, b = inst.integer_speeds()
+    degree = len(a) + len(b) - 1
+    residues = tuple(
+        Fraction(
+            -ai**degree,
+            math.prod(ai - ak for k, ak in enumerate(a) if k != i)
+            * math.prod(ai + bj for bj in b),
+        )
+        for i, ai in enumerate(a)
+    )
     return MethodReport(-_total(residues), "distinct", residues)
 
 
@@ -163,24 +164,30 @@ def _regular_coefficient(
 
 
 def _total(residues) -> Fraction:
-    return sum(residues, Fraction(0))
+    """Sum pairwise in a balanced tree, so that operands stay alike in size."""
+    terms = list(residues) or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [sum(terms[k : k + 2]) for k in range(0, len(terms), 2)]
+    return terms[0]
 
 
 def p_two_speeds(m: int, n: int, v) -> Fraction:
     """m speed-1 attackers versus n speed-v defenders.
 
     Each collision has odds 1 : v, a fair coin at v = 1.  Any duel with one
-    speed per side scales to this form.
+    speed per side scales to this form.  With v = q/p in lowest terms,
+
+        P = p^n * sum_{i<m} C(n+i-1, i) * q^i * (p+q)^(m-1-i) / (p+q)^(m+n-1),
+
+    one integer numerator (summed by Horner's rule) and one reduction.
     """
     _check_counts(m, n)
     v = parse_speed(v)
-    return sum(
-        (
-            math.comb(n + i - 1, i) * v**i / (1 + v) ** (n + i)
-            for i in range(m)
-        ),
-        Fraction(0),
-    )
+    q, p = v.numerator, v.denominator
+    total = 0
+    for i in range(m):
+        total = total * (p + q) + math.comb(n + i - 1, i) * q**i
+    return Fraction(p**n * total, (p + q) ** (m + n - 1))
 
 
 def _check_counts(m: int, n: int) -> None:

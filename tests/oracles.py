@@ -6,13 +6,55 @@ block of `streams.trial_blocks` holds, for the partitioning tests.
 sides, each under its own derived seed: the winner distribution does not
 depend on firing order, so every estimate must land near the same exact
 value.  Nothing in the CLI or the benchmark needs it, so it lives here.
+
+The exact oracles restate a solver the plain way, one reduced Fraction per
+factor or term: `p_a_wins_single_a` (one A particle must win every
+collision in turn), `distinct_residues_reference` (the simple-pole residues)
+and `p_two_speeds_reference` (the single-speed binomial sum).  The library
+computes the same exact values on integer numerators.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
-from skirmish import Instance, SimConfig, simulate, streams
+from skirmish import Instance, SimConfig, parse_speed, simulate, streams
+
+
+def p_a_wins_single_a(a1, b) -> Fraction:
+    """One A particle must win every collision in turn: a product, no table."""
+    speed = parse_speed(a1)
+    result = Fraction(1)
+    for bj in b:
+        bj = parse_speed(bj)
+        result *= speed / (speed + bj)
+    return result
+
+
+def distinct_residues_reference(inst: Instance) -> tuple[Fraction, ...]:
+    """-prod_{k != i} a_i/(a_i - a_k) * prod_j a_i/(a_i + b_j), factor by factor."""
+    a, b = inst.a, inst.b
+    residues = []
+    for i, ai in enumerate(a):
+        term = Fraction(1)
+        for k, ak in enumerate(a):
+            if k != i:
+                term *= ai / (ai - ak)
+        for bj in b:
+            term *= ai / (ai + bj)
+        residues.append(-term)
+    return tuple(residues)
+
+
+def p_two_speeds_reference(m: int, n: int, v) -> Fraction:
+    """sum_{i<m} C(n+i-1, i) * v^i / (1+v)^(n+i), term by term."""
+    v = parse_speed(v)
+    return sum(
+        (math.comb(n + i - 1, i) * v**i / (1 + v) ** (n + i) for i in range(m)),
+        Fraction(0),
+    )
 
 
 def derived_seed(seed: int, index: int) -> int:

@@ -1,20 +1,24 @@
-"""The reference solver and its fast path."""
+"""The reference solver, its full-table oracle and the one-A product."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import (
+    GroupedInstance,
     Instance,
     InvalidInstance,
     fill_table,
     p_a_wins_recursive,
-    p_a_wins_single_a,
+    recurrence,
 )
+from skirmish.cli import main
 
-from conftest import instances, speed_lists, speeds
+from conftest import grouped_instances, instances, speed_lists, speeds
+from oracles import p_a_wins_single_a
 
 
 class TestKnownValues:
@@ -58,6 +62,56 @@ class TestDpTable:
         # 80 vs 80 equal speeds: 6561 exact entries, still instant.
         inst = Instance((1,) * 80, (1,) * 80)
         assert p_a_wins_recursive(inst) == Fraction(1, 2)
+
+
+def _huge_rational_speeds(count, digits, seed):
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10**digits
+    speeds = [Fraction(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(count)]
+    assert len({s.denominator for s in speeds}) == count
+    return tuple(speeds)
+
+
+class TestFractionFreeKernel:
+    """The integer kernel against the full-table Fraction oracle."""
+
+    @given(instances(min_side=0))
+    def test_matches_full_table(self, inst):
+        assert p_a_wins_recursive(inst) == fill_table(inst).value
+
+    @given(grouped_instances().map(GroupedInstance.expand))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_full_table_with_repeated_speeds(self, inst):
+        assert p_a_wins_recursive(inst) == fill_table(inst).value
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(("1e400", "1", "1e-400"), ("1e-400", "3", "1e400")),
+            Instance(("1e-400",), ("1e-400", "1e400")),
+            Instance(_huge_rational_speeds(3, 300, 1), _huge_rational_speeds(4, 300, 2)),
+            Instance(
+                tuple(random.Random(40).sample(range(1, 5001), 40)),
+                tuple(random.Random(41).sample(range(1, 5001), 40)),
+            ),
+        ],
+        ids=["1e400-mixed", "1e-400-lone-a", "300-digit-rationals", "40v40-integers"],
+    )
+    def test_extreme_speeds(self, inst):
+        assert p_a_wins_recursive(inst) == fill_table(inst).value
+
+    @pytest.mark.parametrize("shrink", [lambda d: d // 2, lambda d: 1], ids=["half", "one"])
+    def test_too_small_denominator_is_caught(self, monkeypatch, capsys, shrink):
+        # Integer speeds (1, 3) vs (1,): D = 2 * 4 = 8 is the least that clears
+        # both cells, so a smaller D leaves a remainder, which must not pass.
+        path_denominator = recurrence.path_denominator
+        monkeypatch.setattr(
+            recurrence, "path_denominator", lambda a, b: shrink(path_denominator(a, b))
+        )
+        with pytest.raises(AssertionError, match="inexact division"):
+            p_a_wins_recursive(Instance((1, 3), (1,)))
+        assert main(["solve", "--a", "1,3", "--b", "1"]) == 3
+        assert "inexact division" in capsys.readouterr().err
 
 
 class TestSingleAFastPath:

@@ -24,6 +24,7 @@ from skirmish import (
 )
 
 from conftest import grouped_instances, instances, speeds
+from oracles import distinct_residues_reference, p_two_speeds_reference
 
 F = Fraction
 
@@ -66,6 +67,33 @@ class TestDistinct:
         if len(set(inst.a)) != len(inst.a):
             inst = Instance(tuple(set(inst.a)), inst.b)
         assert p_a_wins_distinct(inst).value == p_a_wins_recursive(inst)
+
+
+class TestDistinctResidueOracle:
+    """The integer-numerator residues equal the factor-by-factor Fractions."""
+
+    @staticmethod
+    def check(inst):
+        assert p_a_wins_distinct(inst).residues == distinct_residues_reference(inst)
+
+    def test_readme_residues(self):
+        inst = Instance((30, 20), (15, 36))
+        assert distinct_residues_reference(inst) == (F(-10, 11), F(20, 49))
+        self.check(inst)
+
+    def test_mixed_denominators(self):
+        self.check(Instance(("3/7", "0.9", "5/11", "2"), ("13/4", "1/6", "1/6")))
+
+    @given(instances(min_side=0, max_side=6))
+    @settings(max_examples=80)
+    def test_rational_speeds(self, inst):
+        self.check(Instance(tuple(dict.fromkeys(inst.a)), inst.b))
+
+    @given(grouped_instances())
+    @settings(max_examples=25, deadline=None)
+    def test_perturbed_instances(self, g):
+        # The epsilon route's input: distinct speeds with large denominators.
+        self.check(perturb(g, default_epsilon(g)))
 
 
 class TestSeries:
@@ -162,6 +190,17 @@ class TestClosedForms:
     @settings(max_examples=40)
     def test_two_speeds_matches_series(self, m, n, v):
         assert p_two_speeds(m, n, v) == p_a_wins_series(grouped([(1, m)], [(v, n)])).value
+
+    @pytest.mark.parametrize(
+        "m, n, v", [(1, 1, 1), (3, 2, 1), (5, 7, F(3, 11)), (13, 1, F(40, 3)), (200, 200, F(31, 47))]
+    )
+    def test_matches_term_by_term_sum(self, m, n, v):
+        assert p_two_speeds(m, n, v) == p_two_speeds_reference(m, n, v)
+
+    @given(st.integers(1, 30), st.integers(1, 30), speeds)
+    @settings(max_examples=60)
+    def test_matches_term_by_term_sum_at_random(self, m, n, v):
+        assert p_two_speeds(m, n, v) == p_two_speeds_reference(m, n, v)
 
     def test_invalid_counts(self):
         with pytest.raises(InvalidInstance):
