@@ -32,7 +32,7 @@ from .model import (
     parse_instance,
     parse_speed,
 )
-from .recurrence import DpTable, fill_table, p_a_wins_recursive
+from .recurrence import p_a_wins_recursive
 from .relations import (
     CycleWitness,
     RelationVerdict,
@@ -50,7 +50,6 @@ from .residues import (
     p_a_wins_epsilon,
     p_a_wins_series,
     p_two_speeds,
-    perturb,
     solve,
 )
 from .montecarlo import (
@@ -60,13 +59,12 @@ from .montecarlo import (
     simulate,
     win_threshold,
 )
-from .volume import VolumeEstimate, complement_estimates, estimate_volume
+from .volume import VolumeEstimate, estimate_volume
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CycleWitness",
-    "DpTable",
     "GroupedInstance",
     "Instance",
     "InvalidInstance",
@@ -78,11 +76,9 @@ __all__ = [
     "SimReport",
     "VolumeEstimate",
     "closed_form_report",
-    "complement_estimates",
     "decimal_str",
     "default_epsilon",
     "estimate_volume",
-    "fill_table",
     "group",
     "matching_curve",
     "matching_curve_grid",
@@ -93,7 +89,6 @@ __all__ = [
     "p_two_speeds",
     "parse_instance",
     "parse_speed",
-    "perturb",
     "relate",
     "simulate",
     "solve",

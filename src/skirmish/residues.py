@@ -14,7 +14,7 @@ Routes provided here, all exact, with `solve` as the one route table:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
 * `p_a_wins_series`: poles of any order, one Taylor coefficient per pole
-  from the power-sum (Newton) recurrence on plain Fractions.
+  from the power-sum (Newton) recurrence on integers, one reduction per pole.
 * `p_two_speeds` / `closed_form_report`: closed forms for one speed per side.
 * `p_a_wins_epsilon`: split repeated speeds apart by a small rational
   perturbation and fall back to the simple-pole formula; approximate in a
@@ -115,51 +115,69 @@ def p_a_wins_distinct(inst: Instance) -> MethodReport:
 def p_a_wins_series(grouped: GroupedInstance) -> MethodReport:
     """Exact residues at a-poles of any order via a power-sum recurrence.
 
-    Substituting w = 1/a_i + u isolates the pole factor:
-    (1 - a_i*w)^-x_i = (-a_i*u)^-x_i.  The residue is therefore
-    (-a_i)^-x_i times the u^(x_i - 1) Taylor coefficient of the remaining,
-    regular factors, which `_regular_coefficient` computes.
+    On the integer speeds A, B (same ratios, same residues), w = 1/A_i + u
+    isolates the pole factor (1 - A_i*w)^-x_i = (-A_i*u)^-x_i, so the residue
+    is (-A_i)^-x_i times the u^(x_i - 1) Taylor coefficient of the regular
+    factors 1/w = A_i / (1 + A_i*u), 1 - A_k*w = ((A_i - A_k) - A_i*A_k*u)/A_i
+    and 1 + B_j*w = ((A_i + B_j) + A_i*B_j*u)/A_i.  Each is (c0 + s*u)^-x with
+    c0 = d/A_i, so over N particles their product is
+    A_i^(N + 1 - x_i) / E_i * prod (1 - q*u)^-x with q = -s/c0 and
+    E_i = prod d^x.  Scaled by Q, the least common denominator of a pole's q,
+    the u_k = q_k*Q are integers, and the u^t coefficient of the product is
+    rho_t / Q^t with the integer rho_t of `_regular_coefficient`.  So
+
+        residue_i = (-1)^x_i * A_i^(N + 1 - 2*x_i) * rho_(x_i - 1) / (Q^(x_i - 1) * E_i),
+
+    one reduction per pole.
     """
+    a_groups, b_groups = grouped.a_groups, grouped.b_groups
+    a, b = Instance(tuple(s for s, _ in a_groups), tuple(s for s, _ in b_groups)).integer_speeds()
+    a = list(zip(a, (x for _, x in a_groups)))
+    b = list(zip(b, (y for _, y in b_groups)))
     residues = []
-    for i, (ai, xi) in enumerate(grouped.a_groups):
-        coefficient = _regular_coefficient(grouped, i, ai, xi - 1)
-        residues.append((-1) ** xi * coefficient / ai**xi)
+    for i, (ai, xi) in enumerate(a):
+        # (numerator, denominator d, x) of q = -s/c0 for each regular factor
+        factors = [(-ai, 1, 1)]
+        factors += [(ak * ai, ai - ak, xk) for k, (ak, xk) in enumerate(a) if k != i]
+        factors += [(-bj * ai, ai + bj, yj) for bj, yj in b]
+        ratios = [Fraction(n, d) for n, d, _ in factors]
+        scale = math.lcm(*(q.denominator for q in ratios))
+        coefficient = _regular_coefficient(
+            [q.numerator * (scale // q.denominator) for q in ratios],
+            [x for _, _, x in factors],
+            xi - 1,
+        )
+        power = grouped.total_particles + 1 - 2 * xi
+        e_i = math.prod(d**x for _, d, x in factors)
+        numerator = (-1) ** xi * coefficient * ai ** max(power, 0)
+        residues.append(Fraction(numerator, scale ** (xi - 1) * ai ** max(-power, 0) * e_i))
     residues = tuple(residues)
     return MethodReport(-_total(residues), "series", residues)
 
 
-def _regular_coefficient(
-    grouped: GroupedInstance, pole_index: int, ai: Fraction, degree: int
-) -> Fraction:
-    """u^degree Taylor coefficient, around w = 1/a_i, of all factors but the pole.
+def _regular_coefficient(ratios: list[int], weights: list[int], degree: int) -> int:
+    """rho_degree: the v^degree coefficient of prod (1 - u_k*v)^-x_k.
 
-    Every regular factor has the form (c0 + s*u)^-x = c0^-x * (1 + r*u)^-x
-    with r = s/c0, so the product is R(u) = R_0 * prod (1 + r_k*u)^-x_k.
-    Its log-derivative is sum_{t>=1} P_t u^(t-1) with the power sums
-    P_t = sum_k x_k*(-r_k)^t, and R' = R * (log R)' gives Newton's
-    recurrence t*R_t = sum_{s=1..t} P_s*R_(t-s) (Brent & Kung 1978).
+    For integer ratios u_k and weights x_k every rho_t is an integer.  The
+    log-derivative is sum_{t>=1} p_t v^(t-1) with the power sums
+    p_t = sum_k x_k*u_k^t, and R' = R * (log R)' gives Newton's recurrence
+    t*rho_t = sum_{s=1..t} p_s*rho_(t-s), rho_0 = 1 (Brent & Kung 1978),
+    so each step is one exact division by t.
     """
-    # (1/c0, s, x) for the factor (c0 + s*u)^-x.  1/w = a_i * (1 + a_i*u)^-1;
-    # 1 - a_k*w = (a_i - a_k)/a_i - a_k*u;  1 + b_j*w = (a_i + b_j)/a_i + b_j*u.
-    factors = [(Fraction(1), ai, 1)]
-    factors += [
-        (ai / (ai - ak), -ak, xk)
-        for k, (ak, xk) in enumerate(grouped.a_groups)
-        if k != pole_index
-    ]
-    factors += [(ai / (ai + bj), bj, yj) for bj, yj in grouped.b_groups]
-    coefficients = [ai * math.prod(inv_c0**x for inv_c0, _, x in factors)]
-    if not degree:
-        return coefficients[0]
-    ratios = [-s * inv_c0 for inv_c0, s, _ in factors]
-    terms = [x for _, _, x in factors]  # x_k * (-r_k)^t, at t = 0
+    coefficients = [1]
+    terms = weights  # x_k * u_k^t, at t = 0
     power_sums = []
     for t in range(1, degree + 1):
-        terms = [term * q for term, q in zip(terms, ratios)]
+        terms = [term * u for term, u in zip(terms, ratios)]
         power_sums.append(sum(terms))
-        # P_1..P_t against R_(t-1)..R_0
+        # p_1..p_t against rho_(t-1)..rho_0
         total = sum(p * r for p, r in zip(power_sums, reversed(coefficients)))
-        coefficients.append(total / t)
+        coefficient, remainder = divmod(total, t)
+        if remainder:
+            raise AssertionError(
+                f"inexact division at step {t}: the pole's ratios are not integers"
+            )
+        coefficients.append(coefficient)
     return coefficients[degree]
 
 

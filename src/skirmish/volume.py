@@ -50,20 +50,6 @@ def estimate_volume(inst: Instance, samples: int, seed: int = 0) -> VolumeEstima
     return _report(hits, samples, seed)
 
 
-def complement_estimates(
-    inst: Instance, samples: int, seed: int = 0
-) -> tuple[VolumeEstimate, VolumeEstimate]:
-    """Estimates for the duel and its side-swap from one shared draw set.
-
-    Every sample falls strictly inside exactly one win region (log-score
-    ties count for neither side), so the two estimates add up to one unless
-    a tie occurred, which is measure-zero rare.
-    """
-    _validate(inst, samples, seed)
-    hits, swapped_hits = _hit_counts(inst, samples, seed)
-    return _report(hits, samples, seed), _report(swapped_hits, samples, seed)
-
-
 def _validate(inst: Instance, samples: int, seed: int) -> None:
     if not inst.a or not inst.b:
         raise InvalidInstance("volume sampling needs particles on both sides")

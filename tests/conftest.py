@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for duel instances, flat and grouped."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -47,3 +48,12 @@ def grouped_instances(draw):
         return tuple((s, draw(multiplicity)) for s in sorted(distinct))
 
     return GroupedInstance(side(1), side(0))
+
+
+def huge_rational_speeds(count, digits, seed):
+    """`count` seeded rationals of `digits`-digit numerators and denominators."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10**digits
+    speeds = [Fraction(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(count)]
+    assert len({s.denominator for s in speeds}) == count
+    return tuple(speeds)

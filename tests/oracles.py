@@ -9,9 +9,13 @@ value.  Nothing in the CLI or the benchmark needs it, so it lives here.
 
 The exact oracles restate a solver the plain way, one reduced Fraction per
 factor or term: `p_a_wins_single_a` (one A particle must win every
-collision in turn), `distinct_residues_reference` (the simple-pole residues)
-and `p_two_speeds_reference` (the single-speed binomial sum).  The library
+collision in turn), `distinct_residues_reference` (the simple-pole residues),
+`series_residues_reference` (the residues at poles of any order) and
+`p_two_speeds_reference` (the single-speed binomial sum).  The library
 computes the same exact values on integer numerators.
+
+`complement_estimates` runs the volume sampler once for a duel and its
+side-swap; only the tests compare the two.
 """
 
 import math
@@ -20,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from skirmish import Instance, SimConfig, parse_speed, simulate, streams
+from skirmish import GroupedInstance, Instance, SimConfig, parse_speed, simulate, streams
+from skirmish import volume
 
 
 def p_a_wins_single_a(a1, b) -> Fraction:
@@ -48,6 +53,39 @@ def distinct_residues_reference(inst: Instance) -> tuple[Fraction, ...]:
     return tuple(residues)
 
 
+def series_residues_reference(grouped: GroupedInstance) -> tuple[Fraction, ...]:
+    """Each a-pole's residue from Newton's power-sum recurrence on Fractions.
+
+    Around w = 1/a_i every regular factor is (c0 + s*u)^-x, so their product
+    is R_0 * prod (1 + r*u)^-x with r = s/c0 and R_0 = a_i * prod c0^-x.  The
+    power sums P_t = sum x*(-r)^t give t*R_t = sum_{s=1..t} P_s*R_(t-s), and
+    the residue is (-a_i)^-x_i * R_(x_i - 1).
+    """
+    residues = []
+    for i, (ai, xi) in enumerate(grouped.a_groups):
+        # (1/c0, s, x) for the factor (c0 + s*u)^-x.  1/w = a_i * (1 + a_i*u)^-1;
+        # 1 - a_k*w = (a_i - a_k)/a_i - a_k*u;  1 + b_j*w = (a_i + b_j)/a_i + b_j*u.
+        factors = [(Fraction(1), ai, 1)]
+        factors += [
+            (ai / (ai - ak), -ak, xk)
+            for k, (ak, xk) in enumerate(grouped.a_groups)
+            if k != i
+        ]
+        factors += [(ai / (ai + bj), bj, yj) for bj, yj in grouped.b_groups]
+        coefficients = [ai * math.prod(inv_c0**x for inv_c0, _, x in factors)]
+        ratios = [-s * inv_c0 for inv_c0, s, _ in factors]
+        terms = [x for _, _, x in factors]  # x_k * (-r_k)^t, at t = 0
+        power_sums = []
+        for t in range(1, xi):
+            terms = [term * q for term, q in zip(terms, ratios)]
+            power_sums.append(sum(terms))
+            # P_1..P_t against R_(t-1)..R_0
+            total = sum(p * r for p, r in zip(power_sums, reversed(coefficients)))
+            coefficients.append(total / t)
+        residues.append((-1) ** xi * coefficients[xi - 1] / ai**xi)
+    return tuple(residues)
+
+
 def p_two_speeds_reference(m: int, n: int, v) -> Fraction:
     """sum_{i<m} C(n+i-1, i) * v^i / (1+v)^(n+i), term by term."""
     v = parse_speed(v)
@@ -55,6 +93,18 @@ def p_two_speeds_reference(m: int, n: int, v) -> Fraction:
         (math.comb(n + i - 1, i) * v**i / (1 + v) ** (n + i) for i in range(m)),
         Fraction(0),
     )
+
+
+def complement_estimates(inst: Instance, samples: int, seed: int = 0) -> tuple:
+    """Volume estimates for the duel and its side-swap from one shared draw set.
+
+    Every sample falls strictly inside exactly one win region (log-score
+    ties count for neither side), so the two estimates add up to one unless
+    a tie occurred, which is measure-zero rare.
+    """
+    volume._validate(inst, samples, seed)
+    hits, swapped_hits = volume._hit_counts(inst, samples, seed)
+    return volume._report(hits, samples, seed), volume._report(swapped_hits, samples, seed)
 
 
 def derived_seed(seed: int, index: int) -> int:

@@ -11,13 +11,13 @@ from skirmish import (
     GroupedInstance,
     Instance,
     InvalidInstance,
-    fill_table,
     p_a_wins_recursive,
     recurrence,
 )
 from skirmish.cli import main
+from skirmish.recurrence import fill_table
 
-from conftest import grouped_instances, instances, speed_lists, speeds
+from conftest import grouped_instances, huge_rational_speeds, instances, speed_lists, speeds
 from oracles import p_a_wins_single_a
 
 
@@ -64,14 +64,6 @@ class TestDpTable:
         assert p_a_wins_recursive(inst) == Fraction(1, 2)
 
 
-def _huge_rational_speeds(count, digits, seed):
-    rng = random.Random(seed)
-    low, high = 10 ** (digits - 1), 10**digits
-    speeds = [Fraction(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(count)]
-    assert len({s.denominator for s in speeds}) == count
-    return tuple(speeds)
-
-
 class TestFractionFreeKernel:
     """The integer kernel against the full-table Fraction oracle."""
 
@@ -89,7 +81,7 @@ class TestFractionFreeKernel:
         [
             Instance(("1e400", "1", "1e-400"), ("1e-400", "3", "1e400")),
             Instance(("1e-400",), ("1e-400", "1e400")),
-            Instance(_huge_rational_speeds(3, 300, 1), _huge_rational_speeds(4, 300, 2)),
+            Instance(huge_rational_speeds(3, 300, 1), huge_rational_speeds(4, 300, 2)),
             Instance(
                 tuple(random.Random(40).sample(range(1, 5001), 40)),
                 tuple(random.Random(41).sample(range(1, 5001), 40)),

@@ -19,12 +19,18 @@ from skirmish import (
     p_a_wins_recursive,
     p_a_wins_series,
     p_two_speeds,
-    perturb,
+    residues,
     solve,
 )
+from skirmish.cli import main
+from skirmish.residues import perturb
 
-from conftest import grouped_instances, instances, speeds
-from oracles import distinct_residues_reference, p_two_speeds_reference
+from conftest import grouped_instances, huge_rational_speeds, instances, speeds
+from oracles import (
+    distinct_residues_reference,
+    p_two_speeds_reference,
+    series_residues_reference,
+)
 
 F = Fraction
 
@@ -157,6 +163,68 @@ class TestSeries:
     def test_complementarity(self, inst):
         g = group(inst)
         assert p_a_wins_series(g).value + p_a_wins_series(g.swapped()).value == 1
+
+
+class TestSeriesResidueOracle:
+    """The integer power-sum kernel's residues equal the Fraction recurrence's."""
+
+    @staticmethod
+    def check(g):
+        assert p_a_wins_series(g).residues == series_residues_reference(g)
+
+    def test_pinned_residues(self):
+        g = grouped([(2, 2), (3, 1)], [(5, 1)])
+        assert series_residues_reference(g) == (F(132, 49), F(-27, 8))
+        self.check(g)
+
+    def test_mixed_denominators(self):
+        self.check(grouped([("3/7", 3), ("0.9", 2), ("5/11", 1)], [("13/4", 2), ("1/6", 4)]))
+
+    @given(grouped_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_high_order_poles(self, g):
+        self.check(g)
+
+    @given(instances(min_side=1, max_side=8))
+    @settings(max_examples=80)
+    def test_rational_speeds(self, inst):
+        self.check(group(inst))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            grouped(
+                [("1e400", 3), ("1", 2), ("1e-400", 4)], [("1e-400", 2), ("3", 1), ("1e400", 3)]
+            ),
+            grouped([("1e-400", 5)], [("1e-400", 2), ("1e400", 4)]),
+            grouped(
+                zip(huge_rational_speeds(3, 300, 1), (4, 1, 3)),
+                zip(huge_rational_speeds(2, 300, 2), (2, 5)),
+            ),
+        ],
+        ids=["1e400-mixed", "1e-400-lone-a", "300-digit-rationals"],
+    )
+    def test_extreme_speeds(self, g):
+        self.check(g)
+        assert p_a_wins_series(g).value == p_a_wins_recursive(g.expand())
+
+    @pytest.mark.parametrize(
+        "a, b, step", [("1,1", "1", 1), ("1,1,1", "1,1", 2)], ids=["step-1", "step-2"]
+    )
+    def test_inexact_step_is_caught(self, monkeypatch, capsys, a, b, step):
+        # Ratios scaled by Q/2 instead of the least common denominator Q are
+        # not all integers; on these duels a step of the recurrence then
+        # leaves a remainder, which must not pass.
+        kernel = residues._regular_coefficient
+        monkeypatch.setattr(
+            residues,
+            "_regular_coefficient",
+            lambda ratios, weights, degree: kernel([F(u, 2) for u in ratios], weights, degree),
+        )
+        with pytest.raises(AssertionError, match=f"inexact division at step {step}"):
+            p_a_wins_series(group(Instance(tuple(a.split(",")), tuple(b.split(",")))))
+        assert main(["solve", "--a", a, "--b", b, "--method", "series"]) == 3
+        assert "inexact division" in capsys.readouterr().err
 
 
 class TestClosedForms:

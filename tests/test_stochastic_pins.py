@@ -12,7 +12,8 @@ from fractions import Fraction as F
 import pytest
 
 from skirmish import Instance, SimConfig, estimate_volume, simulate
-from skirmish.volume import complement_estimates
+
+from oracles import complement_estimates
 
 FIGHT = Instance((30, 20), (15, 36))
 TWELVE = Instance(tuple(range(1, 13)), tuple(F(k, 3) for k in range(20, 44, 2)))

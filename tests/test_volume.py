@@ -9,13 +9,12 @@ import pytest
 from skirmish import (
     Instance,
     InvalidInstance,
-    complement_estimates,
     estimate_volume,
     p_a_wins_recursive,
 )
 from skirmish import streams
 
-from oracles import record_blocks, use_block_trials
+from oracles import complement_estimates, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = float(Fraction(270, 539))
