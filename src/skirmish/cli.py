@@ -19,9 +19,7 @@ import argparse
 import json
 import math
 import sys
-import traceback
 from fractions import Fraction
-from pathlib import Path
 
 from .model import (
     Instance,
@@ -58,6 +56,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        # Imported here: only a crash needs it, and it is slow to import.
+        import traceback
+
         traceback.print_exc()
         return 3
     finally:
@@ -146,7 +147,8 @@ def _read_instance(args) -> Instance:
     if args.input is not None:
         if args.a is not None or args.b is not None:
             raise InvalidInstance("give either --input or --a/--b, not both")
-        return parse_instance(Path(args.input).read_text())
+        with open(args.input, encoding="utf-8") as file:
+            return parse_instance(file.read())
     if args.a is None and args.b is None:
         raise InvalidInstance("an instance is required: --a/--b or --input")
     return Instance(_split_speeds(args.a), _split_speeds(args.b))

@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable
 
 
 class InvalidInstance(ValueError):
@@ -47,8 +46,50 @@ def parse_speed(value) -> Fraction:
     return speed
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    stores them with `super().__init__(...)`.  Records compare and hash by
+    their field values and print like dataclasses; assignment raises
+    AttributeError; copy and pickle call the constructor again.  Frozen
+    dataclasses would behave the same, but importing `dataclasses` (and with
+    it `inspect`) would triple the package's import time, which every
+    command pays.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Instance(_Record):
     """Ordered speed lists for the two sides.
 
     Order matters to the simulators (collisions happen front to back) but
@@ -57,8 +98,13 @@ class Instance:
     duel has no outcome to define.
     """
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Iterable, b: Iterable) -> None:
+        super().__init__(a, b)
+        # Looked up through self, so that the benchmark's tracer
+        # (bench/tracing.py), which wraps this method on the class, sees it.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(parse_speed(x) for x in self.a))
@@ -83,12 +129,14 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class GroupedInstance:
+class GroupedInstance(_Record):
     """Distinct speeds with multiplicities, ascending, one entry per speed."""
 
-    a_groups: tuple[tuple[Fraction, int], ...]
-    b_groups: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("a_groups", "b_groups")
+
+    def __init__(self, a_groups: Iterable, b_groups: Iterable) -> None:
+        super().__init__(a_groups, b_groups)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_groups", _checked_groups(self.a_groups, "a"))

@@ -22,43 +22,38 @@ transposed copy of the block so that each step touches one contiguous row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import streams
-from .model import Instance, InvalidInstance, parse_speed
+from .model import Instance, InvalidInstance, _Record, parse_speed
 
 POLICIES = ("frontmost", "random-adjacent")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Trial count, stream seed, and collision-scheduling policy."""
 
-    trials: int
-    seed: int = 0
-    policy: str = "frontmost"
+    __slots__ = ("trials", "seed", "policy")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+    def __init__(self, trials: int, seed: int = 0, policy: str = "frontmost") -> None:
+        if isinstance(trials, bool) or not isinstance(trials, int):
             raise ValueError("trials must be an int")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit word")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        streams.check_seed(seed)
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        super().__init__(trials, seed, policy)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     """Winner tally plus the binomial standard error of the estimate."""
 
-    a_wins: int
-    trials: int
-    estimate: float
-    std_error: float
-    seed: int
-    policy: str
+    __slots__ = ("a_wins", "trials", "estimate", "std_error", "seed", "policy")
+
+    def __init__(
+        self, a_wins: int, trials: int, estimate: float, std_error: float, seed: int, policy: str
+    ) -> None:
+        super().__init__(a_wins, trials, estimate, std_error, seed, policy)
 
     def to_json(self) -> dict:
         return {

@@ -27,23 +27,22 @@ is an exact integer division.  The only reduction is Fraction(N(0, 0), D).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance
+from .model import Instance, _Record
 
 
-@dataclass(frozen=True)
-class DpTable:
+class DpTable(_Record):
     """Win probabilities of every suffix duel a[i:] versus b[j:].
 
     The key (i, j) means i A-particles and j B-particles are already dead.
     (m, n) is absent: the empty-vs-empty duel has no defined winner.
     """
 
-    m: int
-    n: int
-    memo: dict[tuple[int, int], Fraction]
+    __slots__ = ("m", "n", "memo")
+
+    def __init__(self, m: int, n: int, memo: dict[tuple[int, int], Fraction]) -> None:
+        super().__init__(m, n, memo)
 
     @property
     def value(self) -> Fraction:

@@ -12,22 +12,25 @@ each group beats the next around a ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .model import Instance, InvalidInstance, decimal_str, parse_speed
+from .model import Instance, InvalidInstance, _Record, decimal_str, parse_speed
 from .recurrence import p_a_wins_recursive
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class RelationVerdict:
-    """Exact win probability of the first group plus its reading."""
+class RelationVerdict(_Record):
+    """Exact win probability of the first group plus its reading.
 
-    p: Fraction
-    verdict: str  # "beats" | "matched" | "loses"
+    The verdict is "beats", "matched" or "loses".
+    """
+
+    __slots__ = ("p", "verdict")
+
+    def __init__(self, p: Fraction, verdict: str) -> None:
+        super().__init__(p, verdict)
 
     def to_json(self) -> dict:
         return {"p": str(self.p), "decimal": decimal_str(self.p), "verdict": self.verdict}
@@ -77,18 +80,23 @@ def matching_curve_grid(speed, points: int) -> list[tuple[Fraction, Fraction]]:
     return matching_curve(s, (Fraction(k, points + 1) * s for k in range(1, points + 1)))
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(_Record):
     """Three groups with the exact probabilities around the ring.
 
     p_pq is the first group's probability against the second, p_qr the
     second's against the third, p_rp the third's against the first.
     """
 
-    groups: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
-    p_pq: Fraction
-    p_qr: Fraction
-    p_rp: Fraction
+    __slots__ = ("groups", "p_pq", "p_qr", "p_rp")
+
+    def __init__(
+        self,
+        groups: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]],
+        p_pq: Fraction,
+        p_qr: Fraction,
+        p_rp: Fraction,
+    ) -> None:
+        super().__init__(groups, p_pq, p_qr, p_rp)
 
     @property
     def is_cycle(self) -> bool:

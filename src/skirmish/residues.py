@@ -24,13 +24,13 @@ Routes provided here, all exact, with `solve` as the one route table:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     GroupedInstance,
     Instance,
     InvalidInstance,
+    _Record,
     decimal_str,
     group,
     parse_speed,
@@ -40,8 +40,7 @@ from .recurrence import p_a_wins_recursive
 ROUTES = ("recursive", "distinct", "series", "epsilon", "closed-form")
 
 
-@dataclass(frozen=True)
-class MethodReport:
+class MethodReport(_Record):
     """Solver outcome: the exact value, the route taken, per-pole residues.
 
     `residues` lists the residue of Phi at each a-pole, in the order the
@@ -49,9 +48,12 @@ class MethodReport:
     for the recursive route, and `to_json` then leaves the key out.
     """
 
-    value: Fraction
-    method: str
-    residues: tuple[Fraction, ...] | None
+    __slots__ = ("value", "method", "residues")
+
+    def __init__(
+        self, value: Fraction, method: str, residues: tuple[Fraction, ...] | None
+    ) -> None:
+        super().__init__(value, method, residues)
 
     def to_json(self) -> dict:
         payload = {

@@ -9,8 +9,8 @@ affine jets, inverses and powers here and compare.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 class TruncatedSeries:

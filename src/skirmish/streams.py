@@ -20,8 +20,11 @@ the exact commands, which never draw, start without loading it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from numbers import Integral
 
+# Not `typing.TYPE_CHECKING`: type checkers treat any constant of this name
+# as true, and importing `typing` would cost every command its start-up time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
@@ -29,6 +32,18 @@ if TYPE_CHECKING:
 
 OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 BLOCK_BYTES = 1 << 20  # raw draws per block of trials
+
+
+def check_seed(seed) -> None:
+    """Reject seeds that are not an integer in [0, 2^64), the Philox key range.
+
+    A float or bool would key the stream of some other integer seed while
+    the report still showed the value given, so both are refused.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit word")
 
 
 def slot_width(draws: int) -> int:

@@ -18,20 +18,19 @@ rare in doubles, so they are documented rather than compensated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import streams
-from .model import Instance, InvalidInstance
+from .model import Instance, InvalidInstance, _Record
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    hits: int
-    samples: int
-    estimate: float
-    std_error: float
-    seed: int
+class VolumeEstimate(_Record):
+    __slots__ = ("hits", "samples", "estimate", "std_error", "seed")
+
+    def __init__(
+        self, hits: int, samples: int, estimate: float, std_error: float, seed: int
+    ) -> None:
+        super().__init__(hits, samples, estimate, std_error, seed)
 
     def to_json(self) -> dict:
         return {
@@ -55,8 +54,7 @@ def _validate(inst: Instance, samples: int, seed: int) -> None:
         raise InvalidInstance("volume sampling needs particles on both sides")
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ValueError("samples must be a positive int")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit word")
+    streams.check_seed(seed)
 
 
 def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:

@@ -468,42 +468,66 @@ class TestEntryPoints:
         assert result.returncode == 2
 
 
-def numpy_loaded_after(commands):
-    """Whether running `commands` through `main` in a fresh interpreter loads numpy."""
+def modules_loaded_by(commands):
+    """Modules that running `commands` through `main` in a fresh interpreter loads.
+
+    Only those beyond what a bare `python -c pass` already holds: `site`
+    may preload modules of its own (`.pth` files), and those are no cost
+    of skirmish.
+    """
+    listing = "print(' '.join(sys.modules))\n"
     script = (
         "import sys\n"
         "from skirmish.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    if main(argv) != 0:\n"
         "        sys.exit(f'nonzero exit from {argv}')\n"
-        "print('numpy' in sys.modules)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+    bare, loaded = (
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+        )
+        for code in ("import sys\n" + listing, script + listing)
     )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1] == "True"
+    assert bare.returncode == 0, bare.stderr
+    assert loaded.returncode == 0, loaded.stderr
+    return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
+
+
+# One speed a side (B repeated) is in every route's domain.
+EXACT_COMMANDS = [
+    ["solve", "--a", "2", "--b", "3,3", "--method", method] for method in ("auto", *ROUTES)
+] + [
+    ["relate", "--a", "1,2", "--b", "3"],
+    ["curve", "--points", "3"],
+    ["cycle", "1", "2", "3"],
+]
+
+# Slow imports no exact command needs: `dataclasses` pulls in `inspect`,
+# `traceback` is needed only to print a crash, and numpy only to draw.
+UNBUDGETED_MODULES = {"dataclasses", "inspect", "traceback", "numpy"}
 
 
 class TestNumpyImport:
     def test_exact_commands_never_load_numpy(self):
-        # One speed a side (B repeated) is in every route's domain.
-        commands = [
-            ["solve", "--a", "2", "--b", "3,3", "--method", method]
-            for method in ("auto", *ROUTES)
-        ]
-        commands += [
-            ["relate", "--a", "1,2", "--b", "3"],
-            ["curve", "--points", "3"],
-            ["cycle", "1", "2", "3"],
-        ]
-        assert not numpy_loaded_after(commands)
+        assert "numpy" not in modules_loaded_by(EXACT_COMMANDS)
 
     def test_simulate_loads_numpy(self):
-        assert numpy_loaded_after([["simulate", "--a", "1", "--b", "2", "--trials", "10"]])
+        commands = [["simulate", "--a", "1", "--b", "2", "--trials", "10"]]
+        assert "numpy" in modules_loaded_by(commands)
+
+
+class TestImportBudget:
+    def test_import_loads_no_unbudgeted_module(self):
+        loaded = modules_loaded_by([])
+        assert "skirmish.cli" in loaded
+        assert not loaded & UNBUDGETED_MODULES
+
+    def test_exact_commands_load_no_unbudgeted_module(self):
+        assert not modules_loaded_by(EXACT_COMMANDS) & UNBUDGETED_MODULES
 
 
 # 300-digit integers, and small ones that include zero and negatives.

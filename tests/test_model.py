@@ -1,6 +1,8 @@
 """Model types, parsing, and exact-arithmetic guarantees."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skirmish import (
+    CycleWitness,
     GroupedInstance,
     Instance,
     InvalidInstance,
+    MethodReport,
+    RelationVerdict,
+    SimConfig,
+    SimReport,
+    VolumeEstimate,
     decimal_str,
     group,
     parse_instance,
     parse_speed,
 )
+from skirmish.recurrence import DpTable
 
 from conftest import instances, speeds
 
@@ -131,6 +140,81 @@ class TestGrouping:
         expanded = group(inst).expand()
         assert sorted(expanded.a) == sorted(inst.a)
         assert sorted(expanded.b) == sorted(inst.b)
+
+
+# One value of every record class in the package.
+RECORDS = [
+    Instance(("30", "20"), (15,)),
+    GroupedInstance(((Fraction(1), 3),), ((Fraction(1), 2),)),
+    DpTable(1, 1, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1), (1, 0): Fraction(0)}),
+    MethodReport(Fraction(270, 539), "distinct", (Fraction(-10, 11), Fraction(20, 49))),
+    MethodReport(Fraction(1, 2), "recursive", None),
+    RelationVerdict(Fraction(1, 2), "matched"),
+    CycleWitness(((Fraction(1),), (Fraction(2),), (Fraction(3),)), Fraction(1, 3),
+                 Fraction(2, 5), Fraction(3, 4)),
+    SimConfig(10, 3, "random-adjacent"),
+    SimReport(5, 10, 0.5, 0.158, 3, "frontmost"),
+    VolumeEstimate(5, 10, 0.5, 0.158, 3),
+]
+
+
+class TestRecords:
+    """Value semantics of the immutable records, as frozen dataclasses had them."""
+
+    def test_equality_and_hashing(self):
+        inst = Instance((1, 2), (3,))
+        assert inst == Instance(("1", "2"), ("3",))
+        assert inst != Instance((2, 1), (3,))
+        assert inst != inst.swapped()
+        assert len({inst, Instance((1, 2), (3,)), inst.swapped()}) == 2
+        assert hash(group(inst)) == hash(GroupedInstance(group(inst).a_groups, ((3, 1),)))
+
+    def test_different_classes_are_never_equal(self):
+        assert RelationVerdict(Fraction(1, 2), "matched") != (Fraction(1, 2), "matched")
+        assert SimReport(5, 10, 0.5, 0.1, 3, "frontmost") != VolumeEstimate(5, 10, 0.5, 0.1, 3)
+
+    def test_unhashable_field_makes_an_unhashable_record(self):
+        with pytest.raises(TypeError):
+            hash(DpTable(0, 1, {}))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        # The repr names the first field first: "Instance(a=..., ...)".
+        field = repr(record).partition("(")[2].partition("=")[0]
+        assert hasattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_dataclass_style_repr(self):
+        grouped = group(Instance(("1", "1", "1"), ("1", "1")))
+        assert repr(grouped) == (
+            "GroupedInstance(a_groups=((Fraction(1, 1), 3),), b_groups=((Fraction(1, 1), 2),))"
+        )
+        assert repr(RelationVerdict(Fraction(1, 2), "matched")) == (
+            "RelationVerdict(p=Fraction(1, 2), verdict='matched')"
+        )
+
+    def test_keyword_construction(self):
+        assert Instance(b=(1,), a=(2,)) == Instance((2,), (1,))
+        witness = CycleWitness(((1,),) * 3, p_pq=Fraction(1), p_qr=Fraction(2), p_rp=Fraction(3))
+        assert (witness.p_pq, witness.p_qr, witness.p_rp) == (1, 2, 3)
+        with pytest.raises(TypeError):
+            Instance((1,))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_copy_deepcopy_and_pickle_round_trip(self, record):
+        for clone in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(clone) is type(record)
+            assert clone == record
+            assert repr(clone) == repr(record)
 
 
 class TestDecimalStr:

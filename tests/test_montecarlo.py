@@ -93,6 +93,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(10.0)
 
+    def test_keyword_construction_with_defaults(self):
+        cfg = SimConfig(trials=200_000, seed=0)
+        assert cfg == SimConfig(200_000) == SimConfig(200_000, 0, "frontmost")
+        assert (cfg.trials, cfg.seed, cfg.policy) == (200_000, 0, "frontmost")
+        assert repr(cfg) == "SimConfig(trials=200000, seed=0, policy='frontmost')"
+        assert SimConfig(5, policy="random-adjacent").seed == 0
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", Fraction(1)])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # A float or bool would run another integer seed's stream under its own name.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(10, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        cfg = SimConfig(50, seed=np.uint64(7))
+        assert simulate(FIGHT, cfg).a_wins == simulate(FIGHT, SimConfig(50, seed=7)).a_wins
+
 
 class TestThreshold:
     def test_exact_floor_values(self):

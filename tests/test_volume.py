@@ -34,6 +34,17 @@ class TestValidation:
             estimate_volume(FIGHT, 0)
         with pytest.raises(ValueError):
             estimate_volume(FIGHT, 100, seed=-1)
+        with pytest.raises(ValueError):
+            estimate_volume(FIGHT, 100, seed=2**64)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # A float or bool would run another integer seed's stream under its own name.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_volume(FIGHT, 10, seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert estimate_volume(FIGHT, 100, np.int64(3)) == estimate_volume(FIGHT, 100, 3)
 
 
 class TestEstimates:
