@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library: solve (any route of the one
 route table, `residues.solve`), simulate (Monte Carlo play-out), volume
 (hypercube sampling), relate / curve / cycle (group relations), and
-crosscheck, which runs every route on one instance; `_verify` checks both.
+crosscheck, which runs the reference, the auto route, epsilon and both
+estimators on one instance; `_verify` checks the exact routes of both.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
@@ -32,6 +33,7 @@ from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, MethodReport, default_epsilon, parse_perturbation, solve
 from .montecarlo import POLICIES, SimConfig, simulate
+from .streams import binomial
 from .volume import estimate_volume
 
 STOCHASTIC_SIGMAS = 4
@@ -120,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     cycle.set_defaults(handler=_run_cycle)
 
     cross = commands.add_parser(
-        "crosscheck", help="run every solver route on one instance and compare"
+        "crosscheck",
+        help="run the reference, the auto route, epsilon and both estimators on one instance",
     )
     _instance_flags(cross)
     cross.add_argument("--trials", type=int, default=200_000)
@@ -290,11 +293,11 @@ def _run_crosscheck(args) -> int:
 
     sim = simulate(inst, SimConfig(args.trials, args.seed))
     vol = estimate_volume(inst, args.samples, args.seed)
-    for name, hits, draws, std_error in (
-        ("montecarlo", sim.a_wins, sim.trials, sim.std_error),
-        ("hypervolume", vol.hits, vol.samples, vol.std_error),
+    for name, hits, draws in (
+        ("montecarlo", sim.a_wins, sim.trials),
+        ("hypervolume", vol.hits, vol.samples),
     ):
-        rows.append(_stochastic_row(name, hits, draws, std_error, exact, failures))
+        rows.append(_stochastic_row(name, hits, draws, exact, failures))
 
     payload = {
         "value": str(exact),
@@ -304,13 +307,12 @@ def _run_crosscheck(args) -> int:
     }
     _emit(args, payload, _plain_crosscheck(payload))
     if failures:
-        print(f"inconsistency: {failures[0]}", file=sys.stderr)
-        return 1
+        raise Inconsistency(failures[0])
     return 0
 
 
 def _stochastic_row(
-    name: str, hits: int, draws: int, std_error: float, exact: Fraction, failures: list[str]
+    name: str, hits: int, draws: int, exact: Fraction, failures: list[str]
 ) -> dict:
     """Gate `hits` out of `draws` on its exact z-score under p = `exact`.
 
@@ -319,7 +321,7 @@ def _stochastic_row(
     z_squared = (hits - draws * exact) ** 2 / (draws * exact * (1 - exact))
     agree = z_squared <= STOCHASTIC_SIGMAS**2
     sigmas = math.sqrt(min(z_squared, sys.float_info.max))
-    estimate = hits / draws
+    estimate, std_error = binomial(hits, draws)
     if not agree:
         failures.append(
             f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"

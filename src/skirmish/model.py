@@ -20,11 +20,29 @@ from collections import Counter
 from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
 
 class InvalidInstance(ValueError):
-    """A speed list violates the model (bad value, both sides empty, ...)."""
+    """An input violates the model (bad speed or count, both sides empty, ...)."""
+
+
+def whole_number(value, what: str, low: int = 1, high: int | None = None) -> int:
+    """`value` as a Python int in [low, high], the one check for counts and seeds.
+
+    Any integer type passes, numpy's included, and comes back a plain int,
+    so records hold values that json can write.  A bool or float is refused:
+    it would stand for some integer while the caller still showed the value
+    given.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidInstance(f"{what} must be an integer, got {value!r}")
+    number = int(value)
+    if number < low:
+        raise InvalidInstance(f"{what} must be at least {low}, got {number}")
+    if high is not None and number > high:
+        raise InvalidInstance(f"{what} must be at most {high}, got {number}")
+    return number
 
 
 def parse_speed(value) -> Fraction:
@@ -168,11 +186,7 @@ def _checked_groups(groups, side: str) -> tuple[tuple[Fraction, int], ...]:
             raise InvalidInstance(
                 f"{side}-side group entries must be (speed, multiplicity) pairs"
             ) from exc
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise InvalidInstance(
-                f"multiplicity must be a positive integer, got {count!r}"
-            )
-        checked.append((parse_speed(speed), count))
+        checked.append((parse_speed(speed), whole_number(count, "multiplicity")))
     if len({s for s, _ in checked}) != len(checked):
         raise InvalidInstance(f"{side}-side group speeds must be pairwise distinct")
     return tuple(checked)

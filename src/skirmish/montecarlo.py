@@ -21,10 +21,8 @@ transposed copy of the block so that each step touches one contiguous row.
 
 from __future__ import annotations
 
-import math
-
 from . import streams
-from .model import Instance, InvalidInstance, _Record, parse_speed
+from .model import Instance, InvalidInstance, _Record, parse_speed, whole_number
 
 POLICIES = ("frontmost", "random-adjacent")
 
@@ -35,14 +33,9 @@ class SimConfig(_Record):
     __slots__ = ("trials", "seed", "policy")
 
     def __init__(self, trials: int, seed: int = 0, policy: str = "frontmost") -> None:
-        if isinstance(trials, bool) or not isinstance(trials, int):
-            raise ValueError("trials must be an int")
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        streams.check_seed(seed)
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        super().__init__(trials, seed, policy)
+        super().__init__(whole_number(trials, "trials"), streams.check_seed(seed), policy)
 
 
 class SimReport(_Record):
@@ -80,8 +73,7 @@ def simulate(inst: Instance, cfg: SimConfig) -> SimReport:
         a_wins = _run_frontmost(inst, cfg)
     else:
         a_wins = _run_random_adjacent(inst, cfg)
-    estimate = a_wins / cfg.trials
-    std_error = math.sqrt(estimate * (1.0 - estimate) / cfg.trials)
+    estimate, std_error = streams.binomial(a_wins, cfg.trials)
     return SimReport(a_wins, cfg.trials, estimate, std_error, cfg.seed, cfg.policy)
 
 

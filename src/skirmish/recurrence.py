@@ -29,33 +29,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import Instance, _Record
+from .model import Instance
 
 
-class DpTable(_Record):
-    """Win probabilities of every suffix duel a[i:] versus b[j:].
+def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
+    """The full-table oracle: each suffix duel a[i:] versus b[j:] as a Fraction.
 
-    The key (i, j) means i A-particles and j B-particles are already dead.
-    (m, n) is absent: the empty-vs-empty duel has no defined winner.
-    """
-
-    __slots__ = ("m", "n", "memo")
-
-    def __init__(self, m: int, n: int, memo: dict[tuple[int, int], Fraction]) -> None:
-        super().__init__(m, n, memo)
-
-    @property
-    def value(self) -> Fraction:
-        """P(A wins) for the full duel."""
-        return self.memo[0, 0]
-
-
-def fill_table(inst: Instance) -> DpTable:
-    """The full-table oracle: every suffix duel as a reduced Fraction.
-
-    This is the recurrence read literally, one Fraction per cell, kept so
-    that tests can check `p_a_wins_recursive` and the table itself against
-    it; no solver calls it.
+    The key (i, j) means i A-particles and j B-particles are already dead;
+    (m, n) is absent, since the empty-vs-empty duel has no defined winner,
+    and (0, 0) is P(A wins).  This is the recurrence read literally, one
+    Fraction per cell, kept so that tests can check `p_a_wins_recursive`
+    and the table itself against it; no solver calls it.
     """
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
@@ -71,7 +55,7 @@ def fill_table(inst: Instance) -> DpTable:
             else:
                 p_front = a[i] / (a[i] + b[j])
                 memo[i, j] = p_front * memo[i, j + 1] + (1 - p_front) * memo[i + 1, j]
-    return DpTable(m, n, memo)
+    return memo
 
 
 def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .model import Instance, InvalidInstance, _Record, decimal_str, parse_speed
+from .model import Instance, InvalidInstance, _Record, decimal_str, parse_speed, whole_number
 from .recurrence import p_a_wins_recursive
 
 HALF = Fraction(1, 2)
@@ -74,8 +74,7 @@ def matching_curve(speed, xs: Iterable) -> list[tuple[Fraction, Fraction]]:
 
 def matching_curve_grid(speed, points: int) -> list[tuple[Fraction, Fraction]]:
     """The matching curve on the even grid x = k*s/(points + 1), k = 1..points."""
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ValueError("points must be a positive int")
+    points = whole_number(points, "points")
     s = parse_speed(speed)
     return matching_curve(s, (Fraction(k, points + 1) * s for k in range(1, points + 1)))
 

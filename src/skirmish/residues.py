@@ -34,6 +34,7 @@ from .model import (
     decimal_str,
     group,
     parse_speed,
+    whole_number,
 )
 from .recurrence import p_a_wins_recursive
 
@@ -201,19 +202,13 @@ def p_two_speeds(m: int, n: int, v) -> Fraction:
 
     one integer numerator (summed by Horner's rule) and one reduction.
     """
-    _check_counts(m, n)
+    m, n = whole_number(m, "side size"), whole_number(n, "side size")
     v = parse_speed(v)
     q, p = v.numerator, v.denominator
     total = 0
     for i in range(m):
         total = total * (p + q) + math.comb(n + i - 1, i) * q**i
     return Fraction(p**n * total, (p + q) ** (m + n - 1))
-
-
-def _check_counts(m: int, n: int) -> None:
-    for count in (m, n):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise InvalidInstance(f"side sizes must be positive integers, got {count!r}")
 
 
 def closed_form_report(grouped: GroupedInstance) -> MethodReport:

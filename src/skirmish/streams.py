@@ -20,7 +20,9 @@ the exact commands, which never draw, start without loading it.
 
 from __future__ import annotations
 
-from numbers import Integral
+import math
+
+from .model import whole_number
 
 # Not `typing.TYPE_CHECKING`: type checkers treat any constant of this name
 # as true, and importing `typing` would cost every command its start-up time.
@@ -34,16 +36,15 @@ OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 BLOCK_BYTES = 1 << 20  # raw draws per block of trials
 
 
-def check_seed(seed) -> None:
-    """Reject seeds that are not an integer in [0, 2^64), the Philox key range.
+def check_seed(seed) -> int:
+    """`seed` as a Python int in [0, 2^64), the Philox key range."""
+    return whole_number(seed, "seed", low=0, high=2**64 - 1)
 
-    A float or bool would key the stream of some other integer seed while
-    the report still showed the value given, so both are refused.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit word")
+
+def binomial(hits: int, draws: int) -> tuple[float, float]:
+    """The hit fraction and its binomial standard error, as both estimators report them."""
+    estimate = hits / draws
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / draws)
 
 
 def slot_width(draws: int) -> int:

@@ -17,11 +17,10 @@ rare in doubles, so they are documented rather than compensated.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import streams
-from .model import Instance, InvalidInstance, _Record
+from .model import Instance, InvalidInstance, _Record, whole_number
 
 
 class VolumeEstimate(_Record):
@@ -44,17 +43,12 @@ class VolumeEstimate(_Record):
 
 def estimate_volume(inst: Instance, samples: int, seed: int = 0) -> VolumeEstimate:
     """Monte Carlo volume of side A's win region of the unit cube."""
-    _validate(inst, samples, seed)
-    hits, _ = _hit_counts(inst, samples, seed)
-    return _report(hits, samples, seed)
-
-
-def _validate(inst: Instance, samples: int, seed: int) -> None:
     if not inst.a or not inst.b:
         raise InvalidInstance("volume sampling needs particles on both sides")
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError("samples must be a positive int")
-    streams.check_seed(seed)
+    samples, seed = whole_number(samples, "samples"), streams.check_seed(seed)
+    hits, _ = _hit_counts(inst, samples, seed)
+    estimate, std_error = streams.binomial(hits, samples)
+    return VolumeEstimate(hits, samples, estimate, std_error, seed)
 
 
 def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
@@ -85,9 +79,3 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
         a_hits += int((score_a < score_b).sum())
         b_hits += int((score_b < score_a).sum())
     return a_hits, b_hits
-
-
-def _report(hits: int, samples: int, seed: int) -> VolumeEstimate:
-    estimate = hits / samples
-    std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return VolumeEstimate(hits, samples, estimate, std_error, seed)

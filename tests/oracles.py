@@ -24,7 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from skirmish import GroupedInstance, Instance, SimConfig, parse_speed, simulate, streams
+from skirmish import (
+    GroupedInstance,
+    Instance,
+    SimConfig,
+    VolumeEstimate,
+    parse_speed,
+    simulate,
+    streams,
+)
 from skirmish import volume
 
 
@@ -102,9 +110,10 @@ def complement_estimates(inst: Instance, samples: int, seed: int = 0) -> tuple:
     ties count for neither side), so the two estimates add up to one unless
     a tie occurred, which is measure-zero rare.
     """
-    volume._validate(inst, samples, seed)
-    hits, swapped_hits = volume._hit_counts(inst, samples, seed)
-    return volume._report(hits, samples, seed), volume._report(swapped_hits, samples, seed)
+    return tuple(
+        VolumeEstimate(hits, samples, *streams.binomial(hits, samples), seed)
+        for hits in volume._hit_counts(inst, samples, seed)
+    )
 
 
 def derived_seed(seed: int, index: int) -> int:

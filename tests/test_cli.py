@@ -382,7 +382,7 @@ class TestCrosscheck:
         ]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "inconsistency:" in captured.err
+        assert captured.err == "inconsistency: distinct gave 1/3, recursive reference gives 1/2\n"
         payload = json.loads(captured.out)
         assert payload["agree"] is False
 
@@ -396,13 +396,13 @@ class TestCrosscheck:
     def test_gate_uses_the_exact_probability(self):
         # 2000 trials of a fair duel: 1000 +/- 4*sqrt(500) hits pass, one more fails.
         failures = []
-        row = _stochastic_row("montecarlo", 1089, 2000, 0.0, Fraction(1, 2), failures)
+        row = _stochastic_row("montecarlo", 1089, 2000, Fraction(1, 2), failures)
         assert row["agree"] is True and not failures
-        row = _stochastic_row("montecarlo", 1090, 2000, 0.0, Fraction(1, 2), failures)
+        row = _stochastic_row("montecarlo", 1090, 2000, Fraction(1, 2), failures)
         assert row["agree"] is False and len(failures) == 1
         assert row["sigmas"] == pytest.approx(90 / 500**0.5)
         # No hits where p is within 1e-400 of one: a z-score past the float range.
-        row = _stochastic_row("montecarlo", 0, 1000, 0.0, 1 - Fraction(1, 10**400), [])
+        row = _stochastic_row("montecarlo", 0, 1000, 1 - Fraction(1, 10**400), [])
         assert row["agree"] is False
         assert math.isfinite(row["sigmas"]) and row["sigmas"] > 1e150
 
@@ -511,15 +511,6 @@ EXACT_COMMANDS = [
 UNBUDGETED_MODULES = {"dataclasses", "inspect", "traceback", "numpy"}
 
 
-class TestNumpyImport:
-    def test_exact_commands_never_load_numpy(self):
-        assert "numpy" not in modules_loaded_by(EXACT_COMMANDS)
-
-    def test_simulate_loads_numpy(self):
-        commands = [["simulate", "--a", "1", "--b", "2", "--trials", "10"]]
-        assert "numpy" in modules_loaded_by(commands)
-
-
 class TestImportBudget:
     def test_import_loads_no_unbudgeted_module(self):
         loaded = modules_loaded_by([])
@@ -528,6 +519,10 @@ class TestImportBudget:
 
     def test_exact_commands_load_no_unbudgeted_module(self):
         assert not modules_loaded_by(EXACT_COMMANDS) & UNBUDGETED_MODULES
+
+    def test_simulate_loads_numpy(self):
+        commands = [["simulate", "--a", "1", "--b", "2", "--trials", "10"]]
+        assert "numpy" in modules_loaded_by(commands)
 
 
 # 300-digit integers, and small ones that include zero and negatives.

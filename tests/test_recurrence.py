@@ -47,16 +47,16 @@ class TestDpTable:
     def test_entries_satisfy_recurrence(self):
         inst = Instance((3, 1, 4), (1, 5))
         table = fill_table(inst)
-        m, n = table.m, table.n
-        assert len(table.memo) == (m + 1) * (n + 1) - 1
-        for (i, j), value in table.memo.items():
+        m, n = len(inst.a), len(inst.b)
+        assert len(table) == (m + 1) * (n + 1) - 1
+        for (i, j), value in table.items():
             if j == n:
                 assert value == 1
             elif i == m:
                 assert value == 0
             else:
                 p = inst.a[i] / (inst.a[i] + inst.b[j])
-                assert value == p * table.memo[i, j + 1] + (1 - p) * table.memo[i + 1, j]
+                assert value == p * table[i, j + 1] + (1 - p) * table[i + 1, j]
 
     def test_no_recursion_depth_dependence(self):
         # 80 vs 80 equal speeds: 6561 exact entries, still instant.
@@ -69,12 +69,12 @@ class TestFractionFreeKernel:
 
     @given(instances(min_side=0))
     def test_matches_full_table(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst).value
+        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
 
     @given(grouped_instances().map(GroupedInstance.expand))
     @settings(max_examples=25, deadline=None)
     def test_matches_full_table_with_repeated_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst).value
+        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
 
     @pytest.mark.parametrize(
         "inst",
@@ -90,7 +90,7 @@ class TestFractionFreeKernel:
         ids=["1e400-mixed", "1e-400-lone-a", "300-digit-rationals", "40v40-integers"],
     )
     def test_extreme_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst).value
+        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
 
     @pytest.mark.parametrize("shrink", [lambda d: d // 2, lambda d: 1], ids=["half", "one"])
     def test_too_small_denominator_is_caught(self, monkeypatch, capsys, shrink):
