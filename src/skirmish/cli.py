@@ -176,7 +176,8 @@ def _run_solve(args) -> int:
     inst = _read_instance(args)
     report = solve(inst, args.method, args.epsilon)
     failure = _verify(inst, report)
-    _emit(args, report.to_json(), _plain_value(report.to_json()))
+    payload = report.to_json()
+    _emit(args, payload, _plain_value(payload))
     if failure:
         raise Inconsistency(failure)
     return 0

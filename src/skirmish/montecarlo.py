@@ -4,8 +4,8 @@ Each collision is resolved by comparing one raw 64-bit draw against the
 exact integer threshold floor(2^64 * a/(a+b)), so a single collision's win
 odds carry no float rounding.  Draw streams follow the per-trial slot
 contract in `streams`: a report is reproducible bit for bit from
-(instance, trials, seed, policy) and does not change when the trial range
-is processed in blocks.
+(instance, trials, seed, policy) and does not change with the block size
+or with how many cores run the blocks.
 
 Two collision-scheduling policies are provided.  "frontmost" always
 collides the two leading survivors, which is the physical reading of the
@@ -17,6 +17,9 @@ the pair of them exists to let tests demonstrate exactly that.
 Both policies run every trial of a block in lockstep, one numpy operation
 per collision step over the whole block, reading the step's draws from a
 transposed copy of the block so that each step touches one contiguous row.
+`streams.block_sums` deals the blocks to one worker per usable core; each
+worker allocates its transposed copy (and, for frontmost, its duel state)
+once and reuses it for every block it takes.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     `dead_b` to the front pair's threshold, and to 0 once the duel is over:
     no draw is below 0, so finished trials keep drawing into the void with
     their counter frozen, which keeps the stream layout independent of how
-    long each duel happens to last.  Each block is transposed once, so a
-    step reads one contiguous column: one gather, one compare, one add.
+    long each duel happens to last.  Each block is transposed once, into
+    its worker's buffer, so a step reads one contiguous column: one gather,
+    one compare, one add.
     """
     import numpy as np
 
@@ -111,15 +115,27 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
         live, pair[np.clip(a_deaths, 0, m - 1), np.minimum(b_deaths, n - 1)], np.uint64(0)
     )
     width = streams.slot_width(collisions)
-    a_wins = 0
-    for raw in streams.trial_blocks(cfg.seed, cfg.trials, width):
-        columns = np.ascontiguousarray(raw[:, :collisions].T)
-        dead_b = np.zeros(len(raw), dtype=np.intp)
-        for row, column in zip(rows, columns):
-            dead_b += column < row.take(dead_b)
-        if not ((dead_b == n) | (len(columns) - dead_b >= m)).all():
-            raise AssertionError("a duel failed to finish within its draw budget")
-        a_wins += int((dead_b == n).sum())
+    # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
+    steps = min(collisions, width)
+
+    def make_count(block_trials):
+        transposed = np.empty(steps * block_trials, dtype=np.uint64)
+        dead_b_buffer = np.empty(block_trials, dtype=np.intp)
+
+        def count(raw):
+            columns = transposed[: steps * len(raw)].reshape(steps, len(raw))
+            np.copyto(columns, raw[:, :steps].T)
+            dead_b = dead_b_buffer[: len(raw)]
+            dead_b.fill(0)
+            for row, column in zip(rows, columns):
+                dead_b += column < row.take(dead_b)
+            if not ((dead_b == n) | (steps - dead_b >= m)).all():
+                raise AssertionError("a duel failed to finish within its draw budget")
+            return (int((dead_b == n).sum()),)
+
+        return count
+
+    (a_wins,) = streams.block_sums(cfg.seed, cfg.trials, width, make_count)
     return a_wins
 
 
@@ -139,28 +155,39 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
     pair = np.array([[win_threshold(ai, bj) for bj in b] for ai in a], dtype=np.uint64)
     collisions = m + n - 1
     width = streams.slot_width(3 * collisions)
-    a_wins = 0
-    for raw in streams.trial_blocks(cfg.seed, cfg.trials, width):
-        columns = np.ascontiguousarray(raw[:, : 3 * collisions].T)
-        trials = np.arange(len(raw))
-        alive_a = np.ones((len(raw), m), dtype=bool)
-        alive_b = np.ones((len(raw), n), dtype=bool)
-        left_a = np.full(len(raw), m, dtype=np.uint64)
-        left_b = np.full(len(raw), n, dtype=np.uint64)
-        for c in range(collisions):
-            live = (left_a > 0) & (left_b > 0)
-            ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
-            ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
-            a_survives = columns[3 * c + 2] < pair[ia, ib]
-            b_dies = live & a_survives
-            a_dies = live & ~a_survives
-            alive_b[trials, ib] &= ~b_dies
-            alive_a[trials, ia] &= ~a_dies
-            left_b -= b_dies
-            left_a -= a_dies
-        if not ((left_a == 0) ^ (left_b == 0)).all():
-            raise AssertionError("a duel failed to finish within its draw budget")
-        a_wins += int((left_b == 0).sum())
+    # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
+    steps = min(collisions, width // 3)
+
+    def make_count(block_trials):
+        transposed = np.empty(3 * steps * block_trials, dtype=np.uint64)
+        everyone = np.arange(block_trials)
+
+        def count(raw):
+            columns = transposed[: 3 * steps * len(raw)].reshape(3 * steps, len(raw))
+            np.copyto(columns, raw[:, : 3 * steps].T)
+            trials = everyone[: len(raw)]
+            alive_a = np.ones((len(raw), m), dtype=bool)
+            alive_b = np.ones((len(raw), n), dtype=bool)
+            left_a = np.full(len(raw), m, dtype=np.uint64)
+            left_b = np.full(len(raw), n, dtype=np.uint64)
+            for c in range(steps):
+                live = (left_a > 0) & (left_b > 0)
+                ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
+                ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
+                a_survives = columns[3 * c + 2] < pair[ia, ib]
+                b_dies = live & a_survives
+                a_dies = live & ~a_survives
+                alive_b[trials, ib] &= ~b_dies
+                alive_a[trials, ia] &= ~a_dies
+                left_b -= b_dies
+                left_a -= a_dies
+            if not ((left_a == 0) ^ (left_b == 0)).all():
+                raise AssertionError("a duel failed to finish within its draw budget")
+            return (int((left_b == 0).sum()),)
+
+        return count
+
+    (a_wins,) = streams.block_sums(cfg.seed, cfg.trials, width, make_count)
     return a_wins
 
 

@@ -8,11 +8,15 @@ then be regenerated on its own by starting the counter at the range's
 first block, so partitioning trials across blocks (or workers) reproduces
 a serial run bit for bit.
 
-The estimators walk their trials in blocks from `trial_blocks`, each about
+The estimators reduce their trials with `block_sums`, in blocks of about
 BLOCK_BYTES of raw draws (1638 trials of 80 words at 40 v 40), so that a
 block and one transposed copy of it fit a 2 MiB per-core L2 cache and each
-pass over a block stays out of main memory.  Block size never changes a
-count.
+pass over a block stays out of main memory.  The blocks are dealt
+round-robin to one worker thread per usable core (numpy releases the GIL
+while it draws and computes), and each worker allocates its scratch
+buffers once and reuses them for every block it takes.  The counts are
+integers added at the end, so neither the block size nor the number of
+cores that run them changes a count.
 
 numpy is imported inside the functions that draw, not at module level, so
 the exact commands, which never draw, start without loading it.
@@ -21,6 +25,7 @@ the exact commands, which never draw, start without loading it.
 from __future__ import annotations
 
 import math
+import os
 
 from .model import whole_number
 
@@ -28,7 +33,7 @@ from .model import whole_number
 # as true, and importing `typing` would cost every command its start-up time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Callable
 
     import numpy as np
 
@@ -67,16 +72,55 @@ def raw_slots(seed: int, start: int, count: int, width: int) -> np.ndarray:
     return bit_generator.random_raw(count * width).reshape(count, width)
 
 
-def trial_blocks(seed: int, trials: int, width: int) -> Iterator[np.ndarray]:
-    """raw_slots for trials [0, trials) in blocks of BLOCK_BYTES, one trial at least."""
-    step = max(1, BLOCK_BYTES // (8 * width))
-    for start in range(0, trials, step):
-        yield raw_slots(seed, start, min(step, trials - start), width)
+def usable_cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def unit_floats(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in [0, 1), filling the 53-bit mantissa."""
+def block_sums(
+    seed: int,
+    trials: int,
+    width: int,
+    make_count: Callable[[int], Callable[[np.ndarray], tuple[int, ...]]],
+) -> tuple[int, ...]:
+    """Sum of count(raw_slots(...)) over trials [0, trials) in blocks of BLOCK_BYTES.
+
+    Each worker calls make_count(rows) once, with the most trials a block
+    holds, and gets the function that counts one block; that is where its
+    buffers live.  Worker w takes blocks w, w + workers, ...  One worker
+    runs on the calling thread and starts no thread.  An exception in any
+    worker reaches the caller once every worker has stopped.
+    """
+    rows = min(trials, max(1, BLOCK_BYTES // (8 * width)))
+    starts = range(0, trials, rows)
+    workers = min(usable_cores(), len(starts))
+
+    def run(worker: int) -> list[tuple[int, ...]]:
+        count = make_count(rows)
+        return [
+            count(raw_slots(seed, start, min(rows, trials - start), width))
+            for start in starts[worker::workers]
+        ]
+
+    if workers == 1:
+        parts = run(0)
+    else:
+        # Imported here: a command that runs one worker never needs it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = [part for chunk in pool.map(run, range(workers)) for part in chunk]
+    return tuple(map(sum, zip(*parts)))
+
+
+def unit_floats(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to doubles in [0, 1), filling the 53-bit mantissa.
+
+    The doubles go to `out` (float64, raw's shape) and nothing is
+    allocated: raw is shifted in place, so its words are spent.
+    """
     import numpy as np
 
-    return (raw >> np.uint64(11)) * 2.0**-53
-
+    return np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out)

@@ -1,7 +1,7 @@
 """Test-only helpers that exercise the library from outside its public surface.
 
 `use_block_trials` and `record_blocks` set and observe how many trials each
-block of `streams.trial_blocks` holds, for the partitioning tests.
+block of `streams.block_sums` holds, for the partitioning tests.
 `order_invariance_probe` replays one duel under random reorderings of both
 sides, each under its own derived seed: the winner distribution does not
 depend on firing order, so every estimate must land near the same exact
@@ -150,7 +150,7 @@ def order_invariance_probe(inst: Instance, cfg: SimConfig, permutations: int) ->
 
 
 def use_block_trials(monkeypatch, trials, width):
-    """Make `streams.trial_blocks` yield `trials` trials a block (None: default)."""
+    """Make `streams.block_sums` draw `trials` trials a block (None: default)."""
     if trials is not None:
         monkeypatch.setattr(streams, "BLOCK_BYTES", trials * 8 * width)
 

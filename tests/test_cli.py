@@ -507,8 +507,11 @@ EXACT_COMMANDS = [
 ]
 
 # Slow imports no exact command needs: `dataclasses` pulls in `inspect`,
-# `traceback` is needed only to print a crash, and numpy only to draw.
-UNBUDGETED_MODULES = {"dataclasses", "inspect", "traceback", "numpy"}
+# `traceback` is needed only to print a crash, numpy only to draw, and the
+# thread pool only to draw on more than one core.
+UNBUDGETED_MODULES = {
+    "dataclasses", "inspect", "traceback", "numpy", "threading", "concurrent.futures"
+}
 
 
 class TestImportBudget:

@@ -4,16 +4,19 @@ Every count below was computed by the draw loops that preceded the
 lockstep kernels (a Python loop per random-adjacent trial, 32768-trial and
 65536-sample blocks), so a change to a draw loop that moves any seeded
 result fails here.  The README examples are the first case; the
-12 v 12 case spans many blocks of each loop.
+12 v 12 case spans many blocks of each loop.  The same counts must come
+out however many worker threads share the blocks.
 """
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
-from skirmish import Instance, SimConfig, estimate_volume, simulate
+from skirmish import Instance, SimConfig, estimate_volume, simulate, streams, volume
 
-from oracles import complement_estimates
+from oracles import complement_estimates, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
 TWELVE = Instance(tuple(range(1, 13)), tuple(F(k, 3) for k in range(20, 44, 2)))
@@ -50,3 +53,36 @@ def test_volume(case):
 
 def test_readme_volume_examples():
     assert estimate_volume(FIGHT, 1_000_000, seed=0).hits == 500508
+
+
+def _counts_on(cores, inst, monkeypatch):
+    """Frontmost, random-adjacent and volume counts on `cores` workers, 7 trials a block."""
+    monkeypatch.setattr(streams, "usable_cores", lambda: cores)
+    if cores == 1:
+        # One worker runs on the calling thread.
+        def start(thread):
+            pytest.fail("one worker started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+    collisions = len(inst.a) + len(inst.b) - 1
+    counts = []
+    for policy, draws in (("frontmost", collisions), ("random-adjacent", 3 * collisions)):
+        use_block_trials(monkeypatch, 7, streams.slot_width(draws))
+        counts.append(simulate(inst, SimConfig(700, 3, policy)).a_wins)
+    use_block_trials(monkeypatch, 7, streams.slot_width(collisions + 1))
+    return (*counts, *volume._hit_counts(inst, 700, 3))
+
+
+@pytest.mark.parametrize("inst", [FIGHT, TWELVE], ids=["fight", "twelve"])
+def test_counts_do_not_depend_on_worker_count(inst):
+    # Switch threads often, so that the workers interleave within blocks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        for cores in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                results.append(_counts_on(cores, inst, monkeypatch))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1:] == results[:1] * 2

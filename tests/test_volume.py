@@ -90,8 +90,10 @@ class TestDeterminism:
                 blocks = record_blocks(monkeypatch)
                 hits = estimate_volume(FIGHT, 5_000, seed=9).hits
             assert hits == 2519
+            # Workers draw their blocks in any order: only one may be short.
             expected = block_samples or streams.BLOCK_BYTES // (8 * width)
-            assert blocks[:-1] == [expected] * (len(blocks) - 1) and sum(blocks) == 5_000
+            assert sorted(blocks)[1:] == [expected] * (len(blocks) - 1)
+            assert sum(blocks) == 5_000
 
 class TestComplementSharing:
     def test_hits_partition_the_samples(self):
@@ -117,7 +119,8 @@ class TestPermutationInvariance:
         samples, seed = 20_000, 3
         m = n = 2
         width = streams.slot_width(m + n)
-        logs = np.log(streams.unit_floats(streams.raw_slots(seed, 0, samples, width)))
+        raw = streams.raw_slots(seed, 0, samples, width)
+        logs = np.log(streams.unit_floats(raw, np.empty(raw.shape)))
         wa = np.array([30.0, 20.0])
         wb = np.array([15.0, 36.0])
         direct_a = logs[:, :2] @ wa
