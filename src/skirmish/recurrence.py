@@ -22,14 +22,43 @@ P(i, j) * D is an integer in every cell, and each step of
     N(i, j) = (a_i * N(i, j+1) + b_j * N(i+1, j)) / (a_i + b_j)
 
 is an exact integer division.  The only reduction is Fraction(N(0, 0), D).
+
+Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
+(i+1, j), so the table is swept column by column from the right, in
+bands of rows.  A band of rows lo..hi-1 keeps one column of its own cells
+and needs from outside only the row just below it, N(hi, j), one column
+at a time; after each column it hands on its top row, N(lo, j).  The
+whole table is one band over a row of zeros.  With k > 1 usable cores,
+the rows split into k bands (never more bands than rows), each band
+below the top one runs in a forked child, and each child streams its top
+row up a pipe to the band above, so all bands work at once, one column
+apart.  That happens only where it is safe and pays: `os.fork` exists,
+the process has exactly one OS thread (so nothing that another thread
+held is lost in the child; importing numpy starts a second one), and the
+table's work, cells times the bits of D, is at least BAND_WORK per band.
+Otherwise the one band runs in process.  Every band does the same exact
+divisions, so the value and the inexact-division check do not depend on
+the split.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import repeat
 
 from .model import Instance
+
+# The least work, in cells times the bits of D, that pays for a band of its
+# own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
+# bit-cells of sweeping: the page tables are copied, and afterwards each
+# page either process writes takes a fault.  Two bands broke even with one
+# at 35-45 million, on distinct speeds (44v44 to 48v48) and on equal ones
+# (140v140) alike (Python 3.11, 2-core Xeon).  So a table forks from twice
+# this size on, where two bands save about a quarter of its time.
+BAND_WORK = 1 << 25
 
 
 def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
@@ -73,18 +102,137 @@ def p_a_wins_recursive(inst: Instance) -> Fraction:
     if not b:
         return Fraction(1)
     denominator = path_denominator(a, b)
-    # row[j] holds N(i+1, j) until cell (i, j) overwrites it with N(i, j).
-    row = [0] * len(b)
-    for i in range(len(a) - 1, -1, -1):
-        ai = a[i]
-        right = denominator
-        for j in range(len(b) - 1, -1, -1):
-            bj = b[j]
-            right, remainder = divmod(ai * right + bj * row[j], ai + bj)
+    bands = _band_count(len(a), len(a) * len(b) * denominator.bit_length())
+    if bands > 1:
+        numerator = _forked_sweep(a, b, denominator, bands)
+    else:
+        numerator = _last(_sweep(a, b, 0, len(a), denominator, repeat(0)))
+    return Fraction(numerator, denominator)
+
+
+def _sweep(a, b, lo: int, hi: int, denominator: int, below: Iterable[int]) -> Iterator[int]:
+    """N(lo, j) for j = n-1 down to 0: rows lo..hi-1 of the table, column by column.
+
+    `below` yields N(hi, j) in the same order: the top row of the band
+    below, or zeros when hi = m.  It is read one column ahead of the work
+    on that column, and no further.
+    """
+    # column[k] holds N(hi-1-k, j+1) until cell (hi-1-k, j) overwrites it
+    # with N(hi-1-k, j); the column right of the table is N(i, n) = D.
+    column = [denominator] * (hi - lo)
+    band = a[lo:hi][::-1]
+    for j, down in zip(range(len(b) - 1, -1, -1), below):
+        bj = b[j]
+        for k, ai in enumerate(band):
+            down, remainder = divmod(ai * column[k] + bj * down, ai + bj)
             if remainder:
                 raise AssertionError(
-                    f"inexact division at cell ({i}, {j}): "
+                    f"inexact division at cell ({hi - 1 - k}, {j}): "
                     "the path denominator does not clear this cell"
                 )
-            row[j] = right
-    return Fraction(row[0], denominator)
+            column[k] = down
+        yield down
+
+
+def _band_count(rows: int, work: int) -> int:
+    """How many row bands to sweep at once: 1 unless forking is safe and pays.
+
+    Each band gets at least BAND_WORK of the table's work, where work is
+    cells times the bits of D, and a core and a row of its own.  A process
+    with a second OS thread (numpy's BLAS pool is one) is never forked,
+    since only the forking thread would survive into the child.
+    """
+    bands = min(rows, work // BAND_WORK)
+    if bands < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return min(bands, len(os.sched_getaffinity(0))) if threads == 1 else 1
+
+
+def _last(values: Iterable[int]) -> int:
+    for value in values:
+        pass
+    return value
+
+
+def _forked_sweep(a, b, denominator: int, bands: int) -> int:
+    """N(0, 0) from the top band, with every band below it swept in a forked child.
+
+    Band t holds rows bounds[t]..bounds[t+1]-1.  Its child reads `below`
+    from the pipe of band t+1 and writes its own top row into a pipe to
+    band t-1, column by column, so that all bands run at once, one column
+    apart.
+    """
+    bounds = [len(a) * t // bands for t in range(bands + 1)]
+    children = []
+    below = None
+    try:
+        for t in range(bands - 1, 0, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _band_child(a, b, lo, hi, denominator, below, write_end)
+            children.append(pid)
+            os.close(write_end)
+            if below is not None:
+                below.close()
+            below = open(read_end, "rb")
+        return _last(_sweep(a, b, 0, bounds[1], denominator, _frames(below)))
+    finally:
+        # Closed before reaping: a child still writing then fails at once
+        # instead of waiting on a full pipe that nobody reads.
+        if below is not None:
+            below.close()
+        for pid in children:
+            os.waitpid(pid, 0)
+
+
+def _band_child(a, b, lo: int, hi: int, denominator: int, below, write_end: int) -> None:
+    """In a forked child: stream the top row of rows lo..hi-1, then exit.
+
+    A failure goes up the pipe as a frame with its text.  The child ends
+    with os._exit, so it never runs the parent's exit handlers or flushes
+    the parent's stdio buffers a second time.
+    """
+    status = 1
+    try:
+        with open(write_end, "wb") as out:
+            source = repeat(0) if below is None else _frames(below)
+            try:
+                for value in _sweep(a, b, lo, hi, denominator, source):
+                    size = (value.bit_length() + 7) // 8
+                    out.write(size.to_bytes(8, "little", signed=True))
+                    out.write(value.to_bytes(size, "little"))
+                    out.flush()
+            except AssertionError as failure:
+                text = str(failure).encode()
+                out.write((-len(text)).to_bytes(8, "little", signed=True) + text)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _frames(stream) -> Iterator[int]:
+    """The values a band child writes: a signed 8-byte length, then that many bytes.
+
+    A negative length carries the text of the child's AssertionError.
+    """
+    while True:
+        header = stream.read(8)
+        size = int.from_bytes(header, "little", signed=True)
+        payload = stream.read(abs(size))
+        if len(header) < 8 or len(payload) < abs(size):
+            raise RuntimeError("a band of the reference recurrence ended without its row")
+        if size < 0:
+            raise AssertionError(payload.decode())
+        yield int.from_bytes(payload, "little")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -467,6 +468,21 @@ class TestEntryPoints:
         result = run_cli()
         assert result.returncode == 2
 
+    @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+    def test_stdout_through_a_pipe_matches_one_core(self):
+        """Forked row bands print nothing: the piped stdout equals the one-band run's."""
+        command = [sys.executable, "-m", "skirmish", *SOLVE_60V60]
+        # Block-buffered, as for most callers: what a child must not flush again.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(PYPROJECT.parent / "src")
+        bands, one_core = (
+            subprocess.run(prefix + command, stdout=subprocess.PIPE, env=env)
+            for prefix in ([], ["taskset", "-c", str(min(os.sched_getaffinity(0)))])
+        )
+        assert bands.returncode == one_core.returncode == 0
+        assert bands.stdout.count(b"\n") == 1
+        assert bands.stdout == one_core.stdout
+
 
 def modules_loaded_by(commands):
     """Modules that running `commands` through `main` in a fresh interpreter loads.
@@ -497,6 +513,14 @@ def modules_loaded_by(commands):
     return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
 
 
+# 60 distinct speeds a side: the reference's table is large enough to be
+# swept in forked row bands wherever two cores are usable.
+SOLVE_60V60 = [
+    "solve",
+    "--a", ",".join(map(str, random.Random(60).sample(range(1, 5001), 60))),
+    "--b", ",".join(map(str, random.Random(61).sample(range(1, 5001), 60))),
+]
+
 # One speed a side (B repeated) is in every route's domain.
 EXACT_COMMANDS = [
     ["solve", "--a", "2", "--b", "3,3", "--method", method] for method in ("auto", *ROUTES)
@@ -504,13 +528,16 @@ EXACT_COMMANDS = [
     ["relate", "--a", "1,2", "--b", "3"],
     ["curve", "--points", "3"],
     ["cycle", "1", "2", "3"],
+    SOLVE_60V60,
 ]
 
 # Slow imports no exact command needs: `dataclasses` pulls in `inspect`,
 # `traceback` is needed only to print a crash, numpy only to draw, and the
-# thread pool only to draw on more than one core.
+# thread pool only to draw on more than one core.  The reference's row
+# bands need only `os`: no process pool, pickling, subprocess or selector.
 UNBUDGETED_MODULES = {
-    "dataclasses", "inspect", "traceback", "numpy", "threading", "concurrent.futures"
+    "dataclasses", "inspect", "traceback", "numpy", "threading", "concurrent.futures",
+    "multiprocessing", "subprocess", "pickle", "selectors",
 }
 
 

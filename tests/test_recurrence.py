@@ -1,10 +1,16 @@
 """The reference solver, its full-table oracle and the one-A product."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import repeat
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skirmish import (
@@ -15,7 +21,7 @@ from skirmish import (
     recurrence,
 )
 from skirmish.cli import main
-from skirmish.recurrence import fill_table
+from skirmish.recurrence import _sweep, fill_table, path_denominator
 
 from conftest import grouped_instances, huge_rational_speeds, instances, speed_lists, speeds
 from oracles import p_a_wins_single_a
@@ -64,6 +70,23 @@ class TestDpTable:
         assert p_a_wins_recursive(inst) == Fraction(1, 2)
 
 
+EXTREME_SPEEDS = [
+    pytest.param(Instance(("1e400", "1", "1e-400"), ("1e-400", "3", "1e400")), id="1e400-mixed"),
+    pytest.param(Instance(("1e-400",), ("1e-400", "1e400")), id="1e-400-lone-a"),
+    pytest.param(
+        Instance(huge_rational_speeds(3, 300, 1), huge_rational_speeds(4, 300, 2)),
+        id="300-digit-rationals",
+    ),
+    pytest.param(
+        Instance(
+            tuple(random.Random(40).sample(range(1, 5001), 40)),
+            tuple(random.Random(41).sample(range(1, 5001), 40)),
+        ),
+        id="40v40-integers",
+    ),
+]
+
+
 class TestFractionFreeKernel:
     """The integer kernel against the full-table Fraction oracle."""
 
@@ -76,19 +99,7 @@ class TestFractionFreeKernel:
     def test_matches_full_table_with_repeated_speeds(self, inst):
         assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
 
-    @pytest.mark.parametrize(
-        "inst",
-        [
-            Instance(("1e400", "1", "1e-400"), ("1e-400", "3", "1e400")),
-            Instance(("1e-400",), ("1e-400", "1e400")),
-            Instance(huge_rational_speeds(3, 300, 1), huge_rational_speeds(4, 300, 2)),
-            Instance(
-                tuple(random.Random(40).sample(range(1, 5001), 40)),
-                tuple(random.Random(41).sample(range(1, 5001), 40)),
-            ),
-        ],
-        ids=["1e400-mixed", "1e-400-lone-a", "300-digit-rationals", "40v40-integers"],
-    )
+    @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst):
         assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
 
@@ -104,6 +115,213 @@ class TestFractionFreeKernel:
             p_a_wins_recursive(Instance((1, 3), (1,)))
         assert main(["solve", "--a", "1,3", "--b", "1"]) == 3
         assert "inexact division" in capsys.readouterr().err
+
+
+def band_rows(inst, bands):
+    """Each band's streamed top row, from `bands` chained _sweep generators in process.
+
+    The rows split as the forked path splits them, except that here a band
+    may be empty: a band of no rows passes the row below it straight up.
+    """
+    a, b = inst.integer_speeds()
+    denominator = path_denominator(a, b)
+    bounds = [len(a) * t // bands for t in range(bands + 1)]
+    rows = [[] for _ in range(bands)]
+
+    def recorded(values, row):
+        for value in values:
+            row.append(value)
+            yield value
+
+    below = repeat(0)
+    for t in range(bands - 1, -1, -1):
+        below = recorded(_sweep(a, b, bounds[t], bounds[t + 1], denominator, below), rows[t])
+    for _ in below:
+        pass
+    return denominator, bounds, rows
+
+
+class TestRowBands:
+    """The band split of the reference, chained in process: no fork, so any thread count."""
+
+    @given(instances(min_side=0), st.integers(1, 4))
+    @example(Instance((3,), (1, 5)), 1)
+    @example(Instance((3,), (1, 5)), 4)
+    @example(Instance((3, 1), (2,)), 2)
+    @example(Instance((3, 1, 4), ()), 3)
+    @example(Instance((), (2, 7)), 2)
+    def test_every_band_streams_its_top_row(self, inst, bands):
+        denominator, bounds, rows = band_rows(inst, bands)
+        table = fill_table(inst)
+        n = len(inst.b)
+        for lo, row in zip(bounds, rows):
+            assert [Fraction(value, denominator) for value in row] == [
+                table[lo, j] for j in range(n - 1, -1, -1)
+            ]
+
+    @pytest.mark.parametrize("bands", [2, 3, 4])
+    @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
+    def test_extreme_speeds(self, inst, bands):
+        denominator, _, rows = band_rows(inst, bands)
+        assert Fraction(rows[0][-1], denominator) == fill_table(inst)[0, 0]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Without PYTHONUNBUFFERED a piped stdout is block-buffered, as it is for
+# most callers: what a forked child must never flush a second time.
+BUFFERED_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(SRC),
+}
+
+# Run in a fresh interpreter, which has not imported numpy and so holds one
+# OS thread: the only kind of process the reference forks.  `os.fork` is
+# wrapped to count its calls, and the script reports what it saw as JSON.
+FRESH_PRELUDE = """
+import contextlib, io, json, os, random, sys
+from fractions import Fraction
+from itertools import repeat
+from skirmish import Instance, p_a_wins_recursive, recurrence
+from skirmish.cli import main
+
+forks = []
+real_fork = os.fork
+
+def counting_fork():
+    forks.append(1)
+    return real_fork()
+
+os.fork = counting_fork
+
+def duel(n):
+    return Instance(
+        tuple(random.Random(n).sample(range(1, 5001), n)),
+        tuple(random.Random(n + 1).sample(range(1, 5001), n)),
+    )
+
+def in_process(inst):
+    a, b = inst.integer_speeds()
+    denominator = recurrence.path_denominator(a, b)
+    top = list(recurrence._sweep(a, b, 0, len(a), denominator, repeat(0)))
+    return Fraction(top[-1], denominator)
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+def zombies():
+    try:
+        return os.waitpid(-1, os.WNOHANG) != (0, 0)
+    except ChildProcessError:
+        return False
+"""
+
+
+def run_fresh(body):
+    """Run FRESH_PRELUDE + body in a new interpreter; its last stdout line as JSON."""
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_PRELUDE + body],
+        capture_output=True,
+        text=True,
+        env=BUFFERED_ENV,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, json.loads(result.stdout.splitlines()[-1])
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not os.path.isdir("/proc/self/task")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="the forked bands need os.fork, /proc and two usable cores",
+)
+
+
+@needs_fork
+class TestForkedBands:
+    def test_values_match_in_process(self):
+        out, seen = run_fresh(
+            "print('printed before the fork')\n"
+            "fds = open_fds()\n"
+            "report = []\n"
+            "for n in (60, 90):\n"
+            "    before = len(forks)\n"
+            "    value = p_a_wins_recursive(duel(n))\n"
+            "    report.append([n, len(forks) - before, value == in_process(duel(n))])\n"
+            "print(json.dumps({'report': report, 'fds': open_fds() - fds,"
+            " 'zombies': zombies()}))\n"
+        )
+        assert seen == {"report": [[60, 1, True], [90, 1, True]], "fds": 0, "zombies": False}
+        # stdout is a pipe, so block-buffered: a child that flushed it on exit
+        # would print the line a second time.
+        assert out.count("printed before the fork") == 1
+
+    def test_failure_in_a_child_band_is_caught(self):
+        # D - 1 is coprime to D, so the bottom-right cell (59, 59), which
+        # lies in the forked lower band, is the first that cannot divide.
+        # The bit length, and with it the decision to fork, is unchanged.
+        _, seen = run_fresh(
+            "shrunk = recurrence.path_denominator\n"
+            "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
+            "fds = open_fds()\n"
+            "inst = duel(60)\n"
+            "try:\n"
+            "    p_a_wins_recursive(inst)\n"
+            "    message = None\n"
+            "except AssertionError as exc:\n"
+            "    message = str(exc)\n"
+            "checks = [len(forks), open_fds() - fds, zombies()]\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
+            " '--b', ','.join(map(str, inst.b))])\n"
+            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
+            " 'stderr': err.getvalue()}))\n"
+        )
+        assert seen["message"].startswith("inexact division at cell (59, 59)")
+        # Forks so far, fds opened and not closed, a child left unreaped.
+        assert seen["checks"] == [1, 0, False, 2, 0, False]
+        assert seen["code"] == 3
+        assert "inexact division at cell (59, 59)" in seen["stderr"]
+
+    def test_failure_in_the_top_band_leaves_no_child_waiting(self):
+        # The child's 60 columns of 3.6 KB each overfill the pipe once the top
+        # band stops reading; it must fail its write, not block the reaping.
+        _, seen = run_fresh(
+            "sweep = recurrence._sweep\n"
+            "def failing_top(a, b, lo, hi, denominator, below):\n"
+            "    rows = sweep(a, b, lo, hi, denominator, below)\n"
+            "    if lo == 0:\n"
+            "        next(rows)\n"
+            "        raise AssertionError('the top band failed first')\n"
+            "    yield from rows\n"
+            "recurrence._sweep = failing_top\n"
+            "fds = open_fds()\n"
+            "try:\n"
+            "    p_a_wins_recursive(duel(60))\n"
+            "    message = None\n"
+            "except AssertionError as exc:\n"
+            "    message = str(exc)\n"
+            "print(json.dumps([message, len(forks), open_fds() - fds, zombies()]))\n"
+        )
+        assert seen == ["the top band failed first", 1, 0, False]
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            "import threading\n"
+            "threading.Thread(target=threading.Event().wait, daemon=True).start()\n",
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n",
+        ],
+        ids=["second-thread", "one-core"],
+    )
+    def test_one_band_without_a_fork(self, setup):
+        _, seen = run_fresh(
+            setup
+            + "value = p_a_wins_recursive(duel(60))\n"
+            "print(json.dumps({'forks': len(forks), 'same': value == in_process(duel(60))}))\n"
+        )
+        assert seen == {"forks": 0, "same": True}
 
 
 class TestSingleAFastPath:
