@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -33,10 +32,8 @@ from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, MethodReport, default_epsilon, parse_perturbation, solve
 from .montecarlo import POLICIES, SimConfig, simulate
-from .streams import binomial
+from .streams import binomial, gate
 from .volume import estimate_volume
-
-STOCHASTIC_SIGMAS = 4
 
 
 class Inconsistency(Exception):
@@ -267,12 +264,24 @@ def _run_crosscheck(args) -> int:
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
     exact = p_a_wins_recursive(inst)
-    rows: list[dict] = [{"method": "recursive", "value": str(exact), "agree": True}]
+    payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
+    lines = [f"exact value: {exact} = {payload['decimal']}"]
+    failures = []
 
+    def add(row: dict, line: str, failure: str | None = None) -> None:
+        payload["methods"].append(row)
+        lines.append(f"  {row['method']:<12} {line}")
+        if failure:
+            failures.append(failure)
+
+    add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
     report = solve(inst)
     failure = _verify(inst, report, exact)
-    failures = [failure] if failure else []
-    rows.append({"method": report.method, "value": str(report.value), "agree": not failure})
+    add(
+        {"method": report.method, "value": str(report.value), "agree": not failure},
+        f"{report.value}  ({'MISMATCH' if failure else 'exact match'})",
+        failure,
+    )
 
     # The row prints the perturbation, so the default is resolved here.
     eps = (
@@ -281,15 +290,17 @@ def _run_crosscheck(args) -> int:
         else parse_perturbation(args.epsilon)
     )
     eps_report = solve(inst, "epsilon", eps)
+    abs_error = decimal_str(abs(eps_report.value - exact), 3)
     # Informational row: the perturbation is approximate by design, so its
     # deviation is reported but never gates the exit code.
-    rows.append(
+    add(
         {
             "method": "epsilon",
             "value": str(eps_report.value),
             "epsilon": str(eps),
-            "absError": decimal_str(abs(eps_report.value - exact), 3),
-        }
+            "absError": abs_error,
+        },
+        f"abs error {abs_error} at eps = {eps}",
     )
 
     sim = simulate(inst, SimConfig(args.trials, args.seed))
@@ -298,63 +309,27 @@ def _run_crosscheck(args) -> int:
         ("montecarlo", sim.a_wins, sim.trials),
         ("hypervolume", vol.hits, vol.samples),
     ):
-        rows.append(_stochastic_row(name, hits, draws, exact, failures))
+        agree, sigmas = gate(hits, draws, exact)
+        estimate, std_error = binomial(hits, draws)
+        failure = f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"
+        add(
+            {
+                "method": name,
+                "estimate": estimate,
+                "stdError": std_error,
+                "sigmas": sigmas,
+                "agree": agree,
+            },
+            f"{estimate:.6f} +/- {std_error:.6f}  [{sigmas:.2f} sigma]",
+            None if agree else failure,
+        )
 
-    payload = {
-        "value": str(exact),
-        "decimal": decimal_str(exact),
-        "methods": rows,
-        "agree": not failures,
-    }
-    _emit(args, payload, _plain_crosscheck(payload))
+    payload["agree"] = not failures
+    lines.append("agreement: " + ("NO" if failures else "yes"))
+    _emit(args, payload, "\n".join(lines))
     if failures:
         raise Inconsistency(failures[0])
     return 0
-
-
-def _stochastic_row(
-    name: str, hits: int, draws: int, exact: Fraction, failures: list[str]
-) -> dict:
-    """Gate `hits` out of `draws` on its exact z-score under p = `exact`.
-
-    The null variance draws*p*(1-p) is never 0 with particles on both sides.
-    """
-    z_squared = (hits - draws * exact) ** 2 / (draws * exact * (1 - exact))
-    agree = z_squared <= STOCHASTIC_SIGMAS**2
-    sigmas = math.sqrt(min(z_squared, sys.float_info.max))
-    estimate, std_error = binomial(hits, draws)
-    if not agree:
-        failures.append(
-            f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"
-        )
-    return {
-        "method": name,
-        "estimate": estimate,
-        "stdError": std_error,
-        "sigmas": sigmas,
-        "agree": agree,
-    }
-
-
-def _plain_crosscheck(payload: dict) -> str:
-    lines = [f"exact value: {payload['value']} = {payload['decimal']}"]
-    for row in payload["methods"]:
-        if row["method"] == "recursive":
-            lines.append(f"  recursive    {row['value']}  (reference)")
-        elif "estimate" in row:
-            lines.append(
-                f"  {row['method']:<12} {row['estimate']:.6f} +/- {row['stdError']:.6f}"
-                f"  [{row['sigmas']:.2f} sigma]"
-            )
-        elif row["method"] == "epsilon":
-            lines.append(
-                f"  epsilon      abs error {row['absError']} at eps = {row['epsilon']}"
-            )
-        else:
-            verdict = "exact match" if row["agree"] else "MISMATCH"
-            lines.append(f"  {row['method']:<12} {row['value']}  ({verdict})")
-    lines.append("agreement: " + ("yes" if payload["agree"] else "NO"))
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -98,22 +98,14 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
 
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
-    # pair[i][j]: threshold for the front pair after i A deaths and j B
-    # deaths.  B dies front to back; A from the rear, since its leading
-    # particle is the last one fired.
-    pair = np.array(
-        [[win_threshold(a[m - 1 - i], b[j]) for j in range(n)] for i in range(m)],
-        dtype=np.uint64,
-    )
     collisions = m + n - 1
-    # rows[step][dead_b] = pair[step - dead_b][dead_b] while the duel is live.
-    steps = np.arange(collisions)[:, None]
-    b_deaths = np.arange(n + 1)
-    a_deaths = steps - b_deaths
-    live = (a_deaths >= 0) & (a_deaths < m) & (b_deaths < n)
-    rows = np.where(
-        live, pair[np.clip(a_deaths, 0, m - 1), np.minimum(b_deaths, n - 1)], np.uint64(0)
-    )
+    # After i A deaths and j B deaths the duel is at step i + j, and the
+    # front pair is A's (m-1-i)th particle against B's jth: B dies front to
+    # back, A from the rear, since its leading particle is the last fired.
+    rows = np.zeros((collisions, n + 1), dtype=np.uint64)
+    for i in range(m):
+        for j in range(n):
+            rows[i + j, j] = win_threshold(a[m - 1 - i], b[j])
     width = streams.slot_width(collisions)
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
     steps = min(collisions, width)

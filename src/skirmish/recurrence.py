@@ -36,9 +36,9 @@ apart.  That happens only where it is safe and pays: `os.fork` exists,
 the process has exactly one OS thread (so nothing that another thread
 held is lost in the child; importing numpy starts a second one), and the
 table's work, cells times the bits of D, is at least BAND_WORK per band.
-Otherwise the one band runs in process.  Every band does the same exact
-divisions, so the value and the inexact-division check do not depend on
-the split.
+Otherwise the one band runs in process, as it also does when a pipe or a
+fork fails.  Every band does the same exact divisions, so the value and
+the inexact-division check do not depend on the split.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .model import Instance
+from .streams import usable_cores
 
 # The least work, in cells times the bits of D, that pays for a band of its
 # own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
@@ -104,10 +105,11 @@ def p_a_wins_recursive(inst: Instance) -> Fraction:
     denominator = path_denominator(a, b)
     bands = _band_count(len(a), len(a) * len(b) * denominator.bit_length())
     if bands > 1:
-        numerator = _forked_sweep(a, b, denominator, bands)
-    else:
-        numerator = _last(_sweep(a, b, 0, len(a), denominator, repeat(0)))
-    return Fraction(numerator, denominator)
+        try:
+            return Fraction(_forked_sweep(a, b, denominator, bands), denominator)
+        except OSError:
+            pass  # no pipe or no process to spare: the one band needs neither
+    return Fraction(_last(_sweep(a, b, 0, len(a), denominator, repeat(0))), denominator)
 
 
 def _sweep(a, b, lo: int, hi: int, denominator: int, below: Iterable[int]) -> Iterator[int]:
@@ -143,13 +145,13 @@ def _band_count(rows: int, work: int) -> int:
     since only the forking thread would survive into the child.
     """
     bands = min(rows, work // BAND_WORK)
-    if bands < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if bands < 2 or not hasattr(os, "fork"):
         return 1
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         return 1
-    return min(bands, len(os.sched_getaffinity(0))) if threads == 1 else 1
+    return min(bands, usable_cores()) if threads == 1 else 1
 
 
 def _last(values: Iterable[int]) -> int:

@@ -18,6 +18,10 @@ buffers once and reuses them for every block it takes.  The counts are
 integers added at the end, so neither the block size nor the number of
 cores that run them changes a count.
 
+`gate` is the one test of an estimate: is it within SIGMAS standard
+errors of the exact value?  crosscheck, the release gate and the tests
+all ask it.
+
 numpy is imported inside the functions that draw, not at module level, so
 the exact commands, which never draw, start without loading it.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 from .model import whole_number
 
@@ -34,11 +39,13 @@ from .model import whole_number
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
+    from fractions import Fraction
 
     import numpy as np
 
 OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 BLOCK_BYTES = 1 << 20  # raw draws per block of trials
+SIGMAS = 4  # how many standard errors an estimate may stray from the exact value
 
 
 def check_seed(seed) -> int:
@@ -50,6 +57,18 @@ def binomial(hits: int, draws: int) -> tuple[float, float]:
     """The hit fraction and its binomial standard error, as both estimators report them."""
     estimate = hits / draws
     return estimate, math.sqrt(estimate * (1.0 - estimate) / draws)
+
+
+def gate(hits: int, draws: int, p: Fraction) -> tuple[bool, float]:
+    """(agree, sigmas): is `hits` out of `draws` within SIGMAS standard errors of p?
+
+    The standard error is the null one, sqrt(draws*p*(1-p)) at the exact p
+    (a Fraction strictly between 0 and 1), so a run that hits always or
+    never is judged like any other.  agree compares z^2 <= SIGMAS^2
+    exactly; sigmas is |z| as a float, capped at the float range.
+    """
+    z_squared = (hits - draws * p) ** 2 / (draws * p * (1 - p))
+    return z_squared <= SIGMAS**2, math.sqrt(min(z_squared, sys.float_info.max))
 
 
 def slot_width(draws: int) -> int:

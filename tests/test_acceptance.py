@@ -1,7 +1,8 @@
 """Acceptance gate: the eight release criteria, one pass/fail line each.
 
 Every deterministic check is exact rational arithmetic at zero tolerance;
-the two stochastic checks use fixed seeds and a four-standard-error gate.
+the two stochastic checks use fixed seeds and `streams.gate`, the
+four-standard-error test that crosscheck applies.
 Run with plain pytest; each criterion prints `[acceptance] criterion N:
 PASS` (or FAIL) directly to the terminal.
 """
@@ -32,6 +33,7 @@ from skirmish import (
     solve,
     verify_cycle,
 )
+from skirmish import streams
 
 HALF = Fraction(1, 2)
 
@@ -164,10 +166,10 @@ def test_criterion_6_stochastic_oracles(criterion):
         start = time.perf_counter()
         for instance, exact in duels:
             sim = simulate(instance, SimConfig(trials=200_000, seed=0))
-            assert abs(sim.estimate - float(exact)) <= 4 * sim.std_error
+            assert streams.gate(sim.a_wins, sim.trials, exact)[0]
 
             vol = estimate_volume(instance, samples=1_000_000, seed=0)
-            assert abs(vol.estimate - float(exact)) <= 4 * vol.std_error
+            assert streams.gate(vol.hits, vol.samples, exact)[0]
         assert time.perf_counter() - start < 30.0
 
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import ROUTES, Instance, MethodReport, p_a_wins_recursive
-from skirmish.cli import _stochastic_row, build_parser, main
+from skirmish import streams
+from skirmish.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -321,6 +322,114 @@ class TestCycle:
         assert result.returncode == 2
 
 
+# Exact crosscheck stdout, JSON and plain, byte for byte.
+AGREEING_BYTES = {
+    "json": (
+        '{"value":"270/539","decimal":"0.500927643785","methods":['
+        '{"method":"recursive","value":"270/539","agree":true},'
+        '{"method":"distinct","value":"270/539","agree":true},'
+        '{"method":"epsilon","value":"113910051609250251563/227398247437694255001",'
+        '"epsilon":"1/5000","absError":"7.34E-8"},'
+        '{"method":"montecarlo","estimate":0.50805,"stdError":0.0035350756533630225,'
+        '"sigmas":2.014510018188765,"agree":true},'
+        '{"method":"hypervolume","estimate":0.49495,"stdError":0.0035353535714267676,'
+        '"sigmas":1.6907358921328208,"agree":true}],"agree":true}\n'
+    ),
+    "plain": (
+        "exact value: 270/539 = 0.500927643785\n"
+        "  recursive    270/539  (reference)\n"
+        "  distinct     270/539  (exact match)\n"
+        "  epsilon      abs error 7.34E-8 at eps = 1/5000\n"
+        "  montecarlo   0.508050 +/- 0.003535  [2.01 sigma]\n"
+        "  hypervolume  0.494950 +/- 0.003535  [1.69 sigma]\n"
+        "agreement: yes\n"
+    ),
+}
+SINGLE_TRIAL_BYTES = {
+    "json": (
+        '{"value":"1/2","decimal":"0.5","methods":['
+        '{"method":"recursive","value":"1/2","agree":true},'
+        '{"method":"distinct","value":"1/2","agree":true},'
+        '{"method":"epsilon","value":"1/2","epsilon":"1/3000","absError":"0"},'
+        '{"method":"montecarlo","estimate":1.0,"stdError":0.0,"sigmas":1.0,"agree":true},'
+        '{"method":"hypervolume","estimate":1.0,"stdError":0.0,"sigmas":1.0,"agree":true}],'
+        '"agree":true}\n'
+    ),
+    "plain": (
+        "exact value: 1/2 = 0.5\n"
+        "  recursive    1/2  (reference)\n"
+        "  distinct     1/2  (exact match)\n"
+        "  epsilon      abs error 0 at eps = 1/3000\n"
+        "  montecarlo   1.000000 +/- 0.000000  [1.00 sigma]\n"
+        "  hypervolume  1.000000 +/- 0.000000  [1.00 sigma]\n"
+        "agreement: yes\n"
+    ),
+}
+# `distinct` replaced by a wrong route, which the epsilon row also runs.
+EXACT_MISMATCH_BYTES = {
+    "json": (
+        '{"value":"1/2","decimal":"0.5","methods":['
+        '{"method":"recursive","value":"1/2","agree":true},'
+        '{"method":"distinct","value":"1/3","agree":false},'
+        '{"method":"epsilon","value":"1/3","epsilon":"1/3000","absError":"0.167"},'
+        '{"method":"montecarlo","estimate":0.517,"stdError":0.01580224667571039,'
+        '"sigmas":1.0751744044572489,"agree":true},'
+        '{"method":"hypervolume","estimate":0.495,"stdError":0.01581059771166163,'
+        '"sigmas":0.31622776601683794,"agree":true}],"agree":false}\n'
+    ),
+    "plain": (
+        "exact value: 1/2 = 0.5\n"
+        "  recursive    1/2  (reference)\n"
+        "  distinct     1/3  (MISMATCH)\n"
+        "  epsilon      abs error 0.167 at eps = 1/3000\n"
+        "  montecarlo   0.517000 +/- 0.015802  [1.08 sigma]\n"
+        "  hypervolume  0.495000 +/- 0.015811  [0.32 sigma]\n"
+        "agreement: NO\n"
+    ),
+}
+# Every B speed one too fast in both exact routes: they agree with each
+# other, and only the two estimators, which play the true speeds, object.
+SHIFTED_B_BYTES = {
+    "json": (
+        '{"value":"384350/790533","decimal":"0.486190962300","methods":['
+        '{"method":"recursive","value":"384350/790533","agree":true},'
+        '{"method":"distinct","value":"384350/790533","agree":true},'
+        '{"method":"epsilon","value":"1822580438766758540021/3638432939632002270081",'
+        '"epsilon":"1/5000","absError":"0.0147"},'
+        '{"method":"montecarlo","estimate":0.50142,"stdError":0.0011180294799333333,'
+        '"sigmas":13.626463250431758,"agree":false},'
+        '{"method":"hypervolume","estimate":0.500508,"stdError":0.0004999997419359334,'
+        '"sigmas":28.64500208728693,"agree":false}],"agree":false}\n'
+    ),
+    "plain": (
+        "exact value: 384350/790533 = 0.486190962300\n"
+        "  recursive    384350/790533  (reference)\n"
+        "  distinct     384350/790533  (exact match)\n"
+        "  epsilon      abs error 0.0147 at eps = 1/5000\n"
+        "  montecarlo   0.501420 +/- 0.001118  [13.63 sigma]\n"
+        "  hypervolume  0.500508 +/- 0.000500  [28.65 sigma]\n"
+        "agreement: NO\n"
+    ),
+}
+
+
+def assert_crosscheck_bytes(capsys, argv, code, pinned, err=""):
+    """`argv` exits `code`, prints `pinned[format]` in each format and `err` on stderr."""
+    for fmt in ("json", "plain"):
+        assert main([*argv, "--format", fmt]) == code
+        assert capsys.readouterr() == (pinned[fmt], err)
+
+
+def break_distinct(monkeypatch):
+    """Make the distinct route return 1/3 whatever the instance."""
+    import skirmish.residues as residues_mod
+
+    def broken(inst):
+        return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
+
+    monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
+
+
 class TestCrosscheck:
     def test_distinct_instance_agrees(self, capsys):
         argv = [
@@ -333,6 +442,7 @@ class TestCrosscheck:
         assert payload["value"] == "270/539"
         methods = [row["method"] for row in payload["methods"]]
         assert methods == ["recursive", "distinct", "epsilon", "montecarlo", "hypervolume"]
+        assert_crosscheck_bytes(capsys, argv, 0, AGREEING_BYTES)
 
     def test_repeated_speeds_use_series(self, capsys):
         argv = [
@@ -371,12 +481,7 @@ class TestCrosscheck:
         )
 
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
-        import skirmish.residues as residues_mod
-
-        def broken(inst):
-            return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
-
-        monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
+        break_distinct(monkeypatch)
         argv = [
             "crosscheck", "--a", "1", "--b", "1",
             "--trials", "1000", "--samples", "1000",
@@ -386,6 +491,7 @@ class TestCrosscheck:
         assert captured.err == "inconsistency: distinct gave 1/3, recursive reference gives 1/2\n"
         payload = json.loads(captured.out)
         assert payload["agree"] is False
+        assert_crosscheck_bytes(capsys, argv, 1, EXACT_MISMATCH_BYTES, captured.err)
 
     def test_single_trial_is_no_false_alarm(self, capsys):
         argv = ["crosscheck", "--a", "1", "--b", "1", "--trials", "1", "--samples", "1"]
@@ -393,19 +499,18 @@ class TestCrosscheck:
         payload = strict_json(capsys.readouterr().out)
         assert payload["agree"] is True
         assert [row["sigmas"] for row in payload["methods"][3:]] == [1.0, 1.0]
+        assert_crosscheck_bytes(capsys, argv, 0, SINGLE_TRIAL_BYTES)
 
     def test_gate_uses_the_exact_probability(self):
         # 2000 trials of a fair duel: 1000 +/- 4*sqrt(500) hits pass, one more fails.
-        failures = []
-        row = _stochastic_row("montecarlo", 1089, 2000, Fraction(1, 2), failures)
-        assert row["agree"] is True and not failures
-        row = _stochastic_row("montecarlo", 1090, 2000, Fraction(1, 2), failures)
-        assert row["agree"] is False and len(failures) == 1
-        assert row["sigmas"] == pytest.approx(90 / 500**0.5)
+        assert streams.gate(1089, 2000, Fraction(1, 2))[0] is True
+        agree, sigmas = streams.gate(1090, 2000, Fraction(1, 2))
+        assert agree is False
+        assert sigmas == pytest.approx(90 / 500**0.5)
         # No hits where p is within 1e-400 of one: a z-score past the float range.
-        row = _stochastic_row("montecarlo", 0, 1000, 1 - Fraction(1, 10**400), [])
-        assert row["agree"] is False
-        assert math.isfinite(row["sigmas"]) and row["sigmas"] > 1e150
+        agree, sigmas = streams.gate(0, 1000, 1 - Fraction(1, 10**400))
+        assert agree is False
+        assert math.isfinite(sigmas) and sigmas > 1e150
 
     def test_speed_beyond_float_range(self, capsys):
         argv = ["crosscheck", "--a", "1e400", "--b", "1", "--trials", "1000", "--samples", "1000"]
@@ -429,6 +534,22 @@ class TestCrosscheck:
         out = capsys.readouterr().out
         assert "agreement: yes" in out
         assert "recursive" in out and "montecarlo" in out
+
+    def test_wrong_exact_speeds_are_caught_by_both_estimators(self, capsys, monkeypatch):
+        integer_speeds = Instance.integer_speeds
+
+        def b_one_faster(inst):
+            a, b = integer_speeds(inst)
+            return a, tuple(speed + 1 for speed in b)
+
+        monkeypatch.setattr(Instance, "integer_speeds", b_one_faster)
+        assert_crosscheck_bytes(
+            capsys,
+            ["crosscheck", "--a", "30,20", "--b", "15,36"],
+            1,
+            SHIFTED_B_BYTES,
+            "inconsistency: montecarlo estimate 0.50142 is 13.6 sigma from exact 384350/790533\n",
+        )
 
 
 class TestEntryPoints:

@@ -25,11 +25,11 @@ from conftest import instances, speeds
 from oracles import order_invariance_probe, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
-FIGHT_P = float(Fraction(270, 539))
+FIGHT_P = Fraction(270, 539)
 
 
 def within_four_sigma(report, exact):
-    return abs(report.estimate - float(exact)) <= 4 * report.std_error
+    return streams.gate(report.a_wins, report.trials, exact)[0]
 
 
 def frontmost_reference(inst, seed, trials):
@@ -168,7 +168,14 @@ class TestSimulate:
     def test_estimates_track_exact_values(self):
         assert within_four_sigma(simulate(FIGHT, SimConfig(60_000, seed=0)), FIGHT_P)
         quarter = simulate(Instance((1,), (1, 1)), SimConfig(60_000, seed=0))
-        assert within_four_sigma(quarter, 0.25)
+        assert within_four_sigma(quarter, Fraction(1, 4))
+
+    def test_a_run_that_never_wins_is_no_false_alarm(self):
+        # P(A wins) = 1/1001: ten trials are expected to have no win, and
+        # have none; the plug-in standard error of that estimate is 0.
+        report = simulate(Instance((1,), (1000,)), SimConfig(10, seed=0))
+        assert (report.a_wins, report.std_error) == (0, 0.0)
+        assert within_four_sigma(report, Fraction(1, 1001))
 
     def test_random_adjacent_policy_agrees(self):
         report = simulate(FIGHT, SimConfig(20_000, seed=5, policy="random-adjacent"))

@@ -306,6 +306,31 @@ class TestForkedBands:
         )
         assert seen == ["the top band failed first", 1, 0, False]
 
+    def test_failed_fork_falls_back_to_one_band(self):
+        _, seen = run_fresh(
+            "import errno\n"
+            "inst = duel(60)\n"
+            "argv = ['solve', '--a', ','.join(map(str, inst.a)),"
+            " '--b', ','.join(map(str, inst.b))]\n"
+            "def failing_fork():\n"
+            "    forks.append(1)\n"
+            "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
+            "os.fork = failing_fork\n"
+            "fds = open_fds()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out,"
+            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    code = main(argv)\n"
+            "checks = [code, len(forks), open_fds() - fds, zombies(), err.getvalue()]\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as one_core:\n"
+            "    checks.append(main(argv))\n"
+            "checks.append(out.getvalue() == one_core.getvalue() != '')\n"
+            "print(json.dumps(checks))\n"
+        )
+        # Exit code, forks tried, fds left open, a child left unreaped,
+        # stderr; then the one-core run's exit code and matching stdout.
+        assert seen == [0, 1, 0, False, "", 0, True]
+
     @pytest.mark.parametrize(
         "setup",
         [

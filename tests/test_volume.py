@@ -17,11 +17,11 @@ from skirmish import streams
 from oracles import complement_estimates, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
-FIGHT_P = float(Fraction(270, 539))
+FIGHT_P = Fraction(270, 539)
 
 
 def within_four_sigma(estimate, exact):
-    return abs(estimate.estimate - float(exact)) <= 4 * estimate.std_error
+    return streams.gate(estimate.hits, estimate.samples, exact)[0]
 
 
 class TestValidation:
@@ -50,14 +50,14 @@ class TestValidation:
 class TestEstimates:
     def test_symmetric_duel(self):
         est = estimate_volume(Instance((1,), (1,)), 100_000, seed=0)
-        assert within_four_sigma(est, 0.5)
+        assert within_four_sigma(est, Fraction(1, 2))
 
     def test_two_on_two_duel(self):
         assert within_four_sigma(estimate_volume(FIGHT, 200_000, seed=0), FIGHT_P)
 
     def test_product_formula_instance(self):
         est = estimate_volume(Instance((1,), (1, 1)), 200_000, seed=0)
-        assert within_four_sigma(est, 0.25)
+        assert within_four_sigma(est, Fraction(1, 4))
 
     def test_report_arithmetic(self):
         est = estimate_volume(FIGHT, 10_000, seed=6)
