@@ -11,17 +11,34 @@ one.
 Bareiss's integer-preserving elimination.  On integer speeds (same ratios),
 P(i, j) for the suffix duel a[i:] versus b[j:] is a sum over paths from
 cell (i, j) to the boundary of products of step probabilities, and a step
-out of cell (i, j) has denominator a_i + b_j.  Every step raises i + j by
-one, so a path leaves each anti-diagonal i + j = d at most once, and
-
-    D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
-
-is a multiple of every path product's denominator.  Hence N(i, j) =
-P(i, j) * D is an integer in every cell, and each step of
+out of cell (i, j) has denominator a_i + b_j.  So for any multiple D of
+every path's product of sums a_i + b_j, N(i, j) = P(i, j) * D is an
+integer in every cell, and each step of
 
     N(i, j) = (a_i * N(i, j+1) + b_j * N(i+1, j)) / (a_i + b_j)
 
 is an exact integer division.  The only reduction is Fraction(N(0, 0), D).
+
+Every step raises i + j by one, so a path leaves each anti-diagonal
+i + j = d at most once, and the per-diagonal
+
+    D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
+
+is such a multiple.  It is loose, since a path takes one cell of each
+diagonal and not all of them.  Where it is wide (TIGHT_BITS), D is
+tightened to the lcm of the path products themselves.  The cells of a path
+run with i and j non-decreasing, and any such chain of cells lies on a
+path, so for each prime p the largest exponent of p in one path's product
+is the longest chain of cells, each weighted by the exponent of p in its
+sum: a longest non-decreasing subsequence of the columns j in row-major
+order, found by patience sorting.  The product of p to these exponents is
+a multiple of every path product and divides the per-diagonal D.  Only
+sums up to SIEVE_LIMIT are factored; larger ones, from huge or scaled
+rational speeds, keep the per-diagonal lcm of those sums alone, and the
+two parts together, cut to their gcd with the per-diagonal D, are again a
+multiple of every path product.  Each cell's division checks D: a D too
+small leaves a remainder at the first cell it does not clear, which raises
+AssertionError, so it can never give a wrong value.
 
 Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 (i+1, j), so the table is swept column by column from the right, in
@@ -45,6 +62,8 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
@@ -56,10 +75,29 @@ from .streams import usable_cores
 # own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
 # bit-cells of sweeping: the page tables are copied, and afterwards each
 # page either process writes takes a fault.  Two bands broke even with one
-# at 35-45 million, on distinct speeds (44v44 to 48v48) and on equal ones
-# (140v140) alike (Python 3.11, 2-core Xeon).  So a table forks from twice
-# this size on, where two bands save about a quarter of its time.
+# at 35-45 million, on distinct speeds and on equal ones alike (Python 3.11,
+# 2-core Xeon).  Under the per-diagonal D those were distinct speeds in
+# 1..5000 at 44v44 to 48v48 and equal ones at 140v140; the figure is in
+# bit-cells, so it holds for the tightened D as well, where distinct speeds
+# reach it at about 52v52 to 56v56.  So a table forks from twice this size
+# on, where two bands save about a quarter of its time.
 BAND_WORK = 1 << 25
+
+# The bits of the per-diagonal D from which tightening it pays.  A sweep
+# costs about cells times bits; tightening costs a sieve and about one step
+# per prime factor of each cell's sum.  On distinct speeds in 1..5000 (one
+# band, in process, 2-core Xeon), D went from 51 k to 24.8 k bits at 80v80,
+# sweep 158 to 79 ms for 13 ms more, and from 107 k to 42 k bits at
+# 120v120, sweep 0.72 to 0.30 s for 23 ms more.  At 40v40 (14 k bits) the
+# 4 ms it cost was all the sweep saved (11.9 to 7.8 ms), and the 200v200
+# closed-form table (2.6 k bits, every sum the same) would gain nothing and
+# pay 95 ms; both stay below this.
+TIGHT_BITS = 1 << 14
+# The largest sum a_i + b_j that is factored; larger ones stay in the
+# per-diagonal lcm.  The sieve of least prime factors takes about 0.7 ms up
+# to 10^4 and 8 ms up to 2^16; up to 2^20 it took 0.1 s and nearly 40 MB,
+# more than tightening saves on tables below about 100v100.
+SIEVE_LIMIT = 1 << 16
 
 
 def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
@@ -89,12 +127,55 @@ def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
 
 
 def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """D: the product over anti-diagonals of the lcm of their a_i + b_j."""
+    """D: a multiple of every path product, tightened where it is wide."""
+    lcms = _diagonal_lcms(a, b, 0)
+    if sum(x.bit_length() for x in lcms) < TIGHT_BITS:
+        return math.prod(lcms)
+    limit = max((s for ai in a for bj in b if (s := ai + bj) <= SIEVE_LIMIT), default=1)
+    if limit < 2:
+        return math.prod(lcms)  # every sum is too large to factor
+    tight = math.prod(p**e for p, e in _chain_exponents(a, b, limit).items())
+    large = math.prod(_diagonal_lcms(a, b, limit))
+    # A prime of both a factored sum and a large one may be counted twice.
+    return tight if large == 1 else math.gcd(tight * large, math.prod(lcms))
+
+
+def _diagonal_lcms(a, b, above: int) -> list[int]:
+    """For each anti-diagonal, the lcm of its sums a_i + b_j that exceed `above`."""
     m, n = len(a), len(b)
-    return math.prod(
-        math.lcm(*(a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1)))
+    diagonals = (
+        (a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1))
         for d in range(m + n - 1)
     )
+    return [math.lcm(*(s for s in sums if s > above)) for sums in diagonals]
+
+
+def _chain_exponents(a, b, limit: int) -> dict[int, int]:
+    """For each prime p, the most factors p that the sums a_i + b_j <= limit on one path hold.
+
+    A cell's sum with p^e in it stands for e copies of its column j in the
+    row-major sequence of the table, so a path's factors p form a
+    non-decreasing subsequence of those columns, found by patience sorting.
+    """
+    # least[s] is the least prime factor of s: each p, from the largest down,
+    # writes itself over its multiples from p * p, so the least writes last.
+    least = list(range(limit + 1))
+    for p in range(math.isqrt(limit), 1, -1):
+        least[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    piles: defaultdict[int, list[int]] = defaultdict(list)
+    for ai in a:
+        for j, bj in enumerate(b):
+            s = ai + bj
+            while 1 < s <= limit:
+                p = least[s]
+                s //= p
+                tops = piles[p]
+                k = bisect_right(tops, j)
+                if k == len(tops):
+                    tops.append(j)
+                else:
+                    tops[k] = j
+    return {p: len(tops) for p, tops in piles.items()}
 
 
 def p_a_wins_recursive(inst: Instance) -> Fraction:

@@ -57,3 +57,17 @@ def huge_rational_speeds(count, digits, seed):
     speeds = [Fraction(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(count)]
     assert len({s.denominator for s in speeds}) == count
     return tuple(speeds)
+
+
+def seeded_duel(n):
+    """n distinct speeds a side from 1..5000, side A from seed n, side B from seed n + 1."""
+    return Instance(
+        tuple(random.Random(n).sample(range(1, 5001), n)),
+        tuple(random.Random(n + 1).sample(range(1, 5001), n)),
+    )
+
+
+# The smallest seeded duel whose reference table, cells times the bits of
+# its path denominator, reaches two bands' work, so that the reference forks
+# wherever two cores are usable (guarded by `test_fork_fixtures_fork`).
+FORKING_SIZE = 64

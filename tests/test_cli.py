@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 from skirmish import ROUTES, Instance, MethodReport, p_a_wins_recursive
 from skirmish import streams
 from skirmish.cli import build_parser, main
+
+from conftest import FORKING_SIZE, seeded_duel
 
 
 def run_cli(*argv):
@@ -592,7 +593,7 @@ class TestEntryPoints:
     @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
     def test_stdout_through_a_pipe_matches_one_core(self):
         """Forked row bands print nothing: the piped stdout equals the one-band run's."""
-        command = [sys.executable, "-m", "skirmish", *SOLVE_60V60]
+        command = [sys.executable, "-m", "skirmish", *SOLVE_FORKING]
         # Block-buffered, as for most callers: what a child must not flush again.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(PYPROJECT.parent / "src")
@@ -634,12 +635,12 @@ def modules_loaded_by(commands):
     return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
 
 
-# 60 distinct speeds a side: the reference's table is large enough to be
+# The smallest seeded duel whose reference table is large enough to be
 # swept in forked row bands wherever two cores are usable.
-SOLVE_60V60 = [
+SOLVE_FORKING = [
     "solve",
-    "--a", ",".join(map(str, random.Random(60).sample(range(1, 5001), 60))),
-    "--b", ",".join(map(str, random.Random(61).sample(range(1, 5001), 60))),
+    "--a", ",".join(map(str, seeded_duel(FORKING_SIZE).a)),
+    "--b", ",".join(map(str, seeded_duel(FORKING_SIZE).b)),
 ]
 
 # One speed a side (B repeated) is in every route's domain.
@@ -649,7 +650,7 @@ EXACT_COMMANDS = [
     ["relate", "--a", "1,2", "--b", "3"],
     ["curve", "--points", "3"],
     ["cycle", "1", "2", "3"],
-    SOLVE_60V60,
+    SOLVE_FORKING,
 ]
 
 # Slow imports no exact command needs: `dataclasses` pulls in `inspect`,

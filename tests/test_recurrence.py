@@ -1,12 +1,14 @@
 """The reference solver, its full-table oracle and the one-A product."""
 
+import inspect
 import json
+import math
 import os
-import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,17 @@ from skirmish import (
     recurrence,
 )
 from skirmish.cli import main
-from skirmish.recurrence import _sweep, fill_table, path_denominator
+from skirmish.recurrence import _diagonal_lcms, _sweep, fill_table, path_denominator
 
-from conftest import grouped_instances, huge_rational_speeds, instances, speed_lists, speeds
+from conftest import (
+    FORKING_SIZE,
+    grouped_instances,
+    huge_rational_speeds,
+    instances,
+    seeded_duel,
+    speed_lists,
+    speeds,
+)
 from oracles import p_a_wins_single_a
 
 
@@ -77,44 +87,122 @@ EXTREME_SPEEDS = [
         Instance(huge_rational_speeds(3, 300, 1), huge_rational_speeds(4, 300, 2)),
         id="300-digit-rationals",
     ),
-    pytest.param(
-        Instance(
-            tuple(random.Random(40).sample(range(1, 5001), 40)),
-            tuple(random.Random(41).sample(range(1, 5001), 40)),
-        ),
-        id="40v40-integers",
-    ),
+    pytest.param(seeded_duel(40), id="40v40-integers"),
 ]
 
 
+@contextmanager
+def tightened(**settings):
+    """Within: D is tightened whatever its width, with `settings` of recurrence."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in {"TIGHT_BITS": 0, **settings}.items():
+            patch.setattr(recurrence, name, value)
+        yield
+
+
+def recursive_tight(inst):
+    with tightened():
+        return p_a_wins_recursive(inst)
+
+
+def path_products(a, b, i=0, j=0):
+    """For each path from cell (i, j) out of the table, the product of its sums a_i + b_j."""
+    if i == len(a) or j == len(b):
+        yield 1
+        return
+    for rest in chain(path_products(a, b, i, j + 1), path_products(a, b, i + 1, j)):
+        yield (a[i] + b[j]) * rest
+
+
+# Faults that leave D too small, each as the code that injects it into
+# `recurrence`: D itself cut down, or one part of the tight D lost.  For the
+# last, sums above 9000 are not factored, so that there is a large-sum lcm
+# to skip on the duels the tests use.
+DENOMINATOR_FAULTS = {
+    "half": "shrunk = recurrence.path_denominator\n"
+    "recurrence.path_denominator = lambda a, b: shrunk(a, b) // 2\n",
+    "one": "recurrence.path_denominator = lambda a, b: 1\n",
+    "dropped-prime": "chains = recurrence._chain_exponents\n"
+    "recurrence._chain_exponents = lambda a, b, limit: "
+    "{p: e for p, e in chains(a, b, limit).items() if p != 2}\n",
+    "short-chain": "chains = recurrence._chain_exponents\n"
+    "recurrence._chain_exponents = lambda a, b, limit: "
+    "(lambda e: {**e, max(e): e[max(e)] - 1})(chains(a, b, limit))\n",
+    "skipped-large-lcm": "recurrence.SIEVE_LIMIT = 9000\n"
+    "lcms = recurrence._diagonal_lcms\n"
+    "recurrence._diagonal_lcms = lambda a, b, above: [] if above else lcms(a, b, above)\n",
+}
+
+
 class TestFractionFreeKernel:
-    """The integer kernel against the full-table Fraction oracle."""
+    """The integer kernel against the full-table Fraction oracle, D tightened or not."""
 
     @given(instances(min_side=0))
     def test_matches_full_table(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
+        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
 
     @given(grouped_instances().map(GroupedInstance.expand))
     @settings(max_examples=25, deadline=None)
     def test_matches_full_table_with_repeated_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
+        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
 
     @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == fill_table(inst)[0, 0]
+        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
 
-    @pytest.mark.parametrize("shrink", [lambda d: d // 2, lambda d: 1], ids=["half", "one"])
-    def test_too_small_denominator_is_caught(self, monkeypatch, capsys, shrink):
-        # Integer speeds (1, 3) vs (1,): D = 2 * 4 = 8 is the least that clears
-        # both cells, so a smaller D leaves a remainder, which must not pass.
-        path_denominator = recurrence.path_denominator
-        monkeypatch.setattr(
-            recurrence, "path_denominator", lambda a, b: shrink(path_denominator(a, b))
-        )
+    @pytest.mark.parametrize("fault", DENOMINATOR_FAULTS)
+    def test_too_small_denominator_is_caught(self, monkeypatch, capsys, fault):
+        # Integer speeds (1, 9001) vs (1,): D = 2 * 9002 = 2^2 * 4501, tight or
+        # not, is the least that clears both cells, so a smaller D leaves a
+        # remainder, which must not pass.  Each name is recorded to be restored
+        # after the test; the fault's code then replaces some of them.
+        for name in ("TIGHT_BITS", "SIEVE_LIMIT", "path_denominator", "_chain_exponents",
+                     "_diagonal_lcms"):
+            monkeypatch.setattr(recurrence, name, getattr(recurrence, name))
+        recurrence.TIGHT_BITS = 0
+        exec(DENOMINATOR_FAULTS[fault], {"recurrence": recurrence})
         with pytest.raises(AssertionError, match="inexact division"):
-            p_a_wins_recursive(Instance((1, 3), (1,)))
-        assert main(["solve", "--a", "1,3", "--b", "1"]) == 3
-        assert "inexact division" in capsys.readouterr().err
+            p_a_wins_recursive(Instance((1, 9001), (1,)))
+        assert main(["solve", "--a", "1,9001", "--b", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "inexact division" in err
+
+
+# Integer duels of up to ten speeds in all, repeats included.
+small_duels = st.tuples(
+    st.lists(st.integers(1, 60), min_size=1, max_size=5),
+    st.lists(st.integers(1, 60), min_size=1, max_size=5),
+).map(lambda sides: tuple(map(tuple, sides)))
+
+
+class TestTightDenominator:
+    """The tight D: each prime's longest chain of factors along one path."""
+
+    @given(small_duels)
+    def test_is_the_lcm_of_the_path_products(self, duel):
+        a, b = duel
+        with tightened():
+            tight = path_denominator(a, b)
+        assert tight == math.lcm(*path_products(a, b))
+        assert math.prod(_diagonal_lcms(a, b, 0)) % tight == 0
+
+    @given(small_duels, st.integers(0, 120))
+    def test_sums_beyond_the_sieve_go_to_the_diagonal_lcm(self, duel, limit):
+        a, b = duel
+        with tightened(SIEVE_LIMIT=limit):
+            denominator = path_denominator(a, b)
+            value = p_a_wins_recursive(Instance(a, b))
+        assert denominator % math.lcm(*path_products(a, b)) == 0
+        assert math.prod(_diagonal_lcms(a, b, 0)) % denominator == 0
+        assert value == fill_table(Instance(a, b))[0, 0]
+
+    @pytest.mark.parametrize("n", [FORKING_SIZE, 80, 120])
+    def test_narrower_than_the_diagonal_lcm(self, n):
+        a, b = seeded_duel(n).integer_speeds()
+        wide = math.prod(_diagonal_lcms(a, b, 0))
+        assert wide.bit_length() >= recurrence.TIGHT_BITS
+        assert path_denominator(a, b).bit_length() < 0.65 * wide.bit_length()
 
 
 def band_rows(inst, bands):
@@ -193,12 +281,6 @@ def counting_fork():
 
 os.fork = counting_fork
 
-def duel(n):
-    return Instance(
-        tuple(random.Random(n).sample(range(1, 5001), n)),
-        tuple(random.Random(n + 1).sample(range(1, 5001), n)),
-    )
-
 def in_process(inst):
     a, b = inst.integer_speeds()
     denominator = recurrence.path_denominator(a, b)
@@ -213,7 +295,14 @@ def zombies():
         return os.waitpid(-1, os.WNOHANG) != (0, 0)
     except ChildProcessError:
         return False
-"""
+""" + inspect.getsource(seeded_duel) + f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\n"
+
+
+def test_fork_fixtures_fork():
+    """The duels the forked tests use are large enough for two row bands."""
+    for n in (FORKING_SIZE, 90):
+        a, b = seeded_duel(n).integer_speeds()
+        assert n * n * path_denominator(a, b).bit_length() >= 2 * recurrence.BAND_WORK
 
 
 def run_fresh(body):
@@ -244,27 +333,29 @@ class TestForkedBands:
             "print('printed before the fork')\n"
             "fds = open_fds()\n"
             "report = []\n"
-            "for n in (60, 90):\n"
+            "for n in (FORKING, 90):\n"
             "    before = len(forks)\n"
             "    value = p_a_wins_recursive(duel(n))\n"
             "    report.append([n, len(forks) - before, value == in_process(duel(n))])\n"
             "print(json.dumps({'report': report, 'fds': open_fds() - fds,"
             " 'zombies': zombies()}))\n"
         )
-        assert seen == {"report": [[60, 1, True], [90, 1, True]], "fds": 0, "zombies": False}
+        assert seen == {
+            "report": [[FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "zombies": False
+        }
         # stdout is a pipe, so block-buffered: a child that flushed it on exit
         # would print the line a second time.
         assert out.count("printed before the fork") == 1
 
     def test_failure_in_a_child_band_is_caught(self):
-        # D - 1 is coprime to D, so the bottom-right cell (59, 59), which
+        # D - 1 is coprime to D, so the bottom-right cell (63, 63), which
         # lies in the forked lower band, is the first that cannot divide.
         # The bit length, and with it the decision to fork, is unchanged.
         _, seen = run_fresh(
             "shrunk = recurrence.path_denominator\n"
             "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
             "fds = open_fds()\n"
-            "inst = duel(60)\n"
+            "inst = duel(FORKING)\n"
             "try:\n"
             "    p_a_wins_recursive(inst)\n"
             "    message = None\n"
@@ -278,14 +369,14 @@ class TestForkedBands:
             "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
             " 'stderr': err.getvalue()}))\n"
         )
-        assert seen["message"].startswith("inexact division at cell (59, 59)")
+        assert seen["message"].startswith("inexact division at cell (63, 63)")
         # Forks so far, fds opened and not closed, a child left unreaped.
         assert seen["checks"] == [1, 0, False, 2, 0, False]
         assert seen["code"] == 3
-        assert "inexact division at cell (59, 59)" in seen["stderr"]
+        assert "inexact division at cell (63, 63)" in seen["stderr"]
 
     def test_failure_in_the_top_band_leaves_no_child_waiting(self):
-        # The child's 60 columns of 3.6 KB each overfill the pipe once the top
+        # The child's 64 columns of 2.2 KB each overfill the pipe once the top
         # band stops reading; it must fail its write, not block the reaping.
         _, seen = run_fresh(
             "sweep = recurrence._sweep\n"
@@ -298,7 +389,7 @@ class TestForkedBands:
             "recurrence._sweep = failing_top\n"
             "fds = open_fds()\n"
             "try:\n"
-            "    p_a_wins_recursive(duel(60))\n"
+            "    p_a_wins_recursive(duel(FORKING))\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
@@ -309,7 +400,7 @@ class TestForkedBands:
     def test_failed_fork_falls_back_to_one_band(self):
         _, seen = run_fresh(
             "import errno\n"
-            "inst = duel(60)\n"
+            "inst = duel(FORKING)\n"
             "argv = ['solve', '--a', ','.join(map(str, inst.a)),"
             " '--b', ','.join(map(str, inst.b))]\n"
             "def failing_fork():\n"
@@ -343,10 +434,34 @@ class TestForkedBands:
     def test_one_band_without_a_fork(self, setup):
         _, seen = run_fresh(
             setup
-            + "value = p_a_wins_recursive(duel(60))\n"
-            "print(json.dumps({'forks': len(forks), 'same': value == in_process(duel(60))}))\n"
+            + "value = p_a_wins_recursive(duel(FORKING))\n"
+            "print(json.dumps({'forks': len(forks), 'same': value == in_process(duel(FORKING))}))\n"
         )
         assert seen == {"forks": 0, "same": True}
+
+    @pytest.mark.parametrize("fault", ["dropped-prime", "short-chain", "skipped-large-lcm"])
+    def test_too_small_tight_denominator_is_caught(self, fault):
+        _, seen = run_fresh(
+            DENOMINATOR_FAULTS[fault]
+            + "fds = open_fds()\n"
+            "inst = duel(FORKING)\n"
+            "try:\n"
+            "    p_a_wins_recursive(inst)\n"
+            "    message = None\n"
+            "except AssertionError as exc:\n"
+            "    message = str(exc)\n"
+            "checks = [len(forks)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out,"
+            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
+            " '--b', ','.join(map(str, inst.b))])\n"
+            "checks += [len(forks), open_fds() - fds, zombies(), code, out.getvalue()]\n"
+            "print(json.dumps({'message': message, 'checks': checks, 'stderr': err.getvalue()}))\n"
+        )
+        assert seen["message"].startswith("inexact division")
+        # Forks by then, fds left open, a child left unreaped, exit code, stdout.
+        assert seen["checks"] == [1, 2, 0, False, 3, ""]
+        assert "inexact division" in seen["stderr"]
 
 
 class TestSingleAFastPath:
