@@ -32,7 +32,7 @@ from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, MethodReport, default_epsilon, parse_perturbation, solve
 from .montecarlo import POLICIES, SimConfig, simulate
-from .streams import binomial, gate
+from .streams import gate
 from .volume import estimate_volume
 
 
@@ -236,13 +236,12 @@ def _run_relate(args) -> int:
 
 def _run_curve(args) -> int:
     points = matching_curve_grid(1, args.points)
-    if args.format == "json":
-        payload = {"points": [{"x": str(x), "y": str(y)} for x, y in points]}
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print("x,y")
-        for x, y in points:
-            print(f"{decimal_str(x)},{decimal_str(y)}")
+    payload = {"points": [{"x": str(x), "y": str(y)} for x, y in points]}
+    # Only the plain table shows decimals, so json output skips working them out.
+    rows = []
+    if args.format == "plain":
+        rows = [f"{decimal_str(x)},{decimal_str(y)}" for x, y in points]
+    _emit(args, payload, "\n".join(["x,y", *rows]))
     return 0
 
 
@@ -305,12 +304,11 @@ def _run_crosscheck(args) -> int:
 
     sim = simulate(inst, SimConfig(args.trials, args.seed))
     vol = estimate_volume(inst, args.samples, args.seed)
-    for name, hits, draws in (
-        ("montecarlo", sim.a_wins, sim.trials),
-        ("hypervolume", vol.hits, vol.samples),
+    for name, hits, draws, estimate, std_error in (
+        ("montecarlo", sim.a_wins, sim.trials, sim.estimate, sim.std_error),
+        ("hypervolume", vol.hits, vol.samples, vol.estimate, vol.std_error),
     ):
         agree, sigmas = gate(hits, draws, exact)
-        estimate, std_error = binomial(hits, draws)
         failure = f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"
         add(
             {

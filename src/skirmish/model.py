@@ -67,8 +67,12 @@ def parse_speed(value) -> Fraction:
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass names its fields in `__slots__`, in constructor order, and
-    stores them with `super().__init__(...)`.  Records compare and hash by
+    The one record rule: a subclass names its fields in `__slots__`, in
+    constructor order, and checks or converts them, if at all, in
+    `__post_init__`; it defines `__init__` only to give defaults.  The
+    constructor binds fields as a dataclass does (by position in slot
+    order or by keyword, TypeError for a missing, unknown or repeated
+    field) and then runs `__post_init__`.  Records compare and hash by
     their field values and print like dataclasses; assignment raises
     AttributeError; copy and pickle call the constructor again.  Frozen
     dataclasses would behave the same, but importing `dataclasses` (and with
@@ -78,9 +82,27 @@ class _Record:
 
     __slots__ = ()
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named) -> None:
+        slots = self.__slots__
+        if len(values) > len(slots):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(slots)} fields, got {len(values)}"
+            )
+        for name, value in zip(slots, values):
             object.__setattr__(self, name, value)
+        for name in slots[len(values):]:
+            if name not in named:
+                raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
+            object.__setattr__(self, name, named.pop(name))
+        for name in named:
+            problem = "given twice" if name in slots else "unknown"
+            raise TypeError(f"{type(self).__qualname__} field {name!r} is {problem}")
+        # Looked up through self, so that the benchmark's tracer
+        # (bench/tracing.py), which wraps this method on the class, sees it.
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -110,19 +132,14 @@ class _Record:
 class Instance(_Record):
     """Ordered speed lists for the two sides.
 
-    Order matters to the simulators (collisions happen front to back) but
-    not to any exact solver.  One side may be empty, in which case the
-    other side has already won; both sides empty is rejected because the
-    duel has no outcome to define.
+    `Instance(a: Iterable, b: Iterable)` takes any speeds `parse_speed`
+    reads and keeps tuples of Fractions.  Order matters to the simulators
+    (collisions happen front to back) but not to any exact solver.  One
+    side may be empty, in which case the other side has already won; both
+    sides empty is rejected because the duel has no outcome to define.
     """
 
     __slots__ = ("a", "b")
-
-    def __init__(self, a: Iterable, b: Iterable) -> None:
-        super().__init__(a, b)
-        # Looked up through self, so that the benchmark's tracer
-        # (bench/tracing.py), which wraps this method on the class, sees it.
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(parse_speed(x) for x in self.a))
@@ -148,29 +165,19 @@ class Instance(_Record):
 
 
 class GroupedInstance(_Record):
-    """Distinct speeds with multiplicities, ascending, one entry per speed."""
+    """Distinct speeds with multiplicities, one entry per speed.
+
+    `GroupedInstance(a_groups: Iterable, b_groups: Iterable)` takes
+    (speed, multiplicity) pairs; `group` builds them ascending.
+    """
 
     __slots__ = ("a_groups", "b_groups")
-
-    def __init__(self, a_groups: Iterable, b_groups: Iterable) -> None:
-        super().__init__(a_groups, b_groups)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_groups", _checked_groups(self.a_groups, "a"))
         object.__setattr__(self, "b_groups", _checked_groups(self.b_groups, "b"))
         if not self.a_groups and not self.b_groups:
             raise InvalidInstance("at least one side must field a particle")
-
-    def expand(self) -> Instance:
-        """Spell the multiplicities back out into a flat Instance."""
-        return Instance(
-            tuple(s for s, count in self.a_groups for _ in range(count)),
-            tuple(s for s, count in self.b_groups for _ in range(count)),
-        )
-
-    def swapped(self) -> "GroupedInstance":
-        return GroupedInstance(self.b_groups, self.a_groups)
 
     @property
     def total_particles(self) -> int:

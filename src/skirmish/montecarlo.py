@@ -42,14 +42,13 @@ class SimConfig(_Record):
 
 
 class SimReport(_Record):
-    """Winner tally plus the binomial standard error of the estimate."""
+    """Winner tally plus the binomial standard error of the estimate.
+
+    `SimReport(a_wins: int, trials: int, estimate: float, std_error: float,
+    seed: int, policy: str)`.
+    """
 
     __slots__ = ("a_wins", "trials", "estimate", "std_error", "seed", "policy")
-
-    def __init__(
-        self, a_wins: int, trials: int, estimate: float, std_error: float, seed: int, policy: str
-    ) -> None:
-        super().__init__(a_wins, trials, estimate, std_error, seed, policy)
 
     def to_json(self) -> dict:
         return {

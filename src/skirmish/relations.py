@@ -24,13 +24,11 @@ HALF = Fraction(1, 2)
 class RelationVerdict(_Record):
     """Exact win probability of the first group plus its reading.
 
-    The verdict is "beats", "matched" or "loses".
+    `RelationVerdict(p: Fraction, verdict: str)`; the verdict is "beats",
+    "matched" or "loses".
     """
 
     __slots__ = ("p", "verdict")
-
-    def __init__(self, p: Fraction, verdict: str) -> None:
-        super().__init__(p, verdict)
 
     def to_json(self) -> dict:
         return {"p": str(self.p), "decimal": decimal_str(self.p), "verdict": self.verdict}
@@ -84,18 +82,11 @@ class CycleWitness(_Record):
 
     p_pq is the first group's probability against the second, p_qr the
     second's against the third, p_rp the third's against the first.
+    `CycleWitness(groups: tuple of three tuple[Fraction, ...], p_pq: Fraction,
+    p_qr: Fraction, p_rp: Fraction)`.
     """
 
     __slots__ = ("groups", "p_pq", "p_qr", "p_rp")
-
-    def __init__(
-        self,
-        groups: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]],
-        p_pq: Fraction,
-        p_qr: Fraction,
-        p_rp: Fraction,
-    ) -> None:
-        super().__init__(groups, p_pq, p_qr, p_rp)
 
     @property
     def is_cycle(self) -> bool:

@@ -47,14 +47,10 @@ class MethodReport(_Record):
     `residues` lists the residue of Phi at each a-pole, in the order the
     corresponding speeds were given; their negated sum is `value`.  None
     for the recursive route, and `to_json` then leaves the key out.
+    `MethodReport(value: Fraction, method: str, residues: tuple[Fraction, ...] | None)`.
     """
 
     __slots__ = ("value", "method", "residues")
-
-    def __init__(
-        self, value: Fraction, method: str, residues: tuple[Fraction, ...] | None
-    ) -> None:
-        super().__init__(value, method, residues)
 
     def to_json(self) -> dict:
         payload = {

@@ -24,12 +24,9 @@ from .model import Instance, InvalidInstance, _Record, whole_number
 
 
 class VolumeEstimate(_Record):
-    __slots__ = ("hits", "samples", "estimate", "std_error", "seed")
+    """`VolumeEstimate(hits: int, samples: int, estimate: float, std_error: float, seed: int)`."""
 
-    def __init__(
-        self, hits: int, samples: int, estimate: float, std_error: float, seed: int
-    ) -> None:
-        super().__init__(hits, samples, estimate, std_error, seed)
+    __slots__ = ("hits", "samples", "estimate", "std_error", "seed")
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,8 @@ collision in turn), `distinct_residues_reference` (the simple-pole residues),
 computes the same exact values on integer numerators.
 
 `complement_estimates` runs the volume sampler once for a duel and its
-side-swap; only the tests compare the two.
+side-swap; only the tests compare the two.  `expand` spells a grouped
+instance back out, for the tests that hand one to the flat reference.
 """
 
 import math
@@ -34,6 +35,14 @@ from skirmish import (
     streams,
 )
 from skirmish import volume
+
+
+def expand(grouped: GroupedInstance) -> Instance:
+    """Spell the multiplicities back out into a flat Instance."""
+    return Instance(
+        tuple(s for s, count in grouped.a_groups for _ in range(count)),
+        tuple(s for s, count in grouped.b_groups for _ in range(count)),
+    )
 
 
 def p_a_wins_single_a(a1, b) -> Fraction:

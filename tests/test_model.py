@@ -31,6 +31,7 @@ from skirmish import (
 )
 
 from conftest import instances, speeds
+from oracles import expand
 
 
 class TestParseSpeed:
@@ -135,13 +136,14 @@ class TestGrouping:
 
     def test_expand_and_counts(self):
         grouped = GroupedInstance(((Fraction(2), 2), (Fraction(3), 1)), ((Fraction(5), 1),))
-        assert grouped.expand() == Instance((2, 2, 3), (5,))
+        assert expand(grouped) == Instance((2, 2, 3), (5,))
         assert grouped.total_particles == 4
-        assert grouped.swapped().a_groups == grouped.b_groups
+        swapped = GroupedInstance(grouped.b_groups, grouped.a_groups)
+        assert swapped.a_groups == grouped.b_groups
 
     @given(instances())
     def test_group_expand_round_trip(self, inst):
-        expanded = group(inst).expand()
+        expanded = expand(group(inst))
         assert sorted(expanded.a) == sorted(inst.a)
         assert sorted(expanded.b) == sorted(inst.b)
 
@@ -207,6 +209,22 @@ class TestRecords:
         assert (witness.p_pq, witness.p_qr, witness.p_rp) == (1, 2, 3)
         with pytest.raises(TypeError):
             Instance((1,))
+        # Validation runs however the fields were given.
+        with pytest.raises(InvalidInstance):
+            Instance(b=("x",), a=(1,))
+        for record in RECORDS:
+            kind, values = type(record), record._values()
+            fields = dict(zip(kind.__slots__, values))
+            first = kind.__slots__[0]
+            assert kind(**fields) == record
+            for bad_call in (
+                lambda: kind(*values, unknown=1),
+                lambda: kind(*values, **{first: values[0]}),
+                lambda: kind(*values, values[0]),
+                lambda: kind(**{k: v for k, v in fields.items() if k != first}),
+            ):
+                with pytest.raises(TypeError):
+                    bad_call()
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_copy_deepcopy_and_pickle_round_trip(self, record):

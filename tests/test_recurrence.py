@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skirmish import (
-    GroupedInstance,
     Instance,
     InvalidInstance,
     p_a_wins_recursive,
@@ -34,7 +33,7 @@ from conftest import (
     speed_lists,
     speeds,
 )
-from oracles import p_a_wins_single_a
+from oracles import expand, p_a_wins_single_a
 
 
 class TestKnownValues:
@@ -141,7 +140,7 @@ class TestFractionFreeKernel:
     def test_matches_full_table(self, inst):
         assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
 
-    @given(grouped_instances().map(GroupedInstance.expand))
+    @given(grouped_instances().map(expand))
     @settings(max_examples=25, deadline=None)
     def test_matches_full_table_with_repeated_speeds(self, inst):
         assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
@@ -374,6 +373,30 @@ class TestForkedBands:
         assert seen["checks"] == [1, 0, False, 2, 0, False]
         assert seen["code"] == 3
         assert "inexact division at cell (63, 63)" in seen["stderr"]
+
+    def test_three_bands_chain_their_pipes(self):
+        # Three bands: the middle child reads the bottom child's pipe, and
+        # the parent closes the middle pipe once it holds the top one.  A
+        # failure at cell (89, 89), in the bottom band, crosses both pipes.
+        _, seen = run_fresh(
+            "recurrence.usable_cores = lambda: 3\n"
+            "fds = open_fds()\n"
+            "inst = duel(90)\n"
+            "checks = [p_a_wins_recursive(inst) == in_process(inst)]\n"
+            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "shrunk = recurrence.path_denominator\n"
+            "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
+            "try:\n"
+            "    p_a_wins_recursive(inst)\n"
+            "    message = None\n"
+            "except AssertionError as exc:\n"
+            "    message = str(exc)\n"
+            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "print(json.dumps({'message': message, 'checks': checks}))\n"
+        )
+        assert seen["message"].startswith("inexact division at cell (89, 89)")
+        # Equal to the one band; forks so far, fds left open, a child left unreaped.
+        assert seen["checks"] == [True, 2, 0, False, 4, 0, False]
 
     def test_failure_in_the_top_band_leaves_no_child_waiting(self):
         # The child's 64 columns of 2.2 KB each overfill the pipe once the top

@@ -10,6 +10,7 @@ from skirmish import p_a_wins_recursive, p_a_wins_series
 from skirmish.series import TruncatedSeries
 
 from conftest import grouped_instances
+from oracles import expand
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=8
@@ -158,4 +159,4 @@ class TestResidueOracle:
     def test_series_route_matches_composed_jets(self, grouped):
         report = p_a_wins_series(grouped)
         assert report.residues == composed_residues(grouped)
-        assert report.value == p_a_wins_recursive(grouped.expand())
+        assert report.value == p_a_wins_recursive(expand(grouped))
