@@ -17,9 +17,11 @@ the pair of them exists to let tests demonstrate exactly that.
 Both policies run every trial of a block in lockstep, one numpy operation
 per collision step over the whole block, reading the step's draws from a
 transposed copy of the block so that each step touches one contiguous row.
-`streams.block_sums` deals the blocks to one worker per usable core; each
-worker allocates its transposed copy (and, for frontmost, its duel state)
-once and reuses it for every block it takes.
+`streams.block_sums` deals the blocks to one worker per usable core, the
+caller and forked children, since a step's few small numpy calls would
+leave threads waiting on each other's GIL; each worker allocates its
+transposed copy (and, for frontmost, its duel state) once and reuses it
+for every block it takes.
 """
 
 from __future__ import annotations

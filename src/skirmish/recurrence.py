@@ -47,29 +47,31 @@ and needs from outside only the row just below it, N(hi, j), one column
 at a time; after each column it hands on its top row, N(lo, j).  The
 whole table is one band over a row of zeros.  With k > 1 usable cores,
 the rows split into k bands (never more bands than rows), each band
-below the top one runs in a forked child, and each child streams its top
-row up a pipe to the band above, so all bands work at once, one column
-apart.  That happens only where it is safe and pays: `os.fork` exists,
-the process has exactly one OS thread (so nothing that another thread
-held is lost in the child; importing numpy starts a second one), and the
-table's work, cells times the bits of D, is at least BAND_WORK per band.
-Otherwise the one band runs in process, as it also does when a pipe or a
-fork fails.  Every band does the same exact divisions, so the value and
-the inexact-division check do not depend on the split.
+below the top one runs in a forked child (`streams.Forks`), and each
+child streams its top row up a pipe to the band above, so all bands work
+at once, one column apart.  That happens only where it is safe and pays:
+`streams.can_fork` allows it (os.fork exists and no Python thread other
+than the caller is alive, since only the forking thread lives on in the
+child; numpy's OpenBLAS pool may run, because it stops itself around a
+fork), and the table's work, cells times the bits of D, is at least
+BAND_WORK per band.  Otherwise the one band runs in process, as it also
+does when a pipe or a fork fails.  Every band does the same exact
+divisions, so the value and the inexact-division check do not depend on
+the split.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 from .model import Instance
-from .streams import usable_cores
+from .streams import Forks, can_fork, frames, usable_cores
 
 # The least work, in cells times the bits of D, that pays for a band of its
 # own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
@@ -221,18 +223,10 @@ def _band_count(rows: int, work: int) -> int:
     """How many row bands to sweep at once: 1 unless forking is safe and pays.
 
     Each band gets at least BAND_WORK of the table's work, where work is
-    cells times the bits of D, and a core and a row of its own.  A process
-    with a second OS thread (numpy's BLAS pool is one) is never forked,
-    since only the forking thread would survive into the child.
+    cells times the bits of D, and a core and a row of its own.
     """
     bands = min(rows, work // BAND_WORK)
-    if bands < 2 or not hasattr(os, "fork"):
-        return 1
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 1
-    return min(bands, usable_cores()) if threads == 1 else 1
+    return min(bands, usable_cores()) if bands > 1 and can_fork() else 1
 
 
 def _last(values: Iterable[int]) -> int:
@@ -247,75 +241,16 @@ def _forked_sweep(a, b, denominator: int, bands: int) -> int:
     Band t holds rows bounds[t]..bounds[t+1]-1.  Its child reads `below`
     from the pipe of band t+1 and writes its own top row into a pipe to
     band t-1, column by column, so that all bands run at once, one column
-    apart.
+    apart.  The parent closes each pipe once the child that reads it exists.
     """
     bounds = [len(a) * t // bands for t in range(bands + 1)]
-    children = []
     below = None
-    try:
+    with Forks() as forks:
         for t in range(bands - 1, 0, -1):
             lo, hi = bounds[t], bounds[t + 1]
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                _band_child(a, b, lo, hi, denominator, below, write_end)
-            children.append(pid)
-            os.close(write_end)
+            source = repeat(0) if below is None else frames(below)
+            pipe = forks.start(partial(_sweep, a, b, lo, hi, denominator, source))
             if below is not None:
                 below.close()
-            below = open(read_end, "rb")
-        return _last(_sweep(a, b, 0, bounds[1], denominator, _frames(below)))
-    finally:
-        # Closed before reaping: a child still writing then fails at once
-        # instead of waiting on a full pipe that nobody reads.
-        if below is not None:
-            below.close()
-        for pid in children:
-            os.waitpid(pid, 0)
-
-
-def _band_child(a, b, lo: int, hi: int, denominator: int, below, write_end: int) -> None:
-    """In a forked child: stream the top row of rows lo..hi-1, then exit.
-
-    A failure goes up the pipe as a frame with its text.  The child ends
-    with os._exit, so it never runs the parent's exit handlers or flushes
-    the parent's stdio buffers a second time.
-    """
-    status = 1
-    try:
-        with open(write_end, "wb") as out:
-            source = repeat(0) if below is None else _frames(below)
-            try:
-                for value in _sweep(a, b, lo, hi, denominator, source):
-                    size = (value.bit_length() + 7) // 8
-                    out.write(size.to_bytes(8, "little", signed=True))
-                    out.write(value.to_bytes(size, "little"))
-                    out.flush()
-            except AssertionError as failure:
-                text = str(failure).encode()
-                out.write((-len(text)).to_bytes(8, "little", signed=True) + text)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _frames(stream) -> Iterator[int]:
-    """The values a band child writes: a signed 8-byte length, then that many bytes.
-
-    A negative length carries the text of the child's AssertionError.
-    """
-    while True:
-        header = stream.read(8)
-        size = int.from_bytes(header, "little", signed=True)
-        payload = stream.read(abs(size))
-        if len(header) < 8 or len(payload) < abs(size):
-            raise RuntimeError("a band of the reference recurrence ended without its row")
-        if size < 0:
-            raise AssertionError(payload.decode())
-        yield int.from_bytes(payload, "little")
+            below = pipe
+        return _last(_sweep(a, b, 0, bounds[1], denominator, frames(below)))

@@ -12,11 +12,25 @@ The estimators reduce their trials with `block_sums`, in blocks of about
 BLOCK_BYTES of raw draws (1638 trials of 80 words at 40 v 40), so that a
 block and one transposed copy of it fit a 2 MiB per-core L2 cache and each
 pass over a block stays out of main memory.  The blocks are dealt
-round-robin to one worker thread per usable core (numpy releases the GIL
-while it draws and computes), and each worker allocates its scratch
-buffers once and reuses them for every block it takes.  The counts are
-integers added at the end, so neither the block size nor the number of
-cores that run them changes a count.
+round-robin to one worker per usable core: worker 0 runs in the calling
+process and every other worker in a forked child, which sends its counts
+back up a pipe (`Forks`).  Children, not threads: a lockstep step makes
+a few small numpy calls on one block, and threads would spend most of
+their time waiting for each other's GIL.  Each worker allocates its
+scratch buffers once and reuses them for every block it takes.  The
+counts are integers added at the end, so neither the block size nor the
+number of cores that run them changes a count.
+
+`Forks` is the one way this package runs work in another process; the
+reference recurrence's row bands use it too.  A process forks only where
+`can_fork` says it may: `os.fork` exists and no Python thread other than
+the caller is alive, since only the forking thread lives on in the child,
+and a lock that another thread held would stay held there.  Threads that
+numpy's OpenBLAS started do not count: OpenBLAS stops its pool in a
+`pthread_atfork` handler, so a child forked after `import numpy` starts
+with one OS thread and its BLAS calls work.  Where forking is unsafe,
+unavailable or fails, everything runs as one worker in process, with the
+same counts.
 
 `gate` is the one test of an estimate: is it within SIGMAS standard
 errors of the exact value?  crosscheck, the release gate and the tests
@@ -31,6 +45,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import partial
+from itertools import islice
 
 from .model import whole_number
 
@@ -38,7 +54,7 @@ from .model import whole_number
 # as true, and importing `typing` would cost every command its start-up time.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable, Iterator
     from fractions import Fraction
 
     import numpy as np
@@ -98,6 +114,117 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def can_fork() -> bool:
+    """Whether this process may fork a worker: os.fork exists and no other Python thread is alive.
+
+    Read through sys.modules, so that a process that never imported
+    `threading`, and so has no other Python thread, does not import it here.
+    """
+    threading = sys.modules.get("threading")
+    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+
+
+class Forks:
+    """Forked children, each sending the ints of one computation up a pipe of its own.
+
+    `start(produce)` forks a child that calls produce() and writes each int
+    it yields as a frame: a signed 8-byte length, then that many bytes.  The
+    parent reads them back with `frames`.  An exception in the child goes up
+    as a frame of negative length that carries its text, and `frames` raises
+    it in the parent.  The child ends with os._exit, so it never runs the
+    parent's exit handlers or flushes the parent's stdio buffers a second
+    time.  Leaving the `with` block closes every read end and only then
+    reaps every child: a child still writing fails at once instead of
+    waiting on a full pipe that nobody reads.
+    """
+
+    def __init__(self) -> None:
+        self._pids: list[int] = []
+        self._pipes: list = []
+
+    def __enter__(self) -> Forks:
+        return self
+
+    def __exit__(self, *failure) -> None:
+        for pipe in self._pipes:
+            pipe.close()
+        for pid in self._pids:
+            os.waitpid(pid, 0)
+
+    def start(self, produce: Callable[[], Iterable[int]]):
+        """Fork a child that sends the ints of produce(); the read end of its pipe."""
+        read_end, write_end = os.pipe()
+        try:
+            pid = _fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            os.close(read_end)
+            _child(produce, write_end)
+        self._pids.append(pid)
+        os.close(write_end)
+        pipe = open(read_end, "rb")
+        self._pipes.append(pipe)
+        return pipe
+
+
+def _fork() -> int:
+    # From Python 3.12 os.fork warns when the process has a second OS thread,
+    # as numpy's BLAS pool is, and a filter that turns the warning into an
+    # error raises it after the child exists, so that nobody could reap the
+    # child.  That pool is safe to fork (see the module docstring).  Without
+    # `warnings` imported, the default filters ignore the warning here.
+    warnings = sys.modules.get("warnings")
+    if warnings is None:
+        return os.fork()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _child(produce: Callable[[], Iterable[int]], write_end: int) -> None:
+    """In a forked child: write every int of produce(), or the failure's frame, then exit."""
+    status = 1
+    try:
+        with open(write_end, "wb") as out:
+            try:
+                for value in produce():
+                    size = (value.bit_length() + 7) // 8
+                    out.write(size.to_bytes(8, "little", signed=True))
+                    out.write(value.to_bytes(size, "little"))
+                    out.flush()
+            except Exception as failure:  # the parent raises it again from the frame
+                text = f"{type(failure).__name__}: {failure}".encode()
+                out.write((-len(text)).to_bytes(8, "little", signed=True) + text)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def frames(pipe) -> Iterator[int]:
+    """The ints a child of `Forks` writes, in order; it never stops by itself.
+
+    A frame of negative length carries the text of the child's failure,
+    raised here as an AssertionError when it was one (the checks of the
+    recurrence and of the estimators raise those) and as a RuntimeError
+    otherwise.  A pipe that ends before a frame does is a RuntimeError too.
+    """
+    while True:
+        header = pipe.read(8)
+        size = int.from_bytes(header, "little", signed=True)
+        payload = pipe.read(abs(size))
+        if len(header) < 8 or len(payload) < abs(size):
+            raise RuntimeError("a forked worker ended without its values")
+        if size < 0:
+            name, _, text = payload.decode().partition(": ")
+            if name == "AssertionError":
+                raise AssertionError(text)
+            raise RuntimeError(f"in a forked worker: {payload.decode()}")
+        yield int.from_bytes(payload, "little")
+
+
 def block_sums(
     seed: int,
     trials: int,
@@ -108,30 +235,34 @@ def block_sums(
 
     Each worker calls make_count(rows) once, with the most trials a block
     holds, and gets the function that counts one block; that is where its
-    buffers live.  Worker w takes blocks w, w + workers, ...  One worker
-    runs on the calling thread and starts no thread.  An exception in any
-    worker reaches the caller once every worker has stopped.
+    buffers live.  Worker w of k takes blocks w, w + k, ...  Worker 0 runs
+    in the calling process and the others in forked children (`Forks`);
+    where `can_fork` says no, or a pipe or a fork fails, one worker runs
+    every block in process.  An exception in any worker reaches the caller
+    once every child has been reaped.
     """
     rows = min(trials, max(1, BLOCK_BYTES // (8 * width)))
     starts = range(0, trials, rows)
     workers = min(usable_cores(), len(starts))
 
-    def run(worker: int) -> list[tuple[int, ...]]:
+    def run(worker: int, stride: int) -> tuple[int, ...]:
         count = make_count(rows)
-        return [
+        parts = [
             count(raw_slots(seed, start, min(rows, trials - start), width))
-            for start in starts[worker::workers]
+            for start in starts[worker::stride]
         ]
+        return tuple(map(sum, zip(*parts)))
 
-    if workers == 1:
-        parts = run(0)
-    else:
-        # Imported here: a command that runs one worker never needs it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            parts = [part for chunk in pool.map(run, range(workers)) for part in chunk]
-    return tuple(map(sum, zip(*parts)))
+    if workers > 1 and can_fork():
+        try:
+            with Forks() as forks:
+                pipes = [forks.start(partial(run, w, workers)) for w in range(1, workers)]
+                parts = [run(0, workers)]
+                parts += [tuple(islice(frames(pipe), len(parts[0]))) for pipe in pipes]
+            return tuple(map(sum, zip(*parts)))
+        except OSError:
+            pass  # no pipe or no process to spare: one worker needs neither
+    return run(0, 1)
 
 
 def unit_floats(raw: np.ndarray, out: np.ndarray) -> np.ndarray:

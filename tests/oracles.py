@@ -1,7 +1,9 @@
 """Test-only helpers that exercise the library from outside its public surface.
 
 `use_block_trials` and `record_blocks` set and observe how many trials each
-block of `streams.block_sums` holds, for the partitioning tests.
+block of `streams.block_sums` holds, and which process drew it, for the
+partitioning tests.  `run_fresh` runs a script after FORK_PRELUDE in a new
+interpreter, for the tests of forked workers.
 `order_invariance_probe` replays one duel under random reorderings of both
 sides, each under its own derived seed: the winner distribution does not
 depend on firing order, so every estimate must land near the same exact
@@ -19,11 +21,17 @@ side-swap; only the tests compare the two.  `expand` spells a grouped
 instance back out, for the tests that hand one to the flat reference.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from skirmish import (
     GroupedInstance,
@@ -164,14 +172,92 @@ def use_block_trials(monkeypatch, trials, width):
         monkeypatch.setattr(streams, "BLOCK_BYTES", trials * 8 * width)
 
 
-def record_blocks(monkeypatch):
-    """List that collects the trial count of every `raw_slots` call."""
-    blocks = []
+def record_blocks(monkeypatch, path):
+    """Make every `raw_slots` call note its pid and trial count in `path`; the notes' reader.
+
+    Forked workers inherit the patch, and each note is one append to the
+    file, so it holds the blocks that every process drew, children included.
+    """
+    path.write_text("")
     raw_slots = streams.raw_slots
 
     def counted(seed, start, count, width):
-        blocks.append(count)
+        with open(path, "a") as notes:
+            notes.write(f"{os.getpid()} {count}\n")
         return raw_slots(seed, start, count, width)
 
     monkeypatch.setattr(streams, "raw_slots", counted)
-    return blocks
+    return lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def check_blocks(drawn, block, total):
+    """The (pid, trials) notes of one `block_sums` call: full blocks, and one worker a process."""
+    # Workers draw their blocks in any order: only one may be short.
+    sizes = sorted(count for _, count in drawn)
+    assert sizes[1:] == [block] * (len(sizes) - 1)
+    assert sum(sizes) == total
+    # Worker 0 runs in the caller, every other one in a child of its own.
+    workers = min(streams.usable_cores(), len(sizes)) if streams.can_fork() else 1
+    assert len({pid for pid, _ in drawn}) == workers
+    assert os.getpid() in {pid for pid, _ in drawn}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Without PYTHONUNBUFFERED a piped stdout is block-buffered, as it is for
+# most callers: what a forked child must never flush a second time.
+BUFFERED_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(SRC),
+}
+
+# A fresh interpreter has no Python thread but its main one, so it forks
+# where the library forks.  `os.fork` is wrapped to count its calls; the
+# script reports what it saw as JSON on its last line.
+FORK_PRELUDE = """
+import contextlib, io, json, os, random, sys
+from fractions import Fraction
+from itertools import repeat
+from skirmish import Instance, streams
+from skirmish.cli import main
+
+forks = []
+real_fork = os.fork
+
+def counting_fork():
+    forks.append(1)
+    return real_fork()
+
+os.fork = counting_fork
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+def children_left():
+    # Any child, exited or still running: none may outlive the call that forked it.
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+"""
+
+
+def run_fresh(script):
+    """Run FORK_PRELUDE + script in a new interpreter; its stdout and its last line as JSON."""
+    result = subprocess.run(
+        [sys.executable, "-c", FORK_PRELUDE + script],
+        capture_output=True,
+        text=True,
+        env=BUFFERED_ENV,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, json.loads(result.stdout.splitlines()[-1])
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not os.path.isdir("/proc/self/task")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="forked workers need os.fork, /proc and two usable cores",
+)

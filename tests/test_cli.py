@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import ast
 import io
 import json
 import math
@@ -554,6 +555,11 @@ class TestCrosscheck:
 
 
 class TestEntryPoints:
+    def test_source_parses_as_the_oldest_supported_python(self):
+        """Every module is Python 3.10 syntax, as `requires-python` promises."""
+        for path in sorted((PYPROJECT.parent / "src" / "skirmish").glob("*.py")):
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
     def test_module_invocation(self):
         result = run_cli("solve", "--a", "1", "--b", "1")
         assert result.returncode == 0
@@ -654,9 +660,10 @@ EXACT_COMMANDS = [
 ]
 
 # Slow imports no exact command needs: `dataclasses` pulls in `inspect`,
-# `traceback` is needed only to print a crash, numpy only to draw, and the
-# thread pool only to draw on more than one core.  The reference's row
-# bands need only `os`: no process pool, pickling, subprocess or selector.
+# `traceback` is needed only to print a crash, and numpy only to draw.
+# Forked workers, the reference's row bands among them, need only `os`: no
+# thread or process pool, pickling, subprocess or selector, and whether a
+# second thread is alive is read without importing `threading`.
 UNBUDGETED_MODULES = {
     "dataclasses", "inspect", "traceback", "numpy", "threading", "concurrent.futures",
     "multiprocessing", "subprocess", "pickle", "selectors",

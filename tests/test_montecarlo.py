@@ -1,7 +1,7 @@
 """Monte Carlo play-out: determinism, partitioning, policies, statistics."""
 
 import math
-import threading
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,7 @@ from skirmish import streams
 from skirmish.cli import main
 
 from conftest import instances, speeds
-from oracles import order_invariance_probe, record_blocks, use_block_trials
+from oracles import check_blocks, order_invariance_probe, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = Fraction(270, 539)
@@ -142,20 +142,18 @@ class TestSimulate:
         cfg = SimConfig(50_000, seed=3)
         assert simulate(FIGHT, cfg) == simulate(FIGHT, cfg)
 
-    def test_partitioning_invariance(self):
+    def test_partitioning_invariance(self, tmp_path):
         # Pinned on a build that ran all 3000 trials in one block.
         for policy, a_wins in (("frontmost", 1489), ("random-adjacent", 1527)):
             width = slot_width(FIGHT, policy)
             for block_trials in (1, 7, None):
                 with pytest.MonkeyPatch.context() as monkeypatch:
                     use_block_trials(monkeypatch, block_trials, width)
-                    blocks = record_blocks(monkeypatch)
+                    blocks = record_blocks(monkeypatch, tmp_path / "blocks")
                     report = simulate(FIGHT, SimConfig(3_000, seed=3, policy=policy))
                 assert report.a_wins == a_wins
-                # Workers draw their blocks in any order: only one may be short.
                 expected = block_trials or streams.BLOCK_BYTES // (8 * width)
-                assert sorted(blocks)[1:] == [expected] * (len(blocks) - 1)
-                assert sum(blocks) == 3_000
+                check_blocks(blocks(), expected, 3_000)
 
     def test_report_arithmetic(self):
         report = simulate(FIGHT, SimConfig(5_000, seed=2))
@@ -235,28 +233,23 @@ class TestSimulate:
             simulate(Instance((1,) * 4, (1,) * 4), SimConfig(200, seed=1))
 
     @pytest.mark.parametrize("policy", mc.POLICIES)
-    def test_short_draw_budget_is_caught_in_a_worker(self, monkeypatch, capsys, policy):
-        # 29 blocks on three workers: the error is raised on a worker thread,
-        # reaches the caller as a crash, and no worker outlives the call.
+    def test_short_draw_budget_is_caught_in_a_worker(self, monkeypatch, capsys, tmp_path, policy):
+        # 29 blocks on three workers, two of them forked children: the error
+        # reaches the caller as a crash, and no child outlives the call.
         monkeypatch.setattr(streams, "slot_width", lambda draws: 4)
         monkeypatch.setattr(streams, "usable_cores", lambda: 3)
         use_block_trials(monkeypatch, 7, 4)
-        drawing_threads = set()
-        raw_slots = streams.raw_slots
-
-        def recorded(*args):
-            drawing_threads.add(threading.current_thread())
-            return raw_slots(*args)
-
-        monkeypatch.setattr(streams, "raw_slots", recorded)
-        before = threading.enumerate()
+        blocks = record_blocks(monkeypatch, tmp_path / "blocks")
         argv = ["simulate", "--a", "1,1,1,1", "--b", "1,1,1,1", "--trials", "200"]
         assert main([*argv, "--seed", "1", "--policy", policy]) == 3
         assert "AssertionError: a duel failed to finish within its draw budget" in (
             capsys.readouterr().err
         )
-        assert drawing_threads and threading.current_thread() not in drawing_threads
-        assert threading.enumerate() == before
+        drawing = {pid for pid, _ in blocks()}
+        assert os.getpid() in drawing
+        assert len(drawing) == (3 if streams.can_fork() else 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestScaledFloor:

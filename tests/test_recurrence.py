@@ -1,15 +1,10 @@
 """The reference solver, its full-table oracle and the one-A product."""
 
 import inspect
-import json
 import math
-import os
-import subprocess
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, repeat
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +28,7 @@ from conftest import (
     speed_lists,
     speeds,
 )
-from oracles import expand, p_a_wins_single_a
+from oracles import expand, needs_fork, p_a_wins_single_a, run_fresh
 
 
 class TestKnownValues:
@@ -253,47 +248,15 @@ class TestRowBands:
         assert Fraction(rows[0][-1], denominator) == fill_table(inst)[0, 0]
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-# Without PYTHONUNBUFFERED a piped stdout is block-buffered, as it is for
-# most callers: what a forked child must never flush a second time.
-BUFFERED_ENV = {
-    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-    "PYTHONPATH": str(SRC),
-}
-
-# Run in a fresh interpreter, which has not imported numpy and so holds one
-# OS thread: the only kind of process the reference forks.  `os.fork` is
-# wrapped to count its calls, and the script reports what it saw as JSON.
-FRESH_PRELUDE = """
-import contextlib, io, json, os, random, sys
-from fractions import Fraction
-from itertools import repeat
-from skirmish import Instance, p_a_wins_recursive, recurrence
-from skirmish.cli import main
-
-forks = []
-real_fork = os.fork
-
-def counting_fork():
-    forks.append(1)
-    return real_fork()
-
-os.fork = counting_fork
+# Specific to the reference: a one-band sweep to compare with, and the duels.
+RECURRENCE_PRELUDE = """
+from skirmish import p_a_wins_recursive, recurrence
 
 def in_process(inst):
     a, b = inst.integer_speeds()
     denominator = recurrence.path_denominator(a, b)
     top = list(recurrence._sweep(a, b, 0, len(a), denominator, repeat(0)))
     return Fraction(top[-1], denominator)
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-def zombies():
-    try:
-        return os.waitpid(-1, os.WNOHANG) != (0, 0)
-    except ChildProcessError:
-        return False
 """ + inspect.getsource(seeded_duel) + f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\n"
 
 
@@ -304,31 +267,14 @@ def test_fork_fixtures_fork():
         assert n * n * path_denominator(a, b).bit_length() >= 2 * recurrence.BAND_WORK
 
 
-def run_fresh(body):
-    """Run FRESH_PRELUDE + body in a new interpreter; its last stdout line as JSON."""
-    result = subprocess.run(
-        [sys.executable, "-c", FRESH_PRELUDE + body],
-        capture_output=True,
-        text=True,
-        env=BUFFERED_ENV,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout, json.loads(result.stdout.splitlines()[-1])
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork")
-    or not os.path.isdir("/proc/self/task")
-    or len(os.sched_getaffinity(0)) < 2,
-    reason="the forked bands need os.fork, /proc and two usable cores",
-)
+def run_bands(body):
+    return run_fresh(RECURRENCE_PRELUDE + body)
 
 
 @needs_fork
 class TestForkedBands:
     def test_values_match_in_process(self):
-        out, seen = run_fresh(
+        out, seen = run_bands(
             "print('printed before the fork')\n"
             "fds = open_fds()\n"
             "report = []\n"
@@ -337,10 +283,10 @@ class TestForkedBands:
             "    value = p_a_wins_recursive(duel(n))\n"
             "    report.append([n, len(forks) - before, value == in_process(duel(n))])\n"
             "print(json.dumps({'report': report, 'fds': open_fds() - fds,"
-            " 'zombies': zombies()}))\n"
+            " 'children': children_left()}))\n"
         )
         assert seen == {
-            "report": [[FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "zombies": False
+            "report": [[FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "children": False
         }
         # stdout is a pipe, so block-buffered: a child that flushed it on exit
         # would print the line a second time.
@@ -350,7 +296,7 @@ class TestForkedBands:
         # D - 1 is coprime to D, so the bottom-right cell (63, 63), which
         # lies in the forked lower band, is the first that cannot divide.
         # The bit length, and with it the decision to fork, is unchanged.
-        _, seen = run_fresh(
+        _, seen = run_bands(
             "shrunk = recurrence.path_denominator\n"
             "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
             "fds = open_fds()\n"
@@ -360,11 +306,11 @@ class TestForkedBands:
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
-            "checks = [len(forks), open_fds() - fds, zombies()]\n"
+            "checks = [len(forks), open_fds() - fds, children_left()]\n"
             "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
             "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
             " '--b', ','.join(map(str, inst.b))])\n"
-            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "checks += [len(forks), open_fds() - fds, children_left()]\n"
             "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
             " 'stderr': err.getvalue()}))\n"
         )
@@ -378,12 +324,12 @@ class TestForkedBands:
         # Three bands: the middle child reads the bottom child's pipe, and
         # the parent closes the middle pipe once it holds the top one.  A
         # failure at cell (89, 89), in the bottom band, crosses both pipes.
-        _, seen = run_fresh(
+        _, seen = run_bands(
             "recurrence.usable_cores = lambda: 3\n"
             "fds = open_fds()\n"
             "inst = duel(90)\n"
             "checks = [p_a_wins_recursive(inst) == in_process(inst)]\n"
-            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "checks += [len(forks), open_fds() - fds, children_left()]\n"
             "shrunk = recurrence.path_denominator\n"
             "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
             "try:\n"
@@ -391,7 +337,7 @@ class TestForkedBands:
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
-            "checks += [len(forks), open_fds() - fds, zombies()]\n"
+            "checks += [len(forks), open_fds() - fds, children_left()]\n"
             "print(json.dumps({'message': message, 'checks': checks}))\n"
         )
         assert seen["message"].startswith("inexact division at cell (89, 89)")
@@ -401,7 +347,7 @@ class TestForkedBands:
     def test_failure_in_the_top_band_leaves_no_child_waiting(self):
         # The child's 64 columns of 2.2 KB each overfill the pipe once the top
         # band stops reading; it must fail its write, not block the reaping.
-        _, seen = run_fresh(
+        _, seen = run_bands(
             "sweep = recurrence._sweep\n"
             "def failing_top(a, b, lo, hi, denominator, below):\n"
             "    rows = sweep(a, b, lo, hi, denominator, below)\n"
@@ -416,12 +362,12 @@ class TestForkedBands:
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
-            "print(json.dumps([message, len(forks), open_fds() - fds, zombies()]))\n"
+            "print(json.dumps([message, len(forks), open_fds() - fds, children_left()]))\n"
         )
         assert seen == ["the top band failed first", 1, 0, False]
 
     def test_failed_fork_falls_back_to_one_band(self):
-        _, seen = run_fresh(
+        _, seen = run_bands(
             "import errno\n"
             "inst = duel(FORKING)\n"
             "argv = ['solve', '--a', ','.join(map(str, inst.a)),"
@@ -434,7 +380,7 @@ class TestForkedBands:
             "with contextlib.redirect_stdout(io.StringIO()) as out,"
             " contextlib.redirect_stderr(io.StringIO()) as err:\n"
             "    code = main(argv)\n"
-            "checks = [code, len(forks), open_fds() - fds, zombies(), err.getvalue()]\n"
+            "checks = [code, len(forks), open_fds() - fds, children_left(), err.getvalue()]\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "with contextlib.redirect_stdout(io.StringIO()) as one_core:\n"
             "    checks.append(main(argv))\n"
@@ -455,7 +401,7 @@ class TestForkedBands:
         ids=["second-thread", "one-core"],
     )
     def test_one_band_without_a_fork(self, setup):
-        _, seen = run_fresh(
+        _, seen = run_bands(
             setup
             + "value = p_a_wins_recursive(duel(FORKING))\n"
             "print(json.dumps({'forks': len(forks), 'same': value == in_process(duel(FORKING))}))\n"
@@ -464,7 +410,7 @@ class TestForkedBands:
 
     @pytest.mark.parametrize("fault", ["dropped-prime", "short-chain", "skipped-large-lcm"])
     def test_too_small_tight_denominator_is_caught(self, fault):
-        _, seen = run_fresh(
+        _, seen = run_bands(
             DENOMINATOR_FAULTS[fault]
             + "fds = open_fds()\n"
             "inst = duel(FORKING)\n"
@@ -478,7 +424,7 @@ class TestForkedBands:
             " contextlib.redirect_stderr(io.StringIO()) as err:\n"
             "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
             " '--b', ','.join(map(str, inst.b))])\n"
-            "checks += [len(forks), open_fds() - fds, zombies(), code, out.getvalue()]\n"
+            "checks += [len(forks), open_fds() - fds, children_left(), code, out.getvalue()]\n"
             "print(json.dumps({'message': message, 'checks': checks, 'stderr': err.getvalue()}))\n"
         )
         assert seen["message"].startswith("inexact division")

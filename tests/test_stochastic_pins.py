@@ -5,11 +5,10 @@ lockstep kernels (a Python loop per random-adjacent trial, 32768-trial and
 65536-sample blocks), so a change to a draw loop that moves any seeded
 result fails here.  The README examples are the first case; the
 12 v 12 case spans many blocks of each loop.  The same counts must come
-out however many worker threads share the blocks.
+out however many workers share the blocks, forked or in process.
 """
 
-import sys
-import threading
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -58,31 +57,30 @@ def test_readme_volume_examples():
 def _counts_on(cores, inst, monkeypatch):
     """Frontmost, random-adjacent and volume counts on `cores` workers, 7 trials a block."""
     monkeypatch.setattr(streams, "usable_cores", lambda: cores)
-    if cores == 1:
-        # One worker runs on the calling thread.
-        def start(thread):
-            pytest.fail("one worker started a thread")
+    forks = []
+    fork = os.fork
 
-        monkeypatch.setattr(threading.Thread, "start", start)
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     collisions = len(inst.a) + len(inst.b) - 1
     counts = []
     for policy, draws in (("frontmost", collisions), ("random-adjacent", 3 * collisions)):
         use_block_trials(monkeypatch, 7, streams.slot_width(draws))
         counts.append(simulate(inst, SimConfig(700, 3, policy)).a_wins)
     use_block_trials(monkeypatch, 7, streams.slot_width(collisions + 1))
-    return (*counts, *volume._hit_counts(inst, 700, 3))
+    counts.extend(volume._hit_counts(inst, 700, 3))
+    # One worker runs in the caller and forks nothing; each other one is a child.
+    assert len(forks) == 3 * (cores - 1 if streams.can_fork() else 0)
+    return counts
 
 
 @pytest.mark.parametrize("inst", [FIGHT, TWELVE], ids=["fight", "twelve"])
 def test_counts_do_not_depend_on_worker_count(inst):
-    # Switch threads often, so that the workers interleave within blocks.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = []
-        for cores in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                results.append(_counts_on(cores, inst, monkeypatch))
-    finally:
-        sys.setswitchinterval(interval)
+    results = []
+    for cores in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            results.append(_counts_on(cores, inst, monkeypatch))
     assert results[1:] == results[:1] * 2
