@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     except Inconsistency as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInstance, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidInstance is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -65,7 +65,8 @@ class SimReport(_Record):
 
 def win_threshold(a, b) -> int:
     """floor(2^64 * a/(a+b)): side A survives iff its raw draw is below this."""
-    p = parse_speed(a) / (parse_speed(a) + parse_speed(b))
+    a = parse_speed(a)
+    p = a / (a + parse_speed(b))
     return (p.numerator << 64) // p.denominator
 
 

@@ -45,19 +45,14 @@ Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 bands of rows.  A band of rows lo..hi-1 keeps one column of its own cells
 and needs from outside only the row just below it, N(hi, j), one column
 at a time; after each column it hands on its top row, N(lo, j).  The
-whole table is one band over a row of zeros.  With k > 1 usable cores,
-the rows split into k bands (never more bands than rows), each band
-below the top one runs in a forked child (`streams.Forks`), and each
-child streams its top row up a pipe to the band above, so all bands work
-at once, one column apart.  That happens only where it is safe and pays:
-`streams.can_fork` allows it (os.fork exists and no Python thread other
-than the caller is alive, since only the forking thread lives on in the
-child; numpy's OpenBLAS pool may run, because it stops itself around a
-fork), and the table's work, cells times the bits of D, is at least
-BAND_WORK per band.  Otherwise the one band runs in process, as it also
-does when a pipe or a fork fails.  Every band does the same exact
-divisions, so the value and the inexact-division check do not depend on
-the split.
+whole table is one band over a row of zeros.  The bands run through
+`streams.in_processes`, one band to each process it grants: the top band
+in the caller, and each band below it in a forked child that streams its
+top row up a pipe to the band above, so all bands work at once, one
+column apart.  A table asks for one band per BAND_WORK of its work, cells
+times the bits of D, and never more bands than rows.  Every band does the
+same exact divisions, so the value and the inexact-division check do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ from functools import partial
 from itertools import repeat
 
 from .model import Instance
-from .streams import Forks, can_fork, frames, usable_cores
+from .streams import frames, in_processes
 
 # The least work, in cells times the bits of D, that pays for a band of its
 # own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
@@ -186,13 +181,8 @@ def p_a_wins_recursive(inst: Instance) -> Fraction:
     if not b:
         return Fraction(1)
     denominator = path_denominator(a, b)
-    bands = _band_count(len(a), len(a) * len(b) * denominator.bit_length())
-    if bands > 1:
-        try:
-            return Fraction(_forked_sweep(a, b, denominator, bands), denominator)
-        except OSError:
-            pass  # no pipe or no process to spare: the one band needs neither
-    return Fraction(_last(_sweep(a, b, 0, len(a), denominator, repeat(0))), denominator)
+    bands = min(len(a), len(a) * len(b) * denominator.bit_length() // BAND_WORK)
+    return Fraction(in_processes(bands, partial(_banded_sweep, a, b, denominator)), denominator)
 
 
 def _sweep(a, b, lo: int, hi: int, denominator: int, below: Iterable[int]) -> Iterator[int]:
@@ -219,38 +209,27 @@ def _sweep(a, b, lo: int, hi: int, denominator: int, below: Iterable[int]) -> It
         yield down
 
 
-def _band_count(rows: int, work: int) -> int:
-    """How many row bands to sweep at once: 1 unless forking is safe and pays.
-
-    Each band gets at least BAND_WORK of the table's work, where work is
-    cells times the bits of D, and a core and a row of its own.
-    """
-    bands = min(rows, work // BAND_WORK)
-    return min(bands, usable_cores()) if bands > 1 and can_fork() else 1
-
-
 def _last(values: Iterable[int]) -> int:
     for value in values:
         pass
     return value
 
 
-def _forked_sweep(a, b, denominator: int, bands: int) -> int:
-    """N(0, 0) from the top band, with every band below it swept in a forked child.
+def _banded_sweep(a, b, denominator: int, bands: int, start) -> int:
+    """N(0, 0) from the top band, with every band below it swept in a child from `start`.
 
     Band t holds rows bounds[t]..bounds[t+1]-1.  Its child reads `below`
     from the pipe of band t+1 and writes its own top row into a pipe to
     band t-1, column by column, so that all bands run at once, one column
     apart.  The parent closes each pipe once the child that reads it exists.
+    One band forks nothing.
     """
     bounds = [len(a) * t // bands for t in range(bands + 1)]
-    below = None
-    with Forks() as forks:
-        for t in range(bands - 1, 0, -1):
-            lo, hi = bounds[t], bounds[t + 1]
-            source = repeat(0) if below is None else frames(below)
-            pipe = forks.start(partial(_sweep, a, b, lo, hi, denominator, source))
-            if below is not None:
-                below.close()
-            below = pipe
-        return _last(_sweep(a, b, 0, bounds[1], denominator, frames(below)))
+    below, pipe = repeat(0), None
+    for t in range(bands - 1, 0, -1):
+        held = pipe
+        pipe = start(partial(_sweep, a, b, bounds[t], bounds[t + 1], denominator, below))
+        if held is not None:
+            held.close()
+        below = frames(pipe)
+    return _last(_sweep(a, b, 0, bounds[1], denominator, below))

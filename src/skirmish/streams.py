@@ -12,25 +12,26 @@ The estimators reduce their trials with `block_sums`, in blocks of about
 BLOCK_BYTES of raw draws (1638 trials of 80 words at 40 v 40), so that a
 block and one transposed copy of it fit a 2 MiB per-core L2 cache and each
 pass over a block stays out of main memory.  The blocks are dealt
-round-robin to one worker per usable core: worker 0 runs in the calling
+round-robin to one worker per process: worker 0 runs in the calling
 process and every other worker in a forked child, which sends its counts
-back up a pipe (`Forks`).  Children, not threads: a lockstep step makes
-a few small numpy calls on one block, and threads would spend most of
-their time waiting for each other's GIL.  Each worker allocates its
-scratch buffers once and reuses them for every block it takes.  The
-counts are integers added at the end, so neither the block size nor the
-number of cores that run them changes a count.
+back up a pipe.  Children, not threads: a lockstep step makes a few small
+numpy calls on one block, and threads would spend most of their time
+waiting for each other's GIL.  Each worker allocates its scratch buffers
+once and reuses them for every block it takes.  The counts are integers
+added at the end, so neither the block size nor the number of processes
+that run them changes a count.
 
-`Forks` is the one way this package runs work in another process; the
-reference recurrence's row bands use it too.  A process forks only where
-`can_fork` says it may: `os.fork` exists and no Python thread other than
-the caller is alive, since only the forking thread lives on in the child,
-and a lock that another thread held would stay held there.  Threads that
-numpy's OpenBLAS started do not count: OpenBLAS stops its pool in a
-`pthread_atfork` handler, so a child forked after `import numpy` starts
-with one OS thread and its BLAS calls work.  Where forking is unsafe,
-unavailable or fails, everything runs as one worker in process, with the
-same counts.
+`in_processes` is the one place this package decides how many processes
+run a computation, and how it falls back to one; the draw blocks and the
+reference recurrence's row bands both run through it.  It forks only
+where `can_fork` says it may: `os.fork` exists and no Python thread other
+than the caller is alive, since only the forking thread lives on in the
+child, and a lock that another thread held would stay held there.
+Threads that numpy's OpenBLAS started do not count: OpenBLAS stops its
+pool in a `pthread_atfork` handler, so a child forked after `import numpy`
+starts with one OS thread and its BLAS calls work.  Where forking is
+unsafe, unavailable or fails, the computation runs in one process, with
+the same result.
 
 `gate` is the one test of an estimate: is it within SIGMAS standard
 errors of the exact value?  crosscheck, the release gate and the tests
@@ -56,8 +57,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator
     from fractions import Fraction
+    from typing import TypeVar
 
     import numpy as np
+
+    T = TypeVar("T")
 
 OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 BLOCK_BYTES = 1 << 20  # raw draws per block of trials
@@ -124,35 +128,36 @@ def can_fork() -> bool:
     return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
 
 
-class Forks:
-    """Forked children, each sending the ints of one computation up a pipe of its own.
+def in_processes(units: int, run: Callable[[int, Callable], T]) -> T:
+    """run(k, start) for `units` parts of work: k processes, the caller and k - 1 children.
 
-    `start(produce)` forks a child that calls produce() and writes each int
-    it yields as a frame: a signed 8-byte length, then that many bytes.  The
-    parent reads them back with `frames`.  An exception in the child goes up
-    as a frame of negative length that carries its text, and `frames` raises
-    it in the parent.  The child ends with os._exit, so it never runs the
-    parent's exit handlers or flushes the parent's stdio buffers a second
-    time.  Leaving the `with` block closes every read end and only then
-    reaps every child: a child still writing fails at once instead of
-    waiting on a full pipe that nobody reads.
+    k is min(units, usable_cores()) where `can_fork` allows, and 1
+    otherwise.  `start(produce)` forks a child that calls produce() and
+    writes each int it yields as a frame: a signed 8-byte length, then that
+    many bytes; it returns the read end of the child's pipe, which `frames`
+    reads.  An exception in the child goes up as a frame of negative length
+    that carries its text.  The child ends with os._exit, so it never runs
+    the parent's exit handlers or flushes the parent's stdio buffers a
+    second time.  Once run returns or raises, every read end is closed and
+    only then every child reaped: a child still writing fails at once
+    instead of waiting on a full pipe that nobody reads.  Where a pipe or a
+    fork fails (OSError), run(1, start) runs once more and forks nothing.
     """
+    processes = min(units, usable_cores()) if units > 1 and can_fork() else 1
+    try:
+        return _reaped(processes, run)
+    except OSError:
+        if processes == 1:
+            raise
+    return _reaped(1, run)  # no pipe or no process to spare: one process needs neither
 
-    def __init__(self) -> None:
-        self._pids: list[int] = []
-        self._pipes: list = []
 
-    def __enter__(self) -> Forks:
-        return self
+def _reaped(processes: int, run: Callable[[int, Callable], T]) -> T:
+    """run(processes, start), then close every child's pipe and reap every child."""
+    pids: list[int] = []
+    pipes: list = []
 
-    def __exit__(self, *failure) -> None:
-        for pipe in self._pipes:
-            pipe.close()
-        for pid in self._pids:
-            os.waitpid(pid, 0)
-
-    def start(self, produce: Callable[[], Iterable[int]]):
-        """Fork a child that sends the ints of produce(); the read end of its pipe."""
+    def start(produce: Callable[[], Iterable[int]]):
         read_end, write_end = os.pipe()
         try:
             pid = _fork()
@@ -163,11 +168,18 @@ class Forks:
         if pid == 0:
             os.close(read_end)
             _child(produce, write_end)
-        self._pids.append(pid)
+        pids.append(pid)
         os.close(write_end)
-        pipe = open(read_end, "rb")
-        self._pipes.append(pipe)
-        return pipe
+        pipes.append(open(read_end, "rb"))
+        return pipes[-1]
+
+    try:
+        return run(processes, start)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _fork() -> int:
@@ -204,7 +216,7 @@ def _child(produce: Callable[[], Iterable[int]], write_end: int) -> None:
 
 
 def frames(pipe) -> Iterator[int]:
-    """The ints a child of `Forks` writes, in order; it never stops by itself.
+    """The ints a child of `in_processes` writes, in order; it never stops by itself.
 
     A frame of negative length carries the text of the child's failure,
     raised here as an AssertionError when it was one (the checks of the
@@ -235,34 +247,28 @@ def block_sums(
 
     Each worker calls make_count(rows) once, with the most trials a block
     holds, and gets the function that counts one block; that is where its
-    buffers live.  Worker w of k takes blocks w, w + k, ...  Worker 0 runs
-    in the calling process and the others in forked children (`Forks`);
-    where `can_fork` says no, or a pipe or a fork fails, one worker runs
-    every block in process.  An exception in any worker reaches the caller
-    once every child has been reaped.
+    buffers live.  Worker w of k takes blocks w, w + k, ..., one worker to
+    each process of `in_processes`, worker 0 in the caller.  An exception
+    in any worker reaches the caller once every child has been reaped.
     """
     rows = min(trials, max(1, BLOCK_BYTES // (8 * width)))
     starts = range(0, trials, rows)
-    workers = min(usable_cores(), len(starts))
 
-    def run(worker: int, stride: int) -> tuple[int, ...]:
+    def share(worker: int, workers: int) -> tuple[int, ...]:
         count = make_count(rows)
         parts = [
             count(raw_slots(seed, start, min(rows, trials - start), width))
-            for start in starts[worker::stride]
+            for start in starts[worker::workers]
         ]
         return tuple(map(sum, zip(*parts)))
 
-    if workers > 1 and can_fork():
-        try:
-            with Forks() as forks:
-                pipes = [forks.start(partial(run, w, workers)) for w in range(1, workers)]
-                parts = [run(0, workers)]
-                parts += [tuple(islice(frames(pipe), len(parts[0]))) for pipe in pipes]
-            return tuple(map(sum, zip(*parts)))
-        except OSError:
-            pass  # no pipe or no process to spare: one worker needs neither
-    return run(0, 1)
+    def spread(workers: int, start) -> tuple[int, ...]:
+        pipes = [start(partial(share, w, workers)) for w in range(1, workers)]
+        parts = [share(0, workers)]
+        parts += [tuple(islice(frames(pipe), len(parts[0]))) for pipe in pipes]
+        return tuple(map(sum, zip(*parts)))
+
+    return in_processes(len(starts), spread)
 
 
 def unit_floats(raw: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""The estimators' blocks on forked workers, and the processes that never fork.
+"""The process runner, the estimators' blocks on forked workers, and the processes that never fork.
 
-`streams.Forks` serves the reference's row bands too; those are tested in
-test_recurrence.py.  Here the counts of forked blocks must equal the
-one-worker counts, a failure in any worker must reach the caller, and no
-child, descriptor or doubled stdout line may be left behind.  Where
-forking fails or is unsafe, everything runs in process with the same
-counts.
+`streams.in_processes` runs the reference's row bands too; those are
+tested in test_recurrence.py.  Here the runner must call its computation
+once on one process, or once more after a failed fork, and reap every
+child whatever the computation returns or raises.  The counts of forked
+blocks must equal the one-worker counts, a failure in any worker must
+reach the caller, and no child, descriptor or doubled stdout line may be
+left behind.  Where forking fails or is unsafe, everything runs in
+process with the same counts.
 """
 
 import errno
@@ -20,7 +22,6 @@ from skirmish import (
     SimConfig,
     estimate_volume,
     p_a_wins_recursive,
-    recurrence,
     simulate,
     streams,
 )
@@ -45,6 +46,67 @@ def counts(inst, trials, seed):
         for policy in ("frontmost", "random-adjacent")
     ] + [estimate_volume(inst, trials, seed).hits]
 """
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunner:
+    """`in_processes(units, run)`: how often it calls run, on how many processes, and the reaping."""
+
+    @pytest.mark.parametrize("units", [0, 1])
+    def test_one_unit_runs_once_in_process(self, monkeypatch, units):
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one unit"))
+        calls = []
+        assert streams.in_processes(units, lambda k, start: calls.append(k) or "done") == "done"
+        assert calls == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failure_after_a_fork_is_not_run_again(self, monkeypatch):
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+        assert streams.can_fork()
+        calls = []
+
+        def run(k, start):
+            calls.append(k)
+            start(lambda: iter([1, 2]))
+            raise AssertionError("the caller's share failed")
+
+        with pytest.raises(AssertionError, match="the caller's share failed"):
+            streams.in_processes(2, run)
+        assert calls == [2]
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_failed_second_fork_reaps_the_first_then_runs_once_in_process(self, monkeypatch):
+        monkeypatch.setattr(streams, "usable_cores", lambda: 3)
+        assert streams.can_fork()
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        calls = []
+
+        def run(k, start):
+            calls.append(k)
+            if k == 1:
+                assert_no_child()  # the first child is reaped before this call
+                return "in process"
+            for _ in range(k - 1):
+                start(lambda: iter([1]))
+            return "forked"
+
+        assert streams.in_processes(3, run) == "in process"
+        assert (calls, len(forks)) == ([3, 1], 2)
+        assert_no_child()
 
 
 def run_blocks(body):
@@ -135,11 +197,6 @@ def all_counts():
     return counts
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestInProcess:
     @pytest.mark.parametrize("broken", ["fork", "pipe"])
     def test_failed_fork_or_pipe_gives_the_same_counts(self, monkeypatch, capsys, broken):
@@ -165,7 +222,7 @@ class TestInProcess:
         assert_no_child()
 
     def test_no_fork_while_a_second_thread_lives(self, monkeypatch):
-        monkeypatch.setattr(recurrence, "usable_cores", lambda: 2)
+        monkeypatch.setattr(streams, "usable_cores", lambda: 2)
         duel = seeded_duel(FORKING_SIZE)
         expected = all_counts(), p_a_wins_recursive(duel)
 

@@ -322,10 +322,18 @@ class TestForkedBands:
 
     def test_three_bands_chain_their_pipes(self):
         # Three bands: the middle child reads the bottom child's pipe, and
-        # the parent closes the middle pipe once it holds the top one.  A
-        # failure at cell (89, 89), in the bottom band, crosses both pipes.
+        # the parent closes the middle pipe once it holds the top one, before
+        # the top band starts.  A failure at cell (89, 89), in the bottom
+        # band, crosses both pipes.
         _, seen = run_bands(
-            "recurrence.usable_cores = lambda: 3\n"
+            "streams.usable_cores = lambda: 3\n"
+            "sweep = recurrence._sweep\n"
+            "held = []\n"
+            "def counted_top(a, b, lo, hi, denominator, below):\n"
+            "    if lo == 0 and hi < len(a):\n"
+            "        held.append(open_fds() - fds)\n"
+            "    return sweep(a, b, lo, hi, denominator, below)\n"
+            "recurrence._sweep = counted_top\n"
             "fds = open_fds()\n"
             "inst = duel(90)\n"
             "checks = [p_a_wins_recursive(inst) == in_process(inst)]\n"
@@ -338,11 +346,13 @@ class TestForkedBands:
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
             "checks += [len(forks), open_fds() - fds, children_left()]\n"
-            "print(json.dumps({'message': message, 'checks': checks}))\n"
+            "print(json.dumps({'message': message, 'checks': checks, 'held': held}))\n"
         )
         assert seen["message"].startswith("inexact division at cell (89, 89)")
         # Equal to the one band; forks so far, fds left open, a child left unreaped.
         assert seen["checks"] == [True, 2, 0, False, 4, 0, False]
+        # Fds the parent held as its top band started, in each of the two calls.
+        assert seen["held"] == [1, 1]
 
     def test_failure_in_the_top_band_leaves_no_child_waiting(self):
         # The child's 64 columns of 2.2 KB each overfill the pipe once the top
