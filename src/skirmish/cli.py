@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the library: solve (any route of the one
 route table, `residues.solve`), simulate (Monte Carlo play-out), volume
 (hypercube sampling), relate / curve / cycle (group relations), and
 crosscheck, which runs the reference, the auto route, epsilon and both
-estimators on one instance; `_verify` checks the exact routes of both.
+estimators on one instance; `residues.verify` checks the exact routes.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .model import (
     Instance,
@@ -30,14 +29,10 @@ from .model import (
 )
 from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
-from .residues import ROUTES, MethodReport, default_epsilon, parse_perturbation, solve
+from .residues import ROUTES, Inconsistency, default_epsilon, parse_perturbation, solve, verify
 from .montecarlo import POLICIES, SimConfig, simulate
 from .streams import gate
 from .volume import estimate_volume
-
-
-class Inconsistency(Exception):
-    """Two routes to the same value disagree; the exit-1 condition."""
 
 
 def main(argv=None) -> int:
@@ -172,28 +167,12 @@ def _run_solve(args) -> int:
         raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
     inst = _read_instance(args)
     report = solve(inst, args.method, args.epsilon)
-    failure = _verify(inst, report)
+    failure = verify(inst, report)
     payload = report.to_json()
     _emit(args, payload, _plain_value(payload))
     if failure:
         raise Inconsistency(failure)
     return 0
-
-
-def _verify(
-    inst: Instance, report: MethodReport, reference: Fraction | None = None
-) -> str | None:
-    """What disagreed, or None: exact routes must equal the recursive reference.
-
-    Recursive is the reference and epsilon is approximate, so neither is compared.
-    """
-    if report.method in ("recursive", "epsilon"):
-        return None
-    if reference is None:
-        reference = p_a_wins_recursive(inst)
-    if report.value == reference:
-        return None
-    return f"{report.method} gave {report.value}, recursive reference gives {reference}"
 
 
 def _plain_value(payload: dict) -> str:
@@ -275,7 +254,7 @@ def _run_crosscheck(args) -> int:
 
     add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
     report = solve(inst)
-    failure = _verify(inst, report, exact)
+    failure = verify(inst, report, exact)
     add(
         {"method": report.method, "value": str(report.value), "agree": not failure},
         f"{report.value}  ({'MISMATCH' if failure else 'exact match'})",

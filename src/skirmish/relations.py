@@ -2,9 +2,10 @@
 
 A group beats another when its exact win probability exceeds one half, and
 the two are matched when the probability is exactly one half.  Verdicts
-always come from the exact recurrence solver; no float tolerance is ever
-involved, which is what lets a near-match (a decimal truncated just off a
-matching curve) be distinguished from a true match.
+come from `solve`, checked against the reference by `verify` (a mismatch
+raises `Inconsistency`); no float tolerance is ever involved, which is what
+lets a near-match (a decimal truncated just off a matching curve) be told
+from a true match.
 
 Beating is not transitive: `verify_cycle` checks a witness triple where
 each group beats the next around a ring.
@@ -16,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .model import Instance, InvalidInstance, _Record, decimal_str, parse_speed, whole_number
-from .recurrence import p_a_wins_recursive
+from .residues import Inconsistency, solve, verify
 
 HALF = Fraction(1, 2)
 
@@ -40,7 +41,12 @@ def relate(group1: Iterable, group2: Iterable) -> RelationVerdict:
     second = tuple(group2)
     if not first or not second:
         raise InvalidInstance("a relation needs two non-empty groups")
-    p = p_a_wins_recursive(Instance(first, second))
+    inst = Instance(first, second)
+    report = solve(inst)
+    failure = verify(inst, report)
+    if failure:
+        raise Inconsistency(failure)
+    p = report.value
     if p > HALF:
         verdict = "beats"
     elif p == HALF:

@@ -10,7 +10,8 @@ for every distinct A speed, and a pole of order y_j at w = -1/b_j for every
 distinct B speed; all residues sum to zero.  P(A wins) is minus the sum of
 the a-pole residues, so swapping the sides gives the complement.
 
-Routes provided here, all exact, with `solve` as the one route table:
+Routes provided here, all exact, with `solve` as the one route table and
+`verify` as the one verification policy:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
 * `p_a_wins_series`: poles of any order, one Taylor coefficient per pole
@@ -84,6 +85,24 @@ def solve(inst: Instance, method: str = "auto", eps=None) -> MethodReport:
     if method == "closed-form":
         return closed_form_report(grouped)
     return p_a_wins_epsilon(grouped, default_epsilon(grouped) if eps is None else eps)
+
+
+class Inconsistency(Exception):
+    """Two routes to the same value disagree; the exit-1 condition."""
+
+
+def verify(inst: Instance, report: MethodReport, reference: Fraction | None = None) -> str | None:
+    """What disagreed, or None: exact routes must equal the recursive reference.
+
+    Recursive is the reference and epsilon is approximate, so neither is compared.
+    """
+    if report.method in ("recursive", "epsilon"):
+        return None
+    if reference is None:
+        reference = p_a_wins_recursive(inst)
+    if report.value == reference:
+        return None
+    return f"{report.method} gave {report.value}, recursive reference gives {reference}"
 
 
 def p_a_wins_distinct(inst: Instance) -> MethodReport:

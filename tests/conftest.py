@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from skirmish import GroupedInstance, Instance
+from skirmish import GroupedInstance, Instance, MethodReport, residues
 
 # Small pool so repeated speeds actually happen; the open range keeps
 # denominators tame enough for exact arithmetic to stay fast.
@@ -71,3 +71,12 @@ def seeded_duel(n):
 # its path denominator, reaches two bands' work, so that the reference forks
 # wherever two cores are usable (guarded by `test_fork_fixtures_fork`).
 FORKING_SIZE = 64
+
+
+def break_route(monkeypatch, route="distinct"):
+    """Make the distinct or series route return 1/3 whatever the instance."""
+
+    def broken(inst):
+        return MethodReport(Fraction(1, 3), route, (Fraction(-1, 3),))
+
+    monkeypatch.setattr(residues, f"p_a_wins_{route}", broken)

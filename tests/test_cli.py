@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skirmish import ROUTES, Instance, MethodReport, p_a_wins_recursive
+from skirmish import ROUTES, Instance, p_a_wins_recursive
 from skirmish import streams
 from skirmish.cli import build_parser, main
 
-from conftest import FORKING_SIZE, seeded_duel
+from conftest import FORKING_SIZE, break_route, seeded_duel
 
 
 def run_cli(*argv):
@@ -63,6 +65,7 @@ def parse_huge(text):
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def toml_reader():
@@ -177,12 +180,7 @@ class TestSolve:
         assert value.denominator > 10**4300
 
     def test_inconsistency_exits_one(self, capsys, monkeypatch):
-        import skirmish.residues as residues_mod
-
-        def broken(inst):
-            return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
-
-        monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
+        break_route(monkeypatch)
         assert main(["solve", "--a", "1", "--b", "1"]) == 1
         assert "inconsistency:" in capsys.readouterr().err
 
@@ -283,6 +281,18 @@ class TestRelate:
         assert main(["relate", "--a", HUGE_A, "--b", HUGE_B]) == 0
         assert parse_huge(json.loads(capsys.readouterr().out)["p"]) == huge_reference()
 
+    @pytest.mark.parametrize(
+        "route, a, b, reference",
+        [("distinct", "60", "20,30", "1/2"), ("series", "1,1", "2", "5/9")],
+    )
+    def test_mismatch_exits_one(self, capsys, monkeypatch, route, a, b, reference):
+        break_route(monkeypatch, route)
+        assert main(["relate", "--a", a, "--b", b]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"inconsistency: {route} gave 1/3, recursive reference gives {reference}\n",
+        )
+
 
 class TestCurve:
     def test_csv_output(self, capsys):
@@ -322,6 +332,46 @@ class TestCycle:
     def test_needs_three_groups(self):
         result = run_cli("cycle", "1", "2")
         assert result.returncode == 2
+
+    def test_mismatch_exits_one(self, capsys, monkeypatch):
+        break_route(monkeypatch)
+        assert main(["cycle", "0.9,0.0526317", "1", "0.414213,0.414212"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "inconsistency: distinct gave 1/3, recursive reference gives 100000023/200000023\n",
+        )
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ skirmish ...` line of README's sh blocks.
+
+    The stdout is the lines that follow the command, up to a blank line.
+    """
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S):
+        for chunk in block.strip().split("\n\n"):
+            command, *output = chunk.splitlines()
+            if command.startswith("$ skirmish "):
+                examples.append((shlex.split(command)[2:], "".join(f"{line}\n" for line in output)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        commands = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        )
+        assert {argv[0] for argv, _ in README_EXAMPLES} == set(commands.choices)
+
+    @pytest.mark.parametrize(
+        "argv, stdout", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+    )
+    def test_example_output(self, capsys, argv, stdout):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout
 
 
 # Exact crosscheck stdout, JSON and plain, byte for byte.
@@ -422,16 +472,6 @@ def assert_crosscheck_bytes(capsys, argv, code, pinned, err=""):
         assert capsys.readouterr() == (pinned[fmt], err)
 
 
-def break_distinct(monkeypatch):
-    """Make the distinct route return 1/3 whatever the instance."""
-    import skirmish.residues as residues_mod
-
-    def broken(inst):
-        return MethodReport(Fraction(1, 3), "distinct", (Fraction(-1, 3),))
-
-    monkeypatch.setattr(residues_mod, "p_a_wins_distinct", broken)
-
-
 class TestCrosscheck:
     def test_distinct_instance_agrees(self, capsys):
         argv = [
@@ -483,7 +523,7 @@ class TestCrosscheck:
         )
 
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
-        break_distinct(monkeypatch)
+        break_route(monkeypatch)
         argv = [
             "crosscheck", "--a", "1", "--b", "1",
             "--trials", "1000", "--samples", "1000",

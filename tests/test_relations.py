@@ -15,8 +15,9 @@ from skirmish import (
     relate,
     verify_cycle,
 )
+from skirmish.residues import Inconsistency
 
-from conftest import instances, speeds
+from conftest import break_route, instances, speeds
 
 F = Fraction
 
@@ -61,6 +62,16 @@ class TestRelate:
         )
         assert scaled.p == plain.p
         assert scaled.verdict == plain.verdict
+
+    @pytest.mark.parametrize(
+        "route, first, second, reference",
+        [("distinct", (60,), (20, 30), "1/2"), ("series", (1, 1), (2,), "5/9")],
+    )
+    def test_route_mismatch_raises(self, monkeypatch, route, first, second, reference):
+        break_route(monkeypatch, route)
+        message = f"{route} gave 1/3, recursive reference gives {reference}"
+        with pytest.raises(Inconsistency, match=f"^{message}$"):
+            relate(first, second)
 
     def test_json(self):
         payload = relate((20, 30), (15, 36)).to_json()
@@ -156,6 +167,12 @@ class TestVerifyCycle:
     def test_rejects_empty_group(self):
         with pytest.raises(InvalidInstance):
             verify_cycle((1,), (), (2,))
+
+    def test_route_mismatch_raises(self, monkeypatch):
+        break_route(monkeypatch)
+        message = "distinct gave 1/3, recursive reference gives 100000023/200000023"
+        with pytest.raises(Inconsistency, match=f"^{message}$"):
+            verify_cycle(("0.9", "0.0526317"), ("1",), ("0.414213", "0.414212"))
 
     def test_json(self):
         payload = verify_cycle((1,), (1,), (1,)).to_json()

@@ -11,6 +11,7 @@ from skirmish import (
     GroupedInstance,
     Instance,
     InvalidInstance,
+    MethodReport,
     closed_form_report,
     default_epsilon,
     group,
@@ -23,7 +24,7 @@ from skirmish import (
     solve,
 )
 from skirmish.cli import main
-from skirmish.residues import perturb
+from skirmish.residues import perturb, verify
 
 from conftest import grouped_instances, huge_rational_speeds, instances, speeds
 from oracles import (
@@ -400,3 +401,35 @@ class TestSolve:
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="unknown route"):
             solve(Instance((1,), (1,)), "newton")
+
+
+class TestVerify:
+    # One speed a side, A distinct: in the domain of every exact route.
+    INST = Instance((2,), (3, 3))
+
+    @pytest.mark.parametrize("route", EXACT_ROUTES)
+    def test_agreeing_route_passes(self, route):
+        assert verify(self.INST, solve(self.INST, route)) is None
+
+    @pytest.mark.parametrize("method", ["recursive", "epsilon"])
+    def test_reference_and_epsilon_are_not_compared(self, method):
+        assert verify(self.INST, MethodReport(F(1, 3), method, None)) is None
+
+    @pytest.mark.parametrize("route", ["distinct", "series", "closed-form"])
+    def test_wrong_exact_route_reports_mismatch(self, route):
+        report = solve(self.INST, route)
+        wrong = MethodReport(F(1, 3), report.method, report.residues)
+        assert verify(self.INST, wrong) == (
+            f"{report.method} gave 1/3, recursive reference gives 4/25"
+        )
+
+    def test_given_reference_is_not_recomputed(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("the reference was recomputed")
+
+        monkeypatch.setattr(residues, "p_a_wins_recursive", refuse)
+        report = solve(self.INST, "distinct")
+        assert verify(self.INST, report, reference=F(4, 25)) is None
+        assert verify(self.INST, report, reference=F(1, 2)) == (
+            "distinct gave 4/25, recursive reference gives 1/2"
+        )
