@@ -15,13 +15,13 @@ under collision order, so both policies estimate the same probability, and
 the pair of them exists to let tests demonstrate exactly that.
 
 Both policies run every trial of a block in lockstep, one numpy operation
-per collision step over the whole block, reading the step's draws from a
-transposed copy of the block so that each step touches one contiguous row.
+per collision step over the whole block, reading the step's draws as one
+column of the block `streams.raw_slots` returned, in place: the strided
+column reads as fast as a contiguous copy would, and no worker holds a
+second block.
 `streams.block_sums` deals the blocks to one worker per usable core, the
 caller and forked children, since a step's few small numpy calls would
-leave threads waiting on each other's GIL; each worker allocates its
-transposed copy (and, for frontmost, its duel state) once and reuses it
-for every block it takes.
+leave threads waiting on each other's GIL.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     `dead_b` to the front pair's threshold, and to 0 once the duel is over:
     no draw is below 0, so finished trials keep drawing into the void with
     their counter frozen, which keeps the stream layout independent of how
-    long each duel happens to last.  Each block is transposed once, into
-    its worker's buffer, so a step reads one contiguous column: one gather,
-    one compare, one add.
+    long each duel happens to last.  A step reads its column of the block
+    in place: one gather, one compare, one add.  Each worker allocates its
+    `dead_b` once and reuses it for every block it takes.
     """
     import numpy as np
 
@@ -113,15 +113,12 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     steps = min(collisions, width)
 
     def make_count(block_trials):
-        transposed = np.empty(steps * block_trials, dtype=np.uint64)
         dead_b_buffer = np.empty(block_trials, dtype=np.intp)
 
         def count(raw):
-            columns = transposed[: steps * len(raw)].reshape(steps, len(raw))
-            np.copyto(columns, raw[:, :steps].T)
             dead_b = dead_b_buffer[: len(raw)]
             dead_b.fill(0)
-            for row, column in zip(rows, columns):
+            for row, column in zip(rows, raw[:, :steps].T):
                 dead_b += column < row.take(dead_b)
             if not ((dead_b == n) | (steps - dead_b >= m)).all():
                 raise AssertionError("a duel failed to finish within its draw budget")
@@ -153,15 +150,13 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
     steps = min(collisions, width // 3)
 
     def make_count(block_trials):
-        transposed = np.empty(3 * steps * block_trials, dtype=np.uint64)
         everyone = np.arange(block_trials)
 
         def count(raw):
-            columns = transposed[: 3 * steps * len(raw)].reshape(3 * steps, len(raw))
-            np.copyto(columns, raw[:, : 3 * steps].T)
+            columns = raw[:, : 3 * steps].T
             trials = everyone[: len(raw)]
-            alive_a = np.ones((len(raw), m), dtype=bool)
-            alive_b = np.ones((len(raw), n), dtype=bool)
+            alive_a = np.ones((m, len(raw)), dtype=np.uint8)
+            alive_b = np.ones((n, len(raw)), dtype=np.uint8)
             left_a = np.full(len(raw), m, dtype=np.uint64)
             left_b = np.full(len(raw), n, dtype=np.uint64)
             for c in range(steps):
@@ -171,8 +166,8 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
                 a_survives = columns[3 * c + 2] < pair[ia, ib]
                 b_dies = live & a_survives
                 a_dies = live & ~a_survives
-                alive_b[trials, ib] &= ~b_dies
-                alive_a[trials, ia] &= ~a_dies
+                alive_b[ib, trials] &= ~b_dies
+                alive_a[ia, trials] &= ~a_dies
                 left_b -= b_dies
                 left_a -= a_dies
             if not ((left_a == 0) ^ (left_b == 0)).all():
@@ -198,7 +193,10 @@ def _scaled_floor(words, k):
 
 
 def _ranked(alive, rank):
-    """Column of each row's alive entry of the given rank, counting from 0."""
+    """Row of each column's alive entry of the given rank, counting from 0.
+
+    Leaving out the last row's prefix keeps the row valid where none is alive.
+    """
     import numpy as np
 
-    return (alive.cumsum(axis=1) > rank.astype(np.intp)[:, None]).argmax(axis=1)
+    return (alive[:-1].cumsum(axis=0, dtype=np.uint64) <= rank).sum(axis=0)

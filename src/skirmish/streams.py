@@ -10,7 +10,7 @@ a serial run bit for bit.
 
 The estimators reduce their trials with `block_sums`, in blocks of about
 BLOCK_BYTES of raw draws (1638 trials of 80 words at 40 v 40), so that a
-block and one transposed copy of it fit a 2 MiB per-core L2 cache and each
+block and volume's float copy of it fit a 2 MiB per-core L2 cache and each
 pass over a block stays out of main memory.  The blocks are dealt
 round-robin to one worker per process: worker 0 runs in the calling
 process and every other worker in a forked child, which sends its counts

@@ -600,6 +600,11 @@ class TestEntryPoints:
         for path in sorted((PYPROJECT.parent / "src" / "skirmish").glob("*.py")):
             ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
+    def test_the_syntax_guard_rejects_newer_grammar(self):
+        """On a newer interpreter the guard above still refuses 3.11's `except*`."""
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
     def test_module_invocation(self):
         result = run_cli("solve", "--a", "1", "--b", "1")
         assert result.returncode == 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,22 @@ class TestSimulate:
         assert len(drawing) == (3 if streams.can_fork() else 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("policy, side", [("frontmost", 40), ("random-adjacent", 8)])
+    def test_one_worker_holds_one_block_of_draws(self, monkeypatch, policy, side):
+        # The kernels step through the Philox block in place; a second,
+        # transposed copy of it would put the peak near two blocks.
+        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
+        inst = Instance(tuple(range(1, side + 1)), tuple(range(2, side + 2)))
+        cfg = SimConfig(streams.BLOCK_BYTES // (8 * slot_width(inst, policy)), 1, policy)
+        simulate(inst, cfg)  # keep first-call imports out of the peak
+        tracemalloc.start()
+        try:
+            simulate(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * streams.BLOCK_BYTES
 
 
 class TestScaledFloor:
