@@ -49,12 +49,18 @@ def parse_speed(value) -> Fraction:
     """Convert one speed (int, Fraction, "p/q" or decimal string) exactly.
 
     Binary floats are rejected: Fraction(0.9) is not 9/10, and silent
-    conversion would poison every exact-equality check downstream.
+    conversion would poison every exact-equality check downstream.  A
+    string must be ASCII and free of `_`: `Fraction` also reads any
+    Unicode decimal digit, and from Python 3.11 on `_` digit separators,
+    so without this rule one speed would parse on one supported Python
+    and not on another.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise InvalidInstance(
             f"speed {value!r} is not exact; pass an int, Fraction or string"
         )
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise InvalidInstance(f"malformed speed {value!r}: only ASCII, and no '_'")
     try:
         speed = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

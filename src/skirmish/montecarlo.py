@@ -93,8 +93,7 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     no draw is below 0, so finished trials keep drawing into the void with
     their counter frozen, which keeps the stream layout independent of how
     long each duel happens to last.  A step reads its column of the block
-    in place: one gather, one compare, one add.  Each worker allocates its
-    `dead_b` once and reuses it for every block it takes.
+    in place: one gather, one compare, one add.
     """
     import numpy as np
 
@@ -112,21 +111,15 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
     steps = min(collisions, width)
 
-    def make_count(block_trials):
-        dead_b_buffer = np.empty(block_trials, dtype=np.intp)
+    def count(raw):
+        dead_b = np.zeros(len(raw), dtype=np.intp)
+        for row, column in zip(rows, raw[:, :steps].T):
+            dead_b += column < row.take(dead_b)
+        if not ((dead_b == n) | (steps - dead_b >= m)).all():
+            raise AssertionError("a duel failed to finish within its draw budget")
+        return (int((dead_b == n).sum()),)
 
-        def count(raw):
-            dead_b = dead_b_buffer[: len(raw)]
-            dead_b.fill(0)
-            for row, column in zip(rows, raw[:, :steps].T):
-                dead_b += column < row.take(dead_b)
-            if not ((dead_b == n) | (steps - dead_b >= m)).all():
-                raise AssertionError("a duel failed to finish within its draw budget")
-            return (int((dead_b == n).sum()),)
-
-        return count
-
-    (a_wins,) = streams.block_sums(cfg.seed, cfg.trials, width, make_count)
+    (a_wins,) = streams.block_sums(streams.raw_slots, cfg.seed, cfg.trials, width, count)
     return a_wins
 
 
@@ -149,34 +142,29 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
     steps = min(collisions, width // 3)
 
-    def make_count(block_trials):
-        everyone = np.arange(block_trials)
+    def count(raw):
+        columns = raw[:, : 3 * steps].T
+        trials = np.arange(len(raw))
+        alive_a = np.ones((m, len(raw)), dtype=np.uint8)
+        alive_b = np.ones((n, len(raw)), dtype=np.uint8)
+        left_a = np.full(len(raw), m, dtype=np.uint64)
+        left_b = np.full(len(raw), n, dtype=np.uint64)
+        for c in range(steps):
+            live = (left_a > 0) & (left_b > 0)
+            ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
+            ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
+            a_survives = columns[3 * c + 2] < pair[ia, ib]
+            b_dies = live & a_survives
+            a_dies = live & ~a_survives
+            alive_b[ib, trials] &= ~b_dies
+            alive_a[ia, trials] &= ~a_dies
+            left_b -= b_dies
+            left_a -= a_dies
+        if not ((left_a == 0) ^ (left_b == 0)).all():
+            raise AssertionError("a duel failed to finish within its draw budget")
+        return (int((left_b == 0).sum()),)
 
-        def count(raw):
-            columns = raw[:, : 3 * steps].T
-            trials = everyone[: len(raw)]
-            alive_a = np.ones((m, len(raw)), dtype=np.uint8)
-            alive_b = np.ones((n, len(raw)), dtype=np.uint8)
-            left_a = np.full(len(raw), m, dtype=np.uint64)
-            left_b = np.full(len(raw), n, dtype=np.uint64)
-            for c in range(steps):
-                live = (left_a > 0) & (left_b > 0)
-                ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
-                ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
-                a_survives = columns[3 * c + 2] < pair[ia, ib]
-                b_dies = live & a_survives
-                a_dies = live & ~a_survives
-                alive_b[ib, trials] &= ~b_dies
-                alive_a[ia, trials] &= ~a_dies
-                left_b -= b_dies
-                left_a -= a_dies
-            if not ((left_a == 0) ^ (left_b == 0)).all():
-                raise AssertionError("a duel failed to finish within its draw budget")
-            return (int((left_b == 0).sum()),)
-
-        return count
-
-    (a_wins,) = streams.block_sums(cfg.seed, cfg.trials, width, make_count)
+    (a_wins,) = streams.block_sums(streams.raw_slots, cfg.seed, cfg.trials, width, count)
     return a_wins
 
 

@@ -8,18 +8,18 @@ then be regenerated on its own by starting the counter at the range's
 first block, so partitioning trials across blocks (or workers) reproduces
 a serial run bit for bit.
 
-The estimators reduce their trials with `block_sums`, in blocks of about
-BLOCK_BYTES of raw draws (1638 trials of 80 words at 40 v 40), so that a
-block and volume's float copy of it fit a 2 MiB per-core L2 cache and each
-pass over a block stays out of main memory.  The blocks are dealt
-round-robin to one worker per process: worker 0 runs in the calling
-process and every other worker in a forked child, which sends its counts
-back up a pipe.  Children, not threads: a lockstep step makes a few small
-numpy calls on one block, and threads would spend most of their time
-waiting for each other's GIL.  Each worker allocates its scratch buffers
-once and reuses them for every block it takes.  The counts are integers
-added at the end, so neither the block size nor the number of processes
-that run them changes a count.
+Two drawers read that stream: `raw_slots` hands out the 64-bit words and
+`unit_floats` the same words as doubles in [0, 1), each allocating one
+block per call.  The estimators reduce their trials with `block_sums`, in
+blocks of about BLOCK_BYTES of draws (1638 trials of 80 words at 40 v 40),
+so that a block fits a 2 MiB per-core L2 cache and each pass over it stays
+out of main memory.  The blocks are dealt round-robin to one worker per
+process: worker 0 runs in the calling process and every other worker in a
+forked child, which sends its counts back up a pipe.  Children, not
+threads: a lockstep step makes a few small numpy calls on one block, and
+threads would spend most of their time waiting for each other's GIL.  The
+counts are integers added at the end, so neither the block size nor the
+number of processes that run them changes a count.
 
 `in_processes` is the one place this package decides how many processes
 run a computation, and how it falls back to one; the draw blocks and the
@@ -99,16 +99,30 @@ def slot_width(draws: int) -> int:
 
 def raw_slots(seed: int, start: int, count: int, width: int) -> np.ndarray:
     """Raw 64-bit draws for trials [start, start + count), one row per trial."""
+    return _philox(seed, start, count, width).random_raw(count * width).reshape(count, width)
+
+
+def unit_floats(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """The draws of `raw_slots` as doubles in [0, 1): (word >> 11) * 2^-53, bit for bit.
+
+    numpy's `Generator.random` maps each 64-bit word to a double that way,
+    filling the 53-bit mantissa, so the doubles come straight from the
+    stream and no block of words is held beside them.
+    """
+    import numpy as np
+
+    return np.random.Generator(_philox(seed, start, count, width)).random((count, width))
+
+
+def _philox(seed: int, start: int, count: int, width: int) -> np.random.Philox:
+    """The Philox stream keyed by seed, at the first word of trial `start`'s slot."""
     if width % OUTPUTS_PER_BLOCK:
         raise ValueError("slot width must be a multiple of the Philox block size")
     if count < 1:
         raise ValueError("need at least one trial")
     import numpy as np
 
-    bit_generator = np.random.Philox(
-        key=seed, counter=start * width // OUTPUTS_PER_BLOCK
-    )
-    return bit_generator.random_raw(count * width).reshape(count, width)
+    return np.random.Philox(key=seed, counter=start * width // OUTPUTS_PER_BLOCK)
 
 
 def usable_cores() -> int:
@@ -238,16 +252,16 @@ def frames(pipe) -> Iterator[int]:
 
 
 def block_sums(
+    draw: Callable[[int, int, int, int], np.ndarray],
     seed: int,
     trials: int,
     width: int,
-    make_count: Callable[[int], Callable[[np.ndarray], tuple[int, ...]]],
+    count: Callable[[np.ndarray], tuple[int, ...]],
 ) -> tuple[int, ...]:
-    """Sum of count(raw_slots(...)) over trials [0, trials) in blocks of BLOCK_BYTES.
+    """Sum of count(draw(seed, start, rows, width)) over trials [0, trials), BLOCK_BYTES a block.
 
-    Each worker calls make_count(rows) once, with the most trials a block
-    holds, and gets the function that counts one block; that is where its
-    buffers live.  Worker w of k takes blocks w, w + k, ..., one worker to
+    draw is `raw_slots` or `unit_floats`, and count may spend the block it
+    is handed.  Worker w of k takes blocks w, w + k, ..., one worker to
     each process of `in_processes`, worker 0 in the caller.  An exception
     in any worker reaches the caller once every child has been reaped.
     """
@@ -255,9 +269,8 @@ def block_sums(
     starts = range(0, trials, rows)
 
     def share(worker: int, workers: int) -> tuple[int, ...]:
-        count = make_count(rows)
         parts = [
-            count(raw_slots(seed, start, min(rows, trials - start), width))
+            count(draw(seed, start, min(rows, trials - start), width))
             for start in starts[worker::workers]
         ]
         return tuple(map(sum, zip(*parts)))
@@ -269,14 +282,3 @@ def block_sums(
         return tuple(map(sum, zip(*parts)))
 
     return in_processes(len(starts), spread)
-
-
-def unit_floats(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in [0, 1), filling the 53-bit mantissa.
-
-    The doubles go to `out` (float64, raw's shape) and nothing is
-    allocated: raw is shifted in place, so its words are spent.
-    """
-    import numpy as np
-
-    return np.multiply(np.right_shift(raw, np.uint64(11), out=raw), 2.0**-53, out=out)

@@ -54,9 +54,9 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
     Each particle owns a fixed column of the per-sample slot: side A takes
     the first m, side B the next n.  A zero draw makes log(0) = -inf, which
     compares correctly and only warns, hence the errstate guard.  Each
-    worker turns its blocks into logs in one reused float buffer.  The
-    weights are the speeds over a power of two near the largest: finite,
-    and scaled exactly, so no comparison changes.
+    block's logs are taken in place on the doubles `streams.unit_floats`
+    returned.  The weights are the speeds over a power of two near the
+    largest: finite, and scaled exactly, so no comparison changes.
     """
     import numpy as np
 
@@ -67,17 +67,11 @@ def _hit_counts(inst: Instance, samples: int, seed: int) -> tuple[int, int]:
     weights_b = np.array([float(s * scale) for s in inst.b])
     width = streams.slot_width(m + n)
 
-    def make_count(block_samples):
-        floats = np.empty((block_samples, width))
+    def count(floats):
+        with np.errstate(divide="ignore"):
+            logs = np.log(floats, out=floats)
+        score_a = logs[:, :m] @ weights_a
+        score_b = logs[:, m : m + n] @ weights_b
+        return int((score_a < score_b).sum()), int((score_b < score_a).sum())
 
-        def count(raw):
-            logs = streams.unit_floats(raw, floats[: len(raw)])
-            with np.errstate(divide="ignore"):
-                np.log(logs, out=logs)
-            score_a = logs[:, :m] @ weights_a
-            score_b = logs[:, m : m + n] @ weights_b
-            return int((score_a < score_b).sum()), int((score_b < score_a).sum())
-
-        return count
-
-    return streams.block_sums(seed, samples, width, make_count)
+    return streams.block_sums(streams.unit_floats, seed, samples, width, count)

@@ -173,20 +173,24 @@ def use_block_trials(monkeypatch, trials, width):
 
 
 def record_blocks(monkeypatch, path):
-    """Make every `raw_slots` call note its pid and trial count in `path`; the notes' reader.
+    """Make every drawer call note its pid and trial count in `path`; the notes' reader.
 
-    Forked workers inherit the patch, and each note is one append to the
-    file, so it holds the blocks that every process drew, children included.
+    The drawers are `raw_slots` and `unit_floats`.  Forked workers inherit
+    the patch, and each note is one append to the file, so it holds the
+    blocks that every process drew, children included.
     """
     path.write_text("")
-    raw_slots = streams.raw_slots
 
-    def counted(seed, start, count, width):
-        with open(path, "a") as notes:
-            notes.write(f"{os.getpid()} {count}\n")
-        return raw_slots(seed, start, count, width)
+    def counted(draw):
+        def drawn(seed, start, count, width):
+            with open(path, "a") as notes:
+                notes.write(f"{os.getpid()} {count}\n")
+            return draw(seed, start, count, width)
 
-    monkeypatch.setattr(streams, "raw_slots", counted)
+        return drawn
+
+    for name in ("raw_slots", "unit_floats"):
+        monkeypatch.setattr(streams, name, counted(getattr(streams, name)))
     return lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
 
 

@@ -159,6 +159,11 @@ class TestSolve:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("speed", ["\u0661", "\uff11", "1_000", "1e1_0"])
+    def test_speed_string_is_ascii_without_underscores(self, speed, capsys):
+        assert main(["solve", "--a", speed, "--b", "2"]) == 2
+        assert "malformed speed" in capsys.readouterr().err
+
     def test_unknown_method_is_usage_error(self):
         result = run_cli("solve", "--a", "1", "--b", "1", "--method", "newton")
         assert result.returncode == 2

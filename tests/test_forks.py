@@ -166,12 +166,12 @@ class TestForkedBlocks:
     def test_other_failure_in_a_child_names_itself(self):
         _, seen = run_blocks(
             "caller = os.getpid()\n"
-            "raw_slots = streams.raw_slots\n"
+            "unit_floats = streams.unit_floats\n"
             "def drawn(*args):\n"
             "    if os.getpid() != caller:\n"
             "        raise ZeroDivisionError('a fault in the child')\n"
-            "    return raw_slots(*args)\n"
-            "streams.raw_slots = drawn\n"
+            "    return unit_floats(*args)\n"
+            "streams.unit_floats = drawn\n"
             "fds = open_fds()\n"
             "argv = ['volume', '--a', '30,20', '--b', '15,36', '--samples', '2000']\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out,"

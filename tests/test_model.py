@@ -54,6 +54,12 @@ class TestParseSpeed:
         with pytest.raises(InvalidInstance):
             parse_speed(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0661", "\uff11", "1_000", "1e1_0", "3/\u0667"])
+    def test_rejects_non_ascii_digits_and_underscores(self, bad):
+        # Fraction reads these on 3.11, and `_` not on 3.10: one rule for every Python.
+        with pytest.raises(InvalidInstance, match="malformed speed"):
+            parse_speed(bad)
+
 
 class TestInstance:
     def test_coerces_entries(self):

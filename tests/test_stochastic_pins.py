@@ -84,3 +84,44 @@ def test_counts_do_not_depend_on_worker_count(inst):
         with pytest.MonkeyPatch.context() as monkeypatch:
             results.append(_counts_on(cores, inst, monkeypatch))
     assert results[1:] == results[:1] * 2
+
+
+def _margin_and_hits(inst, samples, seed):
+    """Smallest |score_a - score_b| / sum|w ln x| over the samples, and both sides' hits.
+
+    The scores are rebuilt from `streams.unit_floats` with one plain sum per
+    sample, not volume's two matmuls, so the hits below come from another
+    summation order.
+    """
+    import numpy as np
+
+    weights = np.array([float(s) for s in inst.a] + [-float(s) for s in inst.b])
+    width = streams.slot_width(len(weights))
+    smallest, hits_a, hits_b = np.inf, 0, 0
+    for start in range(0, samples, 1 << 16):
+        count = min(1 << 16, samples - start)
+        floats = streams.unit_floats(seed, start, count, width)[:, : len(weights)]
+        terms = np.log(floats) * weights
+        gap = terms.sum(axis=1)  # score_a - score_b
+        smallest = min(smallest, (np.abs(gap) / np.abs(terms).sum(axis=1)).min())
+        hits_a += int((gap < 0).sum())
+        hits_b += int((gap > 0).sum())
+    return smallest, hits_a, hits_b
+
+
+@pytest.mark.parametrize(
+    "inst, samples, seed, hits, swapped_hits",
+    [(inst, samples, seed, hits, swapped) for inst, samples, seed, *_, hits, swapped
+     in CASES.values()]
+    + [(FIGHT, 1_000_000, 0, 500508, None)],
+    ids=[*CASES, "readme-1e6"],
+)
+def test_volume_pins_hold_on_any_libm_and_blas(inst, samples, seed, hits, swapped_hits):
+    # Each score sums m + n products w*ln(x), so its float error is a few
+    # (m + n + 2) * 2^-52 of sum|w ln x| plus some ulp of each log: far below
+    # 2^-30.  With every sample's score gap above that, no libm's log and no
+    # BLAS's summation order can move a sample across the boundary.
+    smallest, hits_a, hits_b = _margin_and_hits(inst, samples, seed)
+    assert smallest > 2.0**-30
+    assert hits_a == hits
+    assert swapped_hits is None or hits_b == swapped_hits

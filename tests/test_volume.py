@@ -1,10 +1,13 @@
 """Hypercube-volume estimator: geometry, sharing, determinism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skirmish import (
     Instance,
@@ -94,6 +97,34 @@ class TestDeterminism:
             check_blocks(blocks(), expected, 5_000)
 
 
+class TestDraws:
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 10**6),
+        st.integers(1, 50),
+        st.integers(1, 40).map(lambda blocks: 4 * blocks),
+    )
+    def test_unit_floats_are_the_raw_words_mantissa(self, seed, start, count, width):
+        raw = streams.raw_slots(seed, start, count, width)
+        floats = streams.unit_floats(seed, start, count, width)
+        assert np.array_equal(floats, (raw >> np.uint64(11)) * 2.0**-53)
+
+    def test_one_worker_holds_one_block_of_floats(self, monkeypatch):
+        # The logs are taken in place on the drawn block; a second block of
+        # words or floats beside it would put the peak near two blocks.
+        monkeypatch.setattr(streams, "usable_cores", lambda: 1)
+        inst = Instance(tuple(range(1, 41)), tuple(range(2, 42)))
+        samples = streams.BLOCK_BYTES // (8 * streams.slot_width(80))
+        estimate_volume(inst, samples, 1)  # keep first-call imports out of the peak
+        tracemalloc.start()
+        try:
+            estimate_volume(inst, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * streams.BLOCK_BYTES
+
+
 class TestComplementSharing:
     def test_hits_partition_the_samples(self):
         forward, backward = complement_estimates(FIGHT, 200_000, seed=4)
@@ -118,8 +149,7 @@ class TestPermutationInvariance:
         samples, seed = 20_000, 3
         m = n = 2
         width = streams.slot_width(m + n)
-        raw = streams.raw_slots(seed, 0, samples, width)
-        logs = np.log(streams.unit_floats(raw, np.empty(raw.shape)))
+        logs = np.log(streams.unit_floats(seed, 0, samples, width))
         wa = np.array([30.0, 20.0])
         wb = np.array([15.0, 36.0])
         direct_a = logs[:, :2] @ wa
