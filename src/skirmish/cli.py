@@ -12,17 +12,25 @@ traceback on standard error, so that 1 always means the routes disagree.
 Reports go to standard output as compact JSON (or --format plain);
 diagnostics go to standard error.  Output is deterministic for fixed
 arguments and seed.
+
+`run` is the process entry (`python -m skirmish` and the `skirmish`
+script): it returns `main`'s exit code and then freezes the heap with
+`gc.freeze`, so the interpreter's final collections skip every object
+that start-up made.  Call it only where the process exits next.  `main`
+is the in-process API and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
 from .model import (
     Instance,
     InvalidInstance,
+    ascii_number,
     decimal_str,
     group,
     parse_instance,
@@ -33,6 +41,14 @@ from .residues import ROUTES, Inconsistency, default_epsilon, parse_perturbation
 from .montecarlo import POLICIES, SimConfig, simulate
 from .streams import gate
 from .volume import estimate_volume
+
+
+def run(argv=None) -> int:
+    """`main(argv)` as the last act of a process, which exits next."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
 
 
 def main(argv=None) -> int:
@@ -81,16 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="Monte Carlo play-out of the duel")
     _instance_flags(sim)
-    sim.add_argument("--trials", type=int, default=100_000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--trials", type=integer, default=100_000)
+    sim.add_argument("--seed", type=integer, default=0)
     sim.add_argument("--policy", choices=POLICIES, default="frontmost")
     _format_flag(sim)
     sim.set_defaults(handler=_run_simulate)
 
     vol = commands.add_parser("volume", help="hypercube-volume estimate of the win probability")
     _instance_flags(vol)
-    vol.add_argument("--samples", type=int, default=1_000_000)
-    vol.add_argument("--seed", type=int, default=0)
+    vol.add_argument("--samples", type=integer, default=1_000_000)
+    vol.add_argument("--seed", type=integer, default=0)
     _format_flag(vol)
     vol.set_defaults(handler=_run_volume)
 
@@ -102,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve = commands.add_parser(
         "curve", help="pairs (x, y) that exactly match a lone speed-1 particle"
     )
-    curve.add_argument("--points", type=int, default=100, help="grid size; x = k/(points+1)")
+    curve.add_argument("--points", type=integer, default=100, help="grid size; x = k/(points+1)")
     _format_flag(curve, default="plain")
     curve.set_defaults(handler=_run_curve)
 
@@ -118,14 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the reference, the auto route, epsilon and both estimators on one instance",
     )
     _instance_flags(cross)
-    cross.add_argument("--trials", type=int, default=200_000)
-    cross.add_argument("--samples", type=int, default=1_000_000)
-    cross.add_argument("--seed", type=int, default=0)
+    cross.add_argument("--trials", type=integer, default=200_000)
+    cross.add_argument("--samples", type=integer, default=1_000_000)
+    cross.add_argument("--seed", type=integer, default=0)
     cross.add_argument("--epsilon", help="override the default perturbation")
     _format_flag(cross)
     cross.set_defaults(handler=_run_crosscheck)
 
     return parser
+
+
+def integer(text: str) -> int:
+    """An integer option's value, read by the rule for speed strings.
+
+    argparse names this function in its `invalid integer value` message.
+    """
+    try:
+        return int(ascii_number(text, "integer"))
+    except InvalidInstance as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _instance_flags(command: argparse.ArgumentParser) -> None:
@@ -310,4 +337,4 @@ def _run_crosscheck(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

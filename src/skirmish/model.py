@@ -45,22 +45,32 @@ def whole_number(value, what: str, low: int = 1, high: int | None = None) -> int
     return number
 
 
+def ascii_number(text: str, what: str) -> str:
+    """`text` unchanged if it is ASCII and free of `_`, the rule for number text.
+
+    `int` and `Fraction` also read any Unicode decimal digit, and `_`
+    digit separators (`Fraction` only from Python 3.11 on), so without
+    this rule one number would parse on one supported Python and not on
+    another.
+    """
+    if not text.isascii() or "_" in text:
+        raise InvalidInstance(f"malformed {what} {text!r}: only ASCII, and no '_'")
+    return text
+
+
 def parse_speed(value) -> Fraction:
     """Convert one speed (int, Fraction, "p/q" or decimal string) exactly.
 
     Binary floats are rejected: Fraction(0.9) is not 9/10, and silent
     conversion would poison every exact-equality check downstream.  A
-    string must be ASCII and free of `_`: `Fraction` also reads any
-    Unicode decimal digit, and from Python 3.11 on `_` digit separators,
-    so without this rule one speed would parse on one supported Python
-    and not on another.
+    string must obey `ascii_number`.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise InvalidInstance(
             f"speed {value!r} is not exact; pass an int, Fraction or string"
         )
-    if isinstance(value, str) and (not value.isascii() or "_" in value):
-        raise InvalidInstance(f"malformed speed {value!r}: only ASCII, and no '_'")
+    if isinstance(value, str):
+        ascii_number(value, "speed")
     try:
         speed = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import ROUTES, Instance, p_a_wins_recursive
-from skirmish import streams
+from skirmish import residues, streams
 from skirmish.cli import build_parser, main
 
 from conftest import FORKING_SIZE, break_route, seeded_duel
@@ -319,6 +319,39 @@ class TestCurve:
 
     def test_bad_points(self, capsys):
         assert main(["curve", "--points", "0"]) == 2
+
+
+# Every integer option, on each command that takes it.
+INTEGER_OPTIONS = [
+    (["simulate", "--a", "1", "--b", "1"], "--trials"),
+    (["simulate", "--a", "1", "--b", "1"], "--seed"),
+    (["volume", "--a", "1", "--b", "1"], "--samples"),
+    (["volume", "--a", "1", "--b", "1"], "--seed"),
+    (["crosscheck", "--a", "1", "--b", "1"], "--trials"),
+    (["crosscheck", "--a", "1", "--b", "1"], "--samples"),
+    (["crosscheck", "--a", "1", "--b", "1"], "--seed"),
+    (["curve"], "--points"),
+]
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("text", ["\u0661\u0660\u0660", "\uff11\uff10", "1_000"])
+    @pytest.mark.parametrize("command, option", INTEGER_OPTIONS)
+    def test_integer_text_is_ascii_without_underscores(self, command, option, text, capsys):
+        """Integer options obey the speeds' rule: a one-line usage error, exit 2."""
+        with pytest.raises(SystemExit) as stop:
+            main([*command, option, text])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == err.splitlines()[-1:]
+        assert f"argument {option}: malformed integer {text!r}" in errors[0]
+        assert "Traceback" not in err
+
+    def test_ascii_trials_still_run(self, capsys):
+        assert main(["simulate", "--a", "1", "--b", "1", "--trials", "100", "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["trials"], payload["seed"]) == (100, 3)
 
 
 class TestCycle:
@@ -646,6 +679,62 @@ class TestEntryPoints:
         result = run_cli()
         assert result.returncode == 2
 
+    def test_run_freezes_the_heap_and_main_does_not(self):
+        """`run` ends a process with the heap frozen; `main` leaves it as it was."""
+        script = (
+            "import gc\n"
+            "from skirmish.cli import main, run\n"
+            "argv = ['solve', '--a', '1', '--b', '2']\n"
+            "codes = [main(argv), gc.get_freeze_count()]\n"
+            "codes += [run(argv), gc.get_freeze_count()]\n"
+            "print(codes)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        main_code, after_main, run_code, after_run = json.loads(result.stdout.splitlines()[-1])
+        assert (main_code, after_main, run_code) == (0, 0, 0)
+        assert after_run > 0
+
+    @pytest.mark.parametrize(
+        "patch, speeds, code",
+        [
+            (None, ("1", "2"), 0),
+            (None, ("0", "2"), 2),
+            ("wrong", ("1", "1"), 1),
+            ("raise", ("1", "2"), 3),
+        ],
+    )
+    def test_run_exit_codes_match_main(self, monkeypatch, capsys, patch, speeds, code):
+        """Through `sys.exit(run(argv))`, each exit code and stdout are `main`'s."""
+        argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
+        patches = {
+            None: "",
+            "wrong": "residues.p_a_wins_distinct = lambda inst: residues.MethodReport("
+            "Fraction(1, 3), 'distinct', (Fraction(-1, 3),))\n",
+            "raise": "def crash(inst):\n    raise RuntimeError('route crashed')\n"
+            "residues.p_a_wins_distinct = crash\n",
+        }
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from skirmish import residues\n"
+            "from skirmish.cli import run\n"
+            f"{patches[patch]}"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == code, result.stderr
+        assert ("Traceback" in result.stderr) == (code == 3)
+
+        if patch == "wrong":
+            break_route(monkeypatch)
+        elif patch == "raise":
+            monkeypatch.setattr(residues, "p_a_wins_distinct", _crash)
+        assert main(argv) == code
+        assert result.stdout == capsys.readouterr().out
+
     @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
     def test_stdout_through_a_pipe_matches_one_core(self):
         """Forked row bands print nothing: the piped stdout equals the one-band run's."""
@@ -660,6 +749,10 @@ class TestEntryPoints:
         assert bands.returncode == one_core.returncode == 0
         assert bands.stdout.count(b"\n") == 1
         assert bands.stdout == one_core.stdout
+
+
+def _crash(inst):
+    raise RuntimeError("route crashed")
 
 
 def modules_loaded_by(commands):
