@@ -268,7 +268,9 @@ def _run_crosscheck(args) -> int:
     inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
-    exact = p_a_wins_recursive(inst)
+    # The auto route runs first, so that the reference starts at its denominator.
+    report = solve(inst)
+    exact = p_a_wins_recursive(inst, report.value.denominator)
     payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
     lines = [f"exact value: {exact} = {payload['decimal']}"]
     failures = []
@@ -280,7 +282,6 @@ def _run_crosscheck(args) -> int:
             failures.append(failure)
 
     add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
-    report = solve(inst)
     failure = verify(inst, report, exact)
     add(
         {"method": report.method, "value": str(report.value), "agree": not failure},

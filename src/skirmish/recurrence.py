@@ -40,19 +40,40 @@ multiple of every path product.  Each cell's division checks D: a D too
 small leaves a remainder at the first cell it does not clear, which raises
 AssertionError, so it can never give a wrong value.
 
+The values need less than D: only the lcm of the cells' own denominators,
+about the width of the answer's.  `p_a_wins_recursive(inst, guess)`
+starts the sweep at the scale gcd(guess, D) instead of D, and `verify`
+guesses the denominator of the answer it checks (seeded distinct speeds
+in 1..5000: 5.7 k bits against D's 13.8 k at 40v40, 16.9 k against 42.2 k
+at 120v120).  Where a division leaves a remainder r, the band widens: it
+multiplies every live value, and its scale, by g = s / gcd(s, r) for the
+cell's sum s, the least factor that makes that cell exact.  No guess can
+change the value.  Before and after a widening every cell is exactly
+P(i, j) times its band's scale, since all of them are multiplied by the
+same g, so the sweep returns P(0, 0) from any start, right or wrong; a
+guess changes only how often the sweep widens, and so its speed.  Each
+widening makes the scale the lcm of the start and of the denominators
+met so far, a divisor of D whenever D is right.  The sweep raises the
+same AssertionError where a widened scale would not divide D, which is
+where a cell's denominator does not divide D: the condition on which a
+sweep started at D raises too.  With no guess it starts at D, and any
+remainder raises, as before.
+
 Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 (i+1, j), so the table is swept column by column from the right, in
 bands of rows.  A band of rows lo..hi-1 keeps one column of its own cells
 and needs from outside only the row just below it, N(hi, j), one column
-at a time; after each column it hands on its top row, N(lo, j).  The
-whole table is one band over a row of zeros.  The bands run through
+at a time; after each column it hands on its top row, N(lo, j), with the
+factor by which its scale has grown.  The band above widens itself and
+that value to the lcm of the two scales before it uses it.  The whole
+table is one band over a row of zeros.  The bands run through
 `streams.in_processes`, one band to each process it grants: the top band
 in the caller, and each band below it in a forked child that streams its
 top row up a pipe to the band above, so all bands work at once, one
 column apart.  A table asks for one band per BAND_WORK of its work, cells
-times the bits of D, and never more bands than rows.  Every band does the
-same exact divisions, so the value and the inexact-division check do not
-depend on the split.
+times the bits of the starting scale, and never more bands than rows.
+Every band clears the same cells, so the value and the inexact-division
+check do not depend on the split.
 """
 
 from __future__ import annotations
@@ -63,7 +84,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 from .model import Instance
 from .streams import frames, in_processes
@@ -76,8 +97,10 @@ from .streams import frames, in_processes
 # 2-core Xeon).  Under the per-diagonal D those were distinct speeds in
 # 1..5000 at 44v44 to 48v48 and equal ones at 140v140; the figure is in
 # bit-cells, so it holds for the tightened D as well, where distinct speeds
-# reach it at about 52v52 to 56v56.  So a table forks from twice this size
-# on, where two bands save about a quarter of its time.
+# reach it at about 52v52 to 56v56, and for a sweep started at the answer's
+# width, which a verified `solve` on them reaches at about 76v76.  So a
+# table forks from twice this size on, where two bands save about a
+# quarter of its time.
 BAND_WORK = 1 << 25
 
 # The bits of the per-diagonal D from which tightening it pays.  A sweep
@@ -175,61 +198,93 @@ def _chain_exponents(a, b, limit: int) -> dict[int, int]:
     return {p: len(tops) for p, tops in piles.items()}
 
 
-def p_a_wins_recursive(inst: Instance) -> Fraction:
-    """Exact probability that side A annihilates all of side B."""
+def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:
+    """Exact probability that side A annihilates all of side B.
+
+    `guess`, a denominator the value is expected to have, sets the scale
+    the sweep starts at, gcd(guess, D); None starts at D itself.
+    """
     a, b = inst.integer_speeds()
     if not b:
         return Fraction(1)
     denominator = path_denominator(a, b)
-    bands = min(len(a), len(a) * len(b) * denominator.bit_length() // BAND_WORK)
-    return Fraction(in_processes(bands, partial(_banded_sweep, a, b, denominator)), denominator)
+    scale = denominator if guess is None else math.gcd(guess, denominator)
+    bands = min(len(a), len(a) * len(b) * scale.bit_length() // BAND_WORK)
+    value, growth = in_processes(
+        bands, partial(_banded_sweep, a, b, scale, denominator // scale)
+    )
+    return Fraction(value, scale * growth)
 
 
-def _sweep(a, b, lo: int, hi: int, denominator: int, below: Iterable[int]) -> Iterator[int]:
-    """N(lo, j) for j = n-1 down to 0: rows lo..hi-1 of the table, column by column.
+def _sweep(
+    a, b, lo: int, hi: int, scale: int, room: int, below: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """(N(lo, j), growth) for j = n-1 down to 0: rows lo..hi-1 of the table, column by column.
 
-    `below` yields N(hi, j) in the same order: the top row of the band
-    below, or zeros when hi = m.  It is read one column ahead of the work
-    on that column, and no further.
+    Each cell holds P(i, j) * scale * growth, where growth, from 1, is how
+    far the band has widened its scale; it may widen only by divisors of
+    `room`, which is D // scale.  `below` yields (N(hi, j), growth) in the
+    same order: the top row of the band below, or (0, 1) when hi = m.  It
+    is read one column ahead of the work on that column, and no further.
     """
     # column[k] holds N(hi-1-k, j+1) until cell (hi-1-k, j) overwrites it
-    # with N(hi-1-k, j); the column right of the table is N(i, n) = D.
-    column = [denominator] * (hi - lo)
+    # with N(hi-1-k, j); the column right of the table is N(i, n) = scale.
+    column = [scale] * (hi - lo)
     band = a[lo:hi][::-1]
-    for j, down in zip(range(len(b) - 1, -1, -1), below):
+    growth = 1
+    for j, (down, under) in zip(range(len(b) - 1, -1, -1), below):
+        if under != growth:  # both sides widen to the lcm of the two scales
+            wide = math.lcm(growth, under)
+            down *= wide // under
+            if wide != growth:
+                column = [value * (wide // growth) for value in column]
+                growth = wide
         bj = b[j]
         for k, ai in enumerate(band):
             down, remainder = divmod(ai * column[k] + bj * down, ai + bj)
             if remainder:
-                raise AssertionError(
-                    f"inexact division at cell ({hi - 1 - k}, {j}): "
-                    "the path denominator does not clear this cell"
-                )
+                # Widen every live value by the least g that clears this cell.
+                common = math.gcd(ai + bj, remainder)
+                g = (ai + bj) // common
+                if room % (growth * g):
+                    raise AssertionError(
+                        f"inexact division at cell ({hi - 1 - k}, {j}): "
+                        "the path denominator does not clear this cell"
+                    )
+                growth *= g
+                column = [value * g for value in column]
+                down = down * g + remainder // common
             column[k] = down
-        yield down
+        yield down, growth
 
 
-def _last(values: Iterable[int]) -> int:
+def _flat_sweep(*args) -> Iterator[int]:
+    """The pairs of `_sweep(*args)` as one stream of ints, as a child writes them."""
+    return chain.from_iterable(_sweep(*args))
+
+
+def _last(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
     for value in values:
         pass
     return value
 
 
-def _banded_sweep(a, b, denominator: int, bands: int, start) -> int:
-    """N(0, 0) from the top band, with every band below it swept in a child from `start`.
+def _banded_sweep(a, b, scale: int, room: int, bands: int, start) -> tuple[int, int]:
+    """(N(0, 0), growth) from the top band, with every band below it swept in a child from `start`.
 
     Band t holds rows bounds[t]..bounds[t+1]-1.  Its child reads `below`
     from the pipe of band t+1 and writes its own top row into a pipe to
-    band t-1, column by column, so that all bands run at once, one column
-    apart.  The parent closes each pipe once the child that reads it exists.
-    One band forks nothing.
+    band t-1, column by column, each value followed by its growth, so that
+    all bands run at once, one column apart.  The parent closes each pipe
+    once the child that reads it exists.  One band forks nothing.
     """
     bounds = [len(a) * t // bands for t in range(bands + 1)]
-    below, pipe = repeat(0), None
+    below, pipe = repeat((0, 1)), None
     for t in range(bands - 1, 0, -1):
         held = pipe
-        pipe = start(partial(_sweep, a, b, bounds[t], bounds[t + 1], denominator, below))
+        pipe = start(partial(_flat_sweep, a, b, bounds[t], bounds[t + 1], scale, room, below))
         if held is not None:
             held.close()
-        below = frames(pipe)
-    return _last(_sweep(a, b, 0, bounds[1], denominator, below))
+        values = frames(pipe)
+        below = zip(values, values)
+    return _last(_sweep(a, b, 0, bounds[1], scale, room, below))

@@ -95,11 +95,13 @@ def verify(inst: Instance, report: MethodReport, reference: Fraction | None = No
     """What disagreed, or None: exact routes must equal the recursive reference.
 
     Recursive is the reference and epsilon is approximate, so neither is compared.
+    The reference starts its sweep at the width of the report's denominator,
+    which changes only how fast it runs, never its value.
     """
     if report.method in ("recursive", "epsilon"):
         return None
     if reference is None:
-        reference = p_a_wins_recursive(inst)
+        reference = p_a_wins_recursive(inst, report.value.denominator)
     if report.value == reference:
         return None
     return f"{report.method} gave {report.value}, recursive reference gives {reference}"

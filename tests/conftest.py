@@ -71,12 +71,34 @@ def seeded_duel(n):
 # its path denominator, reaches two bands' work, so that the reference forks
 # wherever two cores are usable (guarded by `test_fork_fixtures_fork`).
 FORKING_SIZE = 64
+# A seeded duel whose verified `solve` forks too: its reference, started at
+# the width of the answer's denominator, still reaches two bands' work, and
+# the lower band must widen that start before the upper one can use its row
+# (both guarded by `test_fork_fixtures_fork`).  At FORKING_SIZE the answer's
+# width is one band.
+SOLVE_FORKING_SIZE = 84
 
 
-def break_route(monkeypatch, route="distinct"):
-    """Make the distinct or series route return 1/3 whatever the instance."""
+def break_route(monkeypatch, route="distinct", value=Fraction(1, 3)):
+    """Make the distinct or series route return `value` whatever the instance."""
 
     def broken(inst):
-        return MethodReport(Fraction(1, 3), route, (Fraction(-1, 3),))
+        return MethodReport(value, route, (-value,))
 
     monkeypatch.setattr(residues, f"p_a_wins_{route}", broken)
+
+
+# Wrong answers whose denominators `verify` hands the reference as its
+# guess: the complement, a wrong numerator over the right denominator; 1,
+# whose denominator is 1; and the value over one prime more.
+WRONG_ANSWERS = ("wrong-numerator", "denominator-1", "extra-prime")
+
+
+def wrong_answer(kind, value):
+    """The `kind` of WRONG_ANSWERS for the true value (not 0, 1/2 or 1)."""
+    if kind == "wrong-numerator":
+        return 1 - value
+    if kind == "denominator-1":
+        return Fraction(1)
+    prime = next(p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if value.numerator % p)
+    return Fraction(value.numerator, value.denominator * prime)

@@ -22,7 +22,8 @@ from skirmish import ROUTES, Instance, p_a_wins_recursive
 from skirmish import residues, streams
 from skirmish.cli import build_parser, main
 
-from conftest import FORKING_SIZE, break_route, seeded_duel
+from conftest import SOLVE_FORKING_SIZE, WRONG_ANSWERS, break_route, seeded_duel, wrong_answer
+from oracles import needs_fork, run_fresh
 
 
 def run_cli(*argv):
@@ -573,6 +574,27 @@ class TestCrosscheck:
         assert payload["agree"] is False
         assert_crosscheck_bytes(capsys, argv, 1, EXACT_MISMATCH_BYTES, captured.err)
 
+    @pytest.mark.parametrize("kind", WRONG_ANSWERS)
+    def test_wrong_auto_route_leaves_the_exact_value(self, capsys, monkeypatch, kind):
+        # The reference starts at the wrong answer's denominator, and still
+        # gives the value that every other row is compared with.
+        inst = seeded_duel(20)
+        value = p_a_wins_recursive(inst)
+        wrong = wrong_answer(kind, value)
+        break_route(monkeypatch, value=wrong)
+        argv = [
+            "crosscheck", "--a", ",".join(map(str, inst.a)), "--b", ",".join(map(str, inst.b)),
+            "--trials", "1000", "--samples", "1000",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"inconsistency: distinct gave {wrong}, recursive reference gives {value}\n"
+        )
+        payload = json.loads(captured.out)
+        assert payload["value"] == payload["methods"][0]["value"] == str(value)
+        assert payload["methods"][1] == {"method": "distinct", "value": str(wrong), "agree": False}
+
     def test_single_trial_is_no_false_alarm(self, capsys):
         argv = ["crosscheck", "--a", "1", "--b", "1", "--trials", "1", "--samples", "1"]
         assert main(argv) == 0
@@ -750,6 +772,17 @@ class TestEntryPoints:
         assert bands.stdout.count(b"\n") == 1
         assert bands.stdout == one_core.stdout
 
+    @needs_fork
+    def test_solve_forking_forks(self):
+        """The premise of the tests that run SOLVE_FORKING: its solve forks once."""
+        _, seen = run_fresh(
+            f"argv = {SOLVE_FORKING!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(argv)\n"
+            "print(json.dumps([code, len(forks), children_left()]))\n"
+        )
+        assert seen == [0, 1, False]
+
 
 def _crash(inst):
     raise RuntimeError("route crashed")
@@ -784,12 +817,13 @@ def modules_loaded_by(commands):
     return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
 
 
-# The smallest seeded duel whose reference table is large enough to be
-# swept in forked row bands wherever two cores are usable.
+# A seeded duel whose verified reference, started at the answer's
+# denominator, is swept in forked row bands wherever two cores are usable
+# (`test_solve_forking_forks`).
 SOLVE_FORKING = [
     "solve",
-    "--a", ",".join(map(str, seeded_duel(FORKING_SIZE).a)),
-    "--b", ",".join(map(str, seeded_duel(FORKING_SIZE).b)),
+    "--a", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).a)),
+    "--b", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).b)),
 ]
 
 # One speed a side (B repeated) is in every route's domain.

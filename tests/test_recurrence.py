@@ -15,18 +15,22 @@ from skirmish import (
     InvalidInstance,
     p_a_wins_recursive,
     recurrence,
+    solve,
 )
 from skirmish.cli import main
 from skirmish.recurrence import _diagonal_lcms, _sweep, fill_table, path_denominator
 
 from conftest import (
     FORKING_SIZE,
+    SOLVE_FORKING_SIZE,
+    WRONG_ANSWERS,
     grouped_instances,
     huge_rational_speeds,
     instances,
     seeded_duel,
     speed_lists,
     speeds,
+    wrong_answer,
 )
 from oracles import expand, needs_fork, p_a_wins_single_a, run_fresh
 
@@ -154,9 +158,12 @@ class TestFractionFreeKernel:
                      "_diagonal_lcms"):
             monkeypatch.setattr(recurrence, name, getattr(recurrence, name))
         recurrence.TIGHT_BITS = 0
+        answer = fill_table(Instance((1, 9001), (1,)))[0, 0]
         exec(DENOMINATOR_FAULTS[fault], {"recurrence": recurrence})
-        with pytest.raises(AssertionError, match="inexact division"):
-            p_a_wins_recursive(Instance((1, 9001), (1,)))
+        # Unhinted, then from the answer's denominator, from 1 and from a wide guess.
+        for guess in (None, answer.denominator, 1, 2**4000):
+            with pytest.raises(AssertionError, match="inexact division"):
+                p_a_wins_recursive(Instance((1, 9001), (1,)), guess)
         assert main(["solve", "--a", "1,9001", "--b", "1"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -199,14 +206,17 @@ class TestTightDenominator:
         assert path_denominator(a, b).bit_length() < 0.65 * wide.bit_length()
 
 
-def band_rows(inst, bands):
-    """Each band's streamed top row, from `bands` chained _sweep generators in process.
+def band_rows(inst, bands, guess=None):
+    """D, the starting scale and each band's top row, from `bands` chained _sweep generators.
 
-    The rows split as the forked path splits them, except that here a band
-    may be empty: a band of no rows passes the row below it straight up.
+    A row holds (N(lo, j), growth) pairs, so that N(lo, j) / (scale * growth)
+    is P(lo, j).  The rows split as the forked path splits them, except that
+    here a band may be empty: a band of no rows passes the row below it
+    straight up.  The scale starts as `p_a_wins_recursive(inst, guess)` starts it.
     """
     a, b = inst.integer_speeds()
     denominator = path_denominator(a, b)
+    scale = denominator if guess is None else math.gcd(guess, denominator)
     bounds = [len(a) * t // bands for t in range(bands + 1)]
     rows = [[] for _ in range(bands)]
 
@@ -215,12 +225,13 @@ def band_rows(inst, bands):
             row.append(value)
             yield value
 
-    below = repeat(0)
+    below = repeat((0, 1))
     for t in range(bands - 1, -1, -1):
-        below = recorded(_sweep(a, b, bounds[t], bounds[t + 1], denominator, below), rows[t])
+        rows_t = _sweep(a, b, bounds[t], bounds[t + 1], scale, denominator // scale, below)
+        below = recorded(rows_t, rows[t])
     for _ in below:
         pass
-    return denominator, bounds, rows
+    return denominator, scale, bounds, rows
 
 
 class TestRowBands:
@@ -233,19 +244,111 @@ class TestRowBands:
     @example(Instance((3, 1, 4), ()), 3)
     @example(Instance((), (2, 7)), 2)
     def test_every_band_streams_its_top_row(self, inst, bands):
-        denominator, bounds, rows = band_rows(inst, bands)
+        denominator, scale, bounds, rows = band_rows(inst, bands)
         table = fill_table(inst)
         n = len(inst.b)
+        assert scale == denominator
         for lo, row in zip(bounds, rows):
-            assert [Fraction(value, denominator) for value in row] == [
+            assert [Fraction(value, denominator) for value, _ in row] == [
                 table[lo, j] for j in range(n - 1, -1, -1)
             ]
+            # Started at D, no band ever widens.
+            assert {growth for _, growth in row} <= {1}
 
     @pytest.mark.parametrize("bands", [2, 3, 4])
     @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst, bands):
-        denominator, _, rows = band_rows(inst, bands)
-        assert Fraction(rows[0][-1], denominator) == fill_table(inst)[0, 0]
+        denominator, _, _, rows = band_rows(inst, bands)
+        assert Fraction(rows[0][-1][0], denominator) == fill_table(inst)[0, 0]
+
+
+def guess_for(kind, value, inst, multiple, number):
+    """A guess of the `kind` in GUESSES for the true value of `inst`."""
+    d = value.denominator
+    if kind == "answer":
+        return d
+    if kind == "one":
+        return 1
+    if kind == "multiple":
+        return d * multiple
+    if kind == "prime-removed":
+        # Every prime of d divides some sum a_i + b_j of the integer speeds.
+        a, b = inst.integer_speeds()
+        for s in sorted({ai + bj for ai in a for bj in b}):
+            if (common := math.gcd(s, d)) > 1:
+                return d // next(
+                    (p for p in range(2, math.isqrt(common) + 1) if common % p == 0), common
+                )
+        return d
+    if kind == "random":
+        return number
+    return 2**4000
+
+
+GUESSES = ("answer", "one", "multiple", "prime-removed", "random", "huge")
+
+
+class TestGuessedScale:
+    """The sweep from gcd(guess, D), widened where a cell needs it: no guess changes the value."""
+
+    @given(
+        instances(min_side=0),
+        st.integers(1, 4),
+        st.sampled_from(GUESSES),
+        st.integers(2, 10**6),
+        st.integers(-(10**40), 10**40),
+    )
+    @example(Instance((3, 1, 4), (1, 5)), 2, "one", 2, 0)
+    @example(Instance((2, 1), (1,)), 2, "prime-removed", 2, 0)
+    def test_any_guess_gives_the_value(self, inst, bands, kind, multiple, number):
+        table = fill_table(inst)
+        guess = guess_for(kind, table[0, 0], inst, multiple, number)
+        assert p_a_wins_recursive(inst, guess) == table[0, 0]
+        denominator, scale, bounds, rows = band_rows(inst, bands, guess)
+        n = len(inst.b)
+        for lo, row in zip(bounds, rows):
+            assert [Fraction(value, scale * growth) for value, growth in row] == [
+                table[lo, j] for j in range(n - 1, -1, -1)
+            ]
+            # Each band's final scale divides D.
+            assert not row or denominator % (scale * row[-1][1]) == 0
+
+    @given(grouped_instances().map(expand), st.sampled_from(GUESSES), st.integers(2, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_any_guess_with_repeated_speeds(self, inst, kind, multiple):
+        value = fill_table(inst)[0, 0]
+        guess = guess_for(kind, value, inst, multiple, multiple)
+        assert p_a_wins_recursive(inst, guess) == value
+
+    @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
+    @pytest.mark.parametrize("kind", GUESSES)
+    def test_extreme_speeds(self, inst, kind):
+        value = fill_table(inst)[0, 0]
+        assert p_a_wins_recursive(inst, guess_for(kind, value, inst, 7, 12345)) == value
+
+
+# The bands that the reference asks `in_processes` for on seeded duels: as
+# before a guess existed when there is none, and fewer from the answer's
+# denominator, whose width is about half of D's.
+BAND_COUNTS = [
+    (40, 0, 0),
+    (FORKING_SIZE, 2, 1),
+    (SOLVE_FORKING_SIZE, 5, 2),
+    (90, 7, 3),
+    (120, 18, 7),
+]
+
+
+@pytest.mark.parametrize("n, unhinted, guessed", BAND_COUNTS)
+def test_bands_asked_for(monkeypatch, n, unhinted, guessed):
+    asked = []
+    monkeypatch.setattr(
+        recurrence, "in_processes", lambda units, run: (asked.append(units), run(1, None))[1]
+    )
+    inst = seeded_duel(n)
+    value = p_a_wins_recursive(inst)
+    assert p_a_wins_recursive(inst, solve(inst).value.denominator) == value
+    assert asked == [unhinted, guessed]
 
 
 # Specific to the reference: a one-band sweep to compare with, and the duels.
@@ -255,9 +358,11 @@ from skirmish import p_a_wins_recursive, recurrence
 def in_process(inst):
     a, b = inst.integer_speeds()
     denominator = recurrence.path_denominator(a, b)
-    top = list(recurrence._sweep(a, b, 0, len(a), denominator, repeat(0)))
-    return Fraction(top[-1], denominator)
-""" + inspect.getsource(seeded_duel) + f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\n"
+    top = list(recurrence._sweep(a, b, 0, len(a), denominator, 1, repeat((0, 1))))
+    return Fraction(top[-1][0], denominator)
+""" + inspect.getsource(seeded_duel) + (
+    f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\nSOLVE_FORKING = {SOLVE_FORKING_SIZE}\n"
+)
 
 
 def test_fork_fixtures_fork():
@@ -265,6 +370,14 @@ def test_fork_fixtures_fork():
     for n in (FORKING_SIZE, 90):
         a, b = seeded_duel(n).integer_speeds()
         assert n * n * path_denominator(a, b).bit_length() >= 2 * recurrence.BAND_WORK
+    # A verified solve starts its reference at the answer's denominator: two
+    # bands' work still, and the lower band widens that start.
+    n = SOLVE_FORKING_SIZE
+    inst = seeded_duel(n)
+    guess = solve(inst).value.denominator
+    _, scale, _, rows = band_rows(inst, 2, guess)
+    assert n * n * scale.bit_length() >= 2 * recurrence.BAND_WORK
+    assert rows[1][-1][1] > 1
 
 
 def run_bands(body):
@@ -315,8 +428,10 @@ class TestForkedBands:
             " 'stderr': err.getvalue()}))\n"
         )
         assert seen["message"].startswith("inexact division at cell (63, 63)")
-        # Forks so far, fds opened and not closed, a child left unreaped.
-        assert seen["checks"] == [1, 0, False, 2, 0, False]
+        # Forks so far, fds opened and not closed, a child left unreaped.  The
+        # solve's reference starts at gcd(answer's denominator, D - 1), a few
+        # bits, so it sweeps in one band and forks nothing.
+        assert seen["checks"] == [1, 0, False, 1, 0, False]
         assert seen["code"] == 3
         assert "inexact division at cell (63, 63)" in seen["stderr"]
 
@@ -329,10 +444,10 @@ class TestForkedBands:
             "streams.usable_cores = lambda: 3\n"
             "sweep = recurrence._sweep\n"
             "held = []\n"
-            "def counted_top(a, b, lo, hi, denominator, below):\n"
+            "def counted_top(a, b, lo, hi, scale, room, below):\n"
             "    if lo == 0 and hi < len(a):\n"
             "        held.append(open_fds() - fds)\n"
-            "    return sweep(a, b, lo, hi, denominator, below)\n"
+            "    return sweep(a, b, lo, hi, scale, room, below)\n"
             "recurrence._sweep = counted_top\n"
             "fds = open_fds()\n"
             "inst = duel(90)\n"
@@ -359,8 +474,8 @@ class TestForkedBands:
         # band stops reading; it must fail its write, not block the reaping.
         _, seen = run_bands(
             "sweep = recurrence._sweep\n"
-            "def failing_top(a, b, lo, hi, denominator, below):\n"
-            "    rows = sweep(a, b, lo, hi, denominator, below)\n"
+            "def failing_top(a, b, lo, hi, scale, room, below):\n"
+            "    rows = sweep(a, b, lo, hi, scale, room, below)\n"
             "    if lo == 0:\n"
             "        next(rows)\n"
             "        raise AssertionError('the top band failed first')\n"
@@ -379,7 +494,7 @@ class TestForkedBands:
     def test_failed_fork_falls_back_to_one_band(self):
         _, seen = run_bands(
             "import errno\n"
-            "inst = duel(FORKING)\n"
+            "inst = duel(SOLVE_FORKING)\n"
             "argv = ['solve', '--a', ','.join(map(str, inst.a)),"
             " '--b', ','.join(map(str, inst.b))]\n"
             "def failing_fork():\n"
@@ -423,13 +538,13 @@ class TestForkedBands:
         _, seen = run_bands(
             DENOMINATOR_FAULTS[fault]
             + "fds = open_fds()\n"
-            "inst = duel(FORKING)\n"
             "try:\n"
-            "    p_a_wins_recursive(inst)\n"
+            "    p_a_wins_recursive(duel(FORKING))\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
             "checks = [len(forks)]\n"
+            "inst = duel(SOLVE_FORKING)\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out,"
             " contextlib.redirect_stderr(io.StringIO()) as err:\n"
             "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
@@ -441,6 +556,36 @@ class TestForkedBands:
         # Forks by then, fds left open, a child left unreaped, exit code, stdout.
         assert seen["checks"] == [1, 2, 0, False, 3, ""]
         assert "inexact division" in seen["stderr"]
+
+
+    @pytest.mark.parametrize(
+        "kind, forks", [("wrong-numerator", 1), ("denominator-1", 0), ("extra-prime", 1)]
+    )
+    def test_wrong_route_with_its_denominator_as_guess(self, kind, forks):
+        # The reference starts at gcd(wrong denominator, D).  From the right
+        # denominator that is two bands, and the lower one must widen its
+        # start (`test_fork_fixtures_fork`); from 1 it is one band's work.
+        _, seen = run_bands(
+            f"kind = {kind!r}\n"
+            + inspect.getsource(wrong_answer)
+            + "from skirmish import residues\n"
+            "inst = duel(SOLVE_FORKING)\n"
+            "value = in_process(inst)\n"
+            "wrong = wrong_answer(kind, value)\n"
+            "residues.p_a_wins_distinct = lambda inst: residues.MethodReport("
+            "wrong, 'distinct', (-wrong,))\n"
+            "fds = open_fds()\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out,"
+            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
+            " '--b', ','.join(map(str, inst.b))])\n"
+            "expected = f'inconsistency: distinct gave {wrong},"
+            " recursive reference gives {value}\\n'\n"
+            "print(json.dumps([code, err.getvalue() == expected, out.getvalue().count('\\n'),"
+            " len(forks), open_fds() - fds, children_left()]))\n"
+        )
+        # Exit code, the message, stdout lines, forks, fds left open, a child left unreaped.
+        assert seen == [1, True, 1, forks, 0, False]
 
 
 class TestSingleAFastPath:

@@ -1,5 +1,6 @@
 """Residue solvers: simple poles, series poles, closed forms, perturbation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,16 @@ from skirmish import (
 from skirmish.cli import main
 from skirmish.residues import perturb, verify
 
-from conftest import grouped_instances, huge_rational_speeds, instances, speeds
+from conftest import (
+    WRONG_ANSWERS,
+    break_route,
+    grouped_instances,
+    huge_rational_speeds,
+    instances,
+    seeded_duel,
+    speeds,
+    wrong_answer,
+)
 from oracles import (
     distinct_residues_reference,
     expand,
@@ -433,3 +443,18 @@ class TestVerify:
         assert verify(self.INST, report, reference=F(1, 2)) == (
             "distinct gave 4/25, recursive reference gives 1/2"
         )
+
+    @pytest.mark.parametrize("kind", WRONG_ANSWERS)
+    def test_wrong_route_with_its_denominator_as_guess(self, monkeypatch, capsys, kind):
+        # One band at 40v40; from the right denominator it must widen its start.
+        inst = seeded_duel(40)
+        value = p_a_wins_recursive(inst)
+        wrong = wrong_answer(kind, value)
+        message = f"distinct gave {wrong}, recursive reference gives {value}"
+        assert verify(inst, MethodReport(wrong, "distinct", None)) == message
+        break_route(monkeypatch, value=wrong)
+        argv = ["solve", "--a", ",".join(map(str, inst.a)), "--b", ",".join(map(str, inst.b))]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["value"] == str(wrong)
+        assert err == f"inconsistency: {message}\n"
