@@ -25,27 +25,16 @@ i + j = d at most once, and the per-diagonal
     D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
 
 is such a multiple.  It is loose, since a path takes one cell of each
-diagonal and not all of them.  Where it is wide (TIGHT_BITS), D is
-tightened to the lcm of the path products themselves.  The cells of a path
-run with i and j non-decreasing, and any such chain of cells lies on a
-path, so for each prime p the largest exponent of p in one path's product
-is the longest chain of cells, each weighted by the exponent of p in its
-sum: a longest non-decreasing subsequence of the columns j in row-major
-order, found by patience sorting.  The product of p to these exponents is
-a multiple of every path product and divides the per-diagonal D.  Only
-sums up to SIEVE_LIMIT are factored; larger ones, from huge or scaled
-rational speeds, keep the per-diagonal lcm of those sums alone, and the
-two parts together, cut to their gcd with the per-diagonal D, are again a
-multiple of every path product.  Each cell's division checks D: a D too
-small leaves a remainder at the first cell it does not clear, which raises
-AssertionError, so it can never give a wrong value.
+diagonal and not all of them, and every cell's division checks it: a D
+too small leaves a remainder at the first cell it does not clear, which
+raises AssertionError, so it can never give a wrong value.
 
 The values need less than D: only the lcm of the cells' own denominators,
 about the width of the answer's.  `p_a_wins_recursive(inst, guess)`
 starts the sweep at the scale gcd(guess, D) instead of D, and `verify`
 guesses the denominator of the answer it checks (seeded distinct speeds
-in 1..5000: 5.7 k bits against D's 13.8 k at 40v40, 16.9 k against 42.2 k
-at 120v120).  Where a division leaves a remainder r, the band widens: it
+in 1..5000: 5.7 k bits against D's 13.8 k at 40v40, 17 k against 107 k at
+120v120).  Where a division leaves a remainder r, the band widens: it
 multiplies every live value, and its scale, by g = s / gcd(s, r) for the
 cell's sum s, the least factor that makes that cell exact.  No guess can
 change the value.  Before and after a widening every cell is exactly
@@ -79,8 +68,6 @@ check do not depend on the split.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
@@ -89,35 +76,17 @@ from itertools import chain, repeat
 from .model import Instance
 from .streams import frames, in_processes
 
-# The least work, in cells times the bits of D, that pays for a band of its
-# own.  In a fresh `skirmish solve` a fork costs about as much as 18 million
-# bit-cells of sweeping: the page tables are copied, and afterwards each
-# page either process writes takes a fault.  Two bands broke even with one
-# at 35-45 million, on distinct speeds and on equal ones alike (Python 3.11,
-# 2-core Xeon).  Under the per-diagonal D those were distinct speeds in
-# 1..5000 at 44v44 to 48v48 and equal ones at 140v140; the figure is in
-# bit-cells, so it holds for the tightened D as well, where distinct speeds
-# reach it at about 52v52 to 56v56, and for a sweep started at the answer's
-# width, which a verified `solve` on them reaches at about 76v76.  So a
-# table forks from twice this size on, where two bands save about a
-# quarter of its time.
+# The least work, in cells times the bits of the starting scale, that pays
+# for a band of its own.  In a fresh `skirmish solve` a fork costs about as
+# much as 18 million bit-cells of sweeping: the page tables are copied, and
+# afterwards each page either process writes takes a fault.  Two bands broke
+# even with one at 35-45 million, on distinct speeds and on equal ones alike
+# (Python 3.11, 2-core Xeon): distinct speeds in 1..5000 at 44v44 to 48v48
+# and equal ones at 140v140, swept from D.  So a table forks from twice this
+# size on, where two bands save about a quarter of its time.  On seeded
+# distinct speeds in 1..5000, an unguessed sweep, from D, reaches that at
+# 53v53, and a sweep at the answer's width, as `verify` starts it, at 75v75.
 BAND_WORK = 1 << 25
-
-# The bits of the per-diagonal D from which tightening it pays.  A sweep
-# costs about cells times bits; tightening costs a sieve and about one step
-# per prime factor of each cell's sum.  On distinct speeds in 1..5000 (one
-# band, in process, 2-core Xeon), D went from 51 k to 24.8 k bits at 80v80,
-# sweep 158 to 79 ms for 13 ms more, and from 107 k to 42 k bits at
-# 120v120, sweep 0.72 to 0.30 s for 23 ms more.  At 40v40 (14 k bits) the
-# 4 ms it cost was all the sweep saved (11.9 to 7.8 ms), and the 200v200
-# closed-form table (2.6 k bits, every sum the same) would gain nothing and
-# pay 95 ms; both stay below this.
-TIGHT_BITS = 1 << 14
-# The largest sum a_i + b_j that is factored; larger ones stay in the
-# per-diagonal lcm.  The sieve of least prime factors takes about 0.7 ms up
-# to 10^4 and 8 ms up to 2^16; up to 2^20 it took 0.1 s and nearly 40 MB,
-# more than tightening saves on tables below about 100v100.
-SIEVE_LIMIT = 1 << 16
 
 
 def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
@@ -147,55 +116,12 @@ def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
 
 
 def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """D: a multiple of every path product, tightened where it is wide."""
-    lcms = _diagonal_lcms(a, b, 0)
-    if sum(x.bit_length() for x in lcms) < TIGHT_BITS:
-        return math.prod(lcms)
-    limit = max((s for ai in a for bj in b if (s := ai + bj) <= SIEVE_LIMIT), default=1)
-    if limit < 2:
-        return math.prod(lcms)  # every sum is too large to factor
-    tight = math.prod(p**e for p, e in _chain_exponents(a, b, limit).items())
-    large = math.prod(_diagonal_lcms(a, b, limit))
-    # A prime of both a factored sum and a large one may be counted twice.
-    return tight if large == 1 else math.gcd(tight * large, math.prod(lcms))
-
-
-def _diagonal_lcms(a, b, above: int) -> list[int]:
-    """For each anti-diagonal, the lcm of its sums a_i + b_j that exceed `above`."""
+    """D: the product over anti-diagonals of the lcm of their sums a_i + b_j."""
     m, n = len(a), len(b)
-    diagonals = (
-        (a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1))
+    return math.prod(
+        math.lcm(*(a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1)))
         for d in range(m + n - 1)
     )
-    return [math.lcm(*(s for s in sums if s > above)) for sums in diagonals]
-
-
-def _chain_exponents(a, b, limit: int) -> dict[int, int]:
-    """For each prime p, the most factors p that the sums a_i + b_j <= limit on one path hold.
-
-    A cell's sum with p^e in it stands for e copies of its column j in the
-    row-major sequence of the table, so a path's factors p form a
-    non-decreasing subsequence of those columns, found by patience sorting.
-    """
-    # least[s] is the least prime factor of s: each p, from the largest down,
-    # writes itself over its multiples from p * p, so the least writes last.
-    least = list(range(limit + 1))
-    for p in range(math.isqrt(limit), 1, -1):
-        least[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
-    piles: defaultdict[int, list[int]] = defaultdict(list)
-    for ai in a:
-        for j, bj in enumerate(b):
-            s = ai + bj
-            while 1 < s <= limit:
-                p = least[s]
-                s //= p
-                tops = piles[p]
-                k = bisect_right(tops, j)
-                if k == len(tops):
-                    tops.append(j)
-                else:
-                    tops[k] = j
-    return {p: len(tops) for p, tops in piles.items()}
 
 
 def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:

@@ -67,9 +67,10 @@ def seeded_duel(n):
     )
 
 
-# The smallest seeded duel whose reference table, cells times the bits of
-# its path denominator, reaches two bands' work, so that the reference forks
-# wherever two cores are usable (guarded by `test_fork_fixtures_fork`).
+# A seeded duel whose unguessed reference table, cells times the bits of its
+# path denominator, reaches two bands' work (from 53 a side on), so that the
+# reference forks wherever two cores are usable (guarded by
+# `test_fork_fixtures_fork`).
 FORKING_SIZE = 64
 # A seeded duel whose verified `solve` forks too: its reference, started at
 # the width of the answer's denominator, still reaches two bands' work, and

@@ -2,7 +2,6 @@
 
 import inspect
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, repeat
 
@@ -18,7 +17,7 @@ from skirmish import (
     solve,
 )
 from skirmish.cli import main
-from skirmish.recurrence import _diagonal_lcms, _sweep, fill_table, path_denominator
+from skirmish.recurrence import _sweep, fill_table, path_denominator
 
 from conftest import (
     FORKING_SIZE,
@@ -89,20 +88,6 @@ EXTREME_SPEEDS = [
 ]
 
 
-@contextmanager
-def tightened(**settings):
-    """Within: D is tightened whatever its width, with `settings` of recurrence."""
-    with pytest.MonkeyPatch.context() as patch:
-        for name, value in {"TIGHT_BITS": 0, **settings}.items():
-            patch.setattr(recurrence, name, value)
-        yield
-
-
-def recursive_tight(inst):
-    with tightened():
-        return p_a_wins_recursive(inst)
-
-
 def path_products(a, b, i=0, j=0):
     """For each path from cell (i, j) out of the table, the product of its sums a_i + b_j."""
     if i == len(a) or j == len(b):
@@ -112,52 +97,62 @@ def path_products(a, b, i=0, j=0):
         yield (a[i] + b[j]) * rest
 
 
+def assert_sweeps_match_full_table(inst):
+    """The sweep from D and the one from the answer's denominator both give the oracle's value."""
+    value = fill_table(inst)[0, 0]
+    assert p_a_wins_recursive(inst) == p_a_wins_recursive(inst, value.denominator) == value
+
+
+def largest_prime(n):
+    """The largest prime factor of n > 1, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p:
+            p += 1
+        else:
+            n //= p
+    return n
+
+
 # Faults that leave D too small, each as the code that injects it into
-# `recurrence`: D itself cut down, or one part of the tight D lost.  For the
-# last, sums above 9000 are not factored, so that there is a large-sum lcm
-# to skip on the duels the tests use.
+# `recurrence`: D halved, D = 1, D with every factor 2 removed, and D divided
+# by its largest prime factor, the largest of those of its sums a_i + b_j.
 DENOMINATOR_FAULTS = {
     "half": "shrunk = recurrence.path_denominator\n"
     "recurrence.path_denominator = lambda a, b: shrunk(a, b) // 2\n",
     "one": "recurrence.path_denominator = lambda a, b: 1\n",
-    "dropped-prime": "chains = recurrence._chain_exponents\n"
-    "recurrence._chain_exponents = lambda a, b, limit: "
-    "{p: e for p, e in chains(a, b, limit).items() if p != 2}\n",
-    "short-chain": "chains = recurrence._chain_exponents\n"
-    "recurrence._chain_exponents = lambda a, b, limit: "
-    "(lambda e: {**e, max(e): e[max(e)] - 1})(chains(a, b, limit))\n",
-    "skipped-large-lcm": "recurrence.SIEVE_LIMIT = 9000\n"
-    "lcms = recurrence._diagonal_lcms\n"
-    "recurrence._diagonal_lcms = lambda a, b, above: [] if above else lcms(a, b, above)\n",
+    "dropped-prime": "shrunk = recurrence.path_denominator\n"
+    "recurrence.path_denominator = lambda a, b: (lambda d: d // (d & -d))(shrunk(a, b))\n",
+    "short-chain": inspect.getsource(largest_prime)
+    + "shrunk = recurrence.path_denominator\n"
+    "recurrence.path_denominator = lambda a, b: "
+    "shrunk(a, b) // max(largest_prime(ai + bj) for ai in a for bj in b)\n",
 }
 
 
 class TestFractionFreeKernel:
-    """The integer kernel against the full-table Fraction oracle, D tightened or not."""
+    """The integer kernel against the full-table Fraction oracle, from D or the answer's width."""
 
     @given(instances(min_side=0))
     def test_matches_full_table(self, inst):
-        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
+        assert_sweeps_match_full_table(inst)
 
     @given(grouped_instances().map(expand))
     @settings(max_examples=25, deadline=None)
     def test_matches_full_table_with_repeated_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
+        assert_sweeps_match_full_table(inst)
 
     @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst):
-        assert p_a_wins_recursive(inst) == recursive_tight(inst) == fill_table(inst)[0, 0]
+        assert_sweeps_match_full_table(inst)
 
     @pytest.mark.parametrize("fault", DENOMINATOR_FAULTS)
     def test_too_small_denominator_is_caught(self, monkeypatch, capsys, fault):
-        # Integer speeds (1, 9001) vs (1,): D = 2 * 9002 = 2^2 * 4501, tight or
-        # not, is the least that clears both cells, so a smaller D leaves a
-        # remainder, which must not pass.  Each name is recorded to be restored
-        # after the test; the fault's code then replaces some of them.
-        for name in ("TIGHT_BITS", "SIEVE_LIMIT", "path_denominator", "_chain_exponents",
-                     "_diagonal_lcms"):
-            monkeypatch.setattr(recurrence, name, getattr(recurrence, name))
-        recurrence.TIGHT_BITS = 0
+        # Integer speeds (1, 9001) vs (1,): D = 2 * 9002 = 2^2 * 7 * 643 is the
+        # least that clears both cells, so a smaller D leaves a remainder,
+        # which must not pass.  D is recorded to be restored after the test;
+        # the fault's code then replaces it.
+        monkeypatch.setattr(recurrence, "path_denominator", recurrence.path_denominator)
         answer = fill_table(Instance((1, 9001), (1,)))[0, 0]
         exec(DENOMINATOR_FAULTS[fault], {"recurrence": recurrence})
         # Unhinted, then from the answer's denominator, from 1 and from a wide guess.
@@ -170,40 +165,41 @@ class TestFractionFreeKernel:
         assert "inexact division" in err
 
 
-# Integer duels of up to ten speeds in all, repeats included.
-small_duels = st.tuples(
-    st.lists(st.integers(1, 60), min_size=1, max_size=5),
-    st.lists(st.integers(1, 60), min_size=1, max_size=5),
-).map(lambda sides: tuple(map(tuple, sides)))
+# One side of an integer duel: one to five speeds up to 10^6, repeats
+# included, so that a duel's sums a_i + b_j lie below 2^16, above it, or both.
+mixed_duels = st.lists(
+    st.one_of(st.integers(1, 60), st.integers(1 << 16, 10**6)), min_size=1, max_size=5
+)
 
 
-class TestTightDenominator:
-    """The tight D: each prime's longest chain of factors along one path."""
+@given(mixed_duels, mixed_duels)
+@example([1, 9001], [1])
+@example([70000, 3], [1 << 16, 5, 5])
+def test_path_denominator_is_a_multiple_of_every_path_product(a, b):
+    a, b = tuple(a), tuple(b)
+    assert path_denominator(a, b) % math.lcm(*path_products(a, b)) == 0
+    assert p_a_wins_recursive(Instance(a, b)) == fill_table(Instance(a, b))[0, 0]
 
-    @given(small_duels)
-    def test_is_the_lcm_of_the_path_products(self, duel):
-        a, b = duel
-        with tightened():
-            tight = path_denominator(a, b)
-        assert tight == math.lcm(*path_products(a, b))
-        assert math.prod(_diagonal_lcms(a, b, 0)) % tight == 0
 
-    @given(small_duels, st.integers(0, 120))
-    def test_sums_beyond_the_sieve_go_to_the_diagonal_lcm(self, duel, limit):
-        a, b = duel
-        with tightened(SIEVE_LIMIT=limit):
-            denominator = path_denominator(a, b)
-            value = p_a_wins_recursive(Instance(a, b))
-        assert denominator % math.lcm(*path_products(a, b)) == 0
-        assert math.prod(_diagonal_lcms(a, b, 0)) % denominator == 0
-        assert value == fill_table(Instance(a, b))[0, 0]
+@given(mixed_duels, mixed_duels)
+def test_path_denominator_is_the_per_diagonal_lcm_product(a, b):
+    diagonals = {}
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            diagonals.setdefault(i + j, []).append(ai + bj)
+    expected = math.prod(math.lcm(*sums) for sums in diagonals.values())
+    assert path_denominator(tuple(a), tuple(b)) == expected
 
-    @pytest.mark.parametrize("n", [FORKING_SIZE, 80, 120])
-    def test_narrower_than_the_diagonal_lcm(self, n):
-        a, b = seeded_duel(n).integer_speeds()
-        wide = math.prod(_diagonal_lcms(a, b, 0))
-        assert wide.bit_length() >= recurrence.TIGHT_BITS
-        assert path_denominator(a, b).bit_length() < 0.65 * wide.bit_length()
+
+@pytest.mark.parametrize("n", [FORKING_SIZE, 80, 120])
+def test_answer_denominator_divides_path_denominator(n):
+    # A guessed sweep may start at the answer's denominator because it
+    # divides D, and it pays to: here it has under a third of D's bits.
+    inst = seeded_duel(n)
+    denominator = path_denominator(*inst.integer_speeds())
+    answer = solve(inst).value.denominator
+    assert denominator % answer == 0
+    assert 3 * answer.bit_length() < denominator.bit_length()
 
 
 def band_rows(inst, bands, guess=None):
@@ -327,33 +323,73 @@ class TestGuessedScale:
         assert p_a_wins_recursive(inst, guess_for(kind, value, inst, 7, 12345)) == value
 
 
-# The bands that the reference asks `in_processes` for on seeded duels: as
-# before a guess existed when there is none, and fewer from the answer's
-# denominator, whose width is about half of D's.
+# The bands that the reference asks `in_processes` for on seeded duels: with
+# no guess, from the per-diagonal D, and from the answer's denominator, a
+# fraction of D's width.  The guessed column is the verify path's and must
+# not move.  The unhinted one is wider than it was under the former
+# tightened D (2, 5, 7 and 18 bands at 64, 84, 90 and 120), because only
+# the standalone reference starts at D: the per-diagonal D has 33 k bits at
+# 64v64 and 107 k at 120v120, where the answer's denominator has 10 k and
+# 17 k.
 BAND_COUNTS = [
     (40, 0, 0),
-    (FORKING_SIZE, 2, 1),
-    (SOLVE_FORKING_SIZE, 5, 2),
-    (90, 7, 3),
-    (120, 18, 7),
+    (FORKING_SIZE, 4, 1),
+    (SOLVE_FORKING_SIZE, 11, 2),
+    (90, 15, 3),
+    (120, 46, 7),
 ]
 
 
 @pytest.mark.parametrize("n, unhinted, guessed", BAND_COUNTS)
 def test_bands_asked_for(monkeypatch, n, unhinted, guessed):
-    asked = []
+    asked, scales = [], []
     monkeypatch.setattr(
         recurrence, "in_processes", lambda units, run: (asked.append(units), run(1, None))[1]
     )
+    sweep = recurrence._banded_sweep
+    monkeypatch.setattr(
+        recurrence,
+        "_banded_sweep",
+        lambda a, b, scale, *rest: (scales.append(scale), sweep(a, b, scale, *rest))[1],
+    )
     inst = seeded_duel(n)
     value = p_a_wins_recursive(inst)
-    assert p_a_wins_recursive(inst, solve(inst).value.denominator) == value
+    answer = solve(inst).value.denominator
+    assert p_a_wins_recursive(inst, answer) == value
     assert asked == [unhinted, guessed]
+    # The guessed sweep starts at the answer's own width: it divides D.
+    assert scales == [path_denominator(*inst.integer_speeds()), answer]
+
+
+# The factor by which the sweep from a right answer's denominator widens on
+# seeded duels: the part of its cells' denominators that the answer's lacks.
+# Like the guessed band counts, these fix the verify path's work and must
+# not move.
+GUESSED_GROWTH = {40: 76189, FORKING_SIZE: 94773229, SOLVE_FORKING_SIZE: 113, 90: 1, 120: 1}
+
+
+@pytest.mark.parametrize("n", GUESSED_GROWTH)
+def test_guessed_sweep_widens(monkeypatch, n):
+    ends = []
+    sweep = recurrence._banded_sweep
+    monkeypatch.setattr(
+        recurrence, "_banded_sweep", lambda *args: ends.append(sweep(*args)) or ends[-1]
+    )
+    inst = seeded_duel(n)
+    value = solve(inst).value
+    assert p_a_wins_recursive(inst, value.denominator) == value
+    [(_, growth)] = ends
+    assert growth == GUESSED_GROWTH[n]
+    assert (path_denominator(*inst.integer_speeds()) // value.denominator) % growth == 0
 
 
 # Specific to the reference: a one-band sweep to compare with, and the duels.
+# At most two cores are granted, so that the forks the tests count do not
+# grow with the host: the unguessed duels ask for 4 bands or more.
 RECURRENCE_PRELUDE = """
 from skirmish import p_a_wins_recursive, recurrence
+
+streams.usable_cores = lambda: min(2, len(os.sched_getaffinity(0)))
 
 def in_process(inst):
     a, b = inst.integer_speeds()
@@ -533,8 +569,8 @@ class TestForkedBands:
         )
         assert seen == {"forks": 0, "same": True}
 
-    @pytest.mark.parametrize("fault", ["dropped-prime", "short-chain", "skipped-large-lcm"])
-    def test_too_small_tight_denominator_is_caught(self, fault):
+    @pytest.mark.parametrize("fault", ["dropped-prime", "short-chain"])
+    def test_too_small_denominator_is_caught(self, fault):
         _, seen = run_bands(
             DENOMINATOR_FAULTS[fault]
             + "fds = open_fds()\n"
