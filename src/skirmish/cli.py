@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the library: solve (any route of the one
 route table, `residues.solve`), simulate (Monte Carlo play-out), volume
 (hypercube sampling), relate / curve / cycle (group relations), and
-crosscheck, which runs the reference, the auto route, epsilon and both
-estimators on one instance; `residues.verify` checks the exact routes.
+crosscheck, which compares the auto route, epsilon and both estimators
+with the reference from `residues.verify`, the one owner of that check.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
@@ -35,7 +35,6 @@ from .model import (
     group,
     parse_instance,
 )
-from .recurrence import p_a_wins_recursive
 from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, Inconsistency, default_epsilon, parse_perturbation, solve, verify
 from .montecarlo import POLICIES, SimConfig, simulate
@@ -194,7 +193,7 @@ def _run_solve(args) -> int:
         raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
     inst = _read_instance(args)
     report = solve(inst, args.method, args.epsilon)
-    failure = verify(inst, report)
+    _, failure = verify(inst, report)
     payload = report.to_json()
     _emit(args, payload, _plain_value(payload))
     if failure:
@@ -268,9 +267,8 @@ def _run_crosscheck(args) -> int:
     inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
-    # The auto route runs first, so that the reference starts at its denominator.
     report = solve(inst)
-    exact = p_a_wins_recursive(inst, report.value.denominator)
+    exact, failure = verify(inst, report)
     payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
     lines = [f"exact value: {exact} = {payload['decimal']}"]
     failures = []
@@ -282,7 +280,6 @@ def _run_crosscheck(args) -> int:
             failures.append(failure)
 
     add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
-    failure = verify(inst, report, exact)
     add(
         {"method": report.method, "value": str(report.value), "agree": not failure},
         f"{report.value}  ({'MISMATCH' if failure else 'exact match'})",

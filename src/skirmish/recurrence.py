@@ -36,17 +36,16 @@ guesses the denominator of the answer it checks (seeded distinct speeds
 in 1..5000: 5.7 k bits against D's 13.8 k at 40v40, 17 k against 107 k at
 120v120).  Where a division leaves a remainder r, the band widens: it
 multiplies every live value, and its scale, by g = s / gcd(s, r) for the
-cell's sum s, the least factor that makes that cell exact.  No guess can
-change the value.  Before and after a widening every cell is exactly
-P(i, j) times its band's scale, since all of them are multiplied by the
-same g, so the sweep returns P(0, 0) from any start, right or wrong; a
-guess changes only how often the sweep widens, and so its speed.  Each
-widening makes the scale the lcm of the start and of the denominators
-met so far, a divisor of D whenever D is right.  The sweep raises the
-same AssertionError where a widened scale would not divide D, which is
-where a cell's denominator does not divide D: the condition on which a
-sweep started at D raises too.  With no guess it starts at D, and any
-remainder raises, as before.
+cell's sum s, the least factor that makes that cell exact.  Before and
+after a widening every cell is exactly P(i, j) times its band's scale,
+since all of them are multiplied by the same g, so the sweep returns
+P(0, 0) from any start, right or wrong: a guess changes only how often
+the sweep widens, and so its speed, never the value.  Each widening makes
+the scale the lcm of the start and of the denominators met so far, a
+divisor of D whenever D is right.  The sweep raises the same
+AssertionError where a widened scale would not divide D, which is where a
+cell's denominator does not divide D: the condition on which a sweep
+started at D, as it is with no guess, raises too.
 
 Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 (i+1, j), so the table is swept column by column from the right, in
@@ -77,15 +76,15 @@ from .model import Instance
 from .streams import frames, in_processes
 
 # The least work, in cells times the bits of the starting scale, that pays
-# for a band of its own.  In a fresh `skirmish solve` a fork costs about as
-# much as 18 million bit-cells of sweeping: the page tables are copied, and
-# afterwards each page either process writes takes a fault.  Two bands broke
-# even with one at 35-45 million, on distinct speeds and on equal ones alike
-# (Python 3.11, 2-core Xeon): distinct speeds in 1..5000 at 44v44 to 48v48
-# and equal ones at 140v140, swept from D.  So a table forks from twice this
-# size on, where two bands save about a quarter of its time.  On seeded
-# distinct speeds in 1..5000, an unguessed sweep, from D, reaches that at
-# 53v53, and a sweep at the answer's width, as `verify` starts it, at 75v75.
+# for a band of its own.  A fork in a fresh `skirmish solve` costs about as
+# much as 18 million bit-cells of sweeping, and two bands broke even with
+# one at 35-45 million (Python 3.11, 2-core Xeon; distinct speeds in 1..5000
+# at 44v44 to 48v48, equal ones at 140v140, from D).  So a table forks from
+# twice this size on: seeded distinct speeds in 1..5000 reach it at 53v53
+# from D, and at 75v75 from the answer's width, where `verify` starts.  The
+# bands pay there: on the benchmark's seed-901 `exact-distinct` duels, fresh
+# `solve` processes took 127 against 153 ms with one band forced at 80v80,
+# and 231 against 278 ms at 120v120 (medians of 16 alternating pairs).
 BAND_WORK = 1 << 25
 
 
@@ -115,13 +114,22 @@ def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
     return memo
 
 
+def balanced(terms: Iterable, combine):
+    """combine(terms), as `sum` or `math.prod`, pairwise in a tree: operands stay alike in size."""
+    terms = list(terms)
+    while len(terms) > 1:
+        terms = [combine(terms[k : k + 2]) for k in range(0, len(terms), 2)]
+    return combine(terms)
+
+
 def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """D: the product over anti-diagonals of the lcm of their sums a_i + b_j."""
     m, n = len(a), len(b)
-    return math.prod(
+    lcms = (
         math.lcm(*(a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1)))
         for d in range(m + n - 1)
     )
+    return balanced(lcms, math.prod)
 
 
 def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:

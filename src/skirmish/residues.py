@@ -11,7 +11,7 @@ distinct B speed; all residues sum to zero.  P(A wins) is minus the sum of
 the a-pole residues, so swapping the sides gives the complement.
 
 Routes provided here, all exact, with `solve` as the one route table and
-`verify` as the one verification policy:
+`verify` as the one owner of the reference check:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
 * `p_a_wins_series`: poles of any order, one Taylor coefficient per pole
@@ -37,7 +37,7 @@ from .model import (
     parse_speed,
     whole_number,
 )
-from .recurrence import p_a_wins_recursive
+from .recurrence import balanced, p_a_wins_recursive
 
 ROUTES = ("recursive", "distinct", "series", "epsilon", "closed-form")
 
@@ -91,20 +91,19 @@ class Inconsistency(Exception):
     """Two routes to the same value disagree; the exit-1 condition."""
 
 
-def verify(inst: Instance, report: MethodReport, reference: Fraction | None = None) -> str | None:
-    """What disagreed, or None: exact routes must equal the recursive reference.
+def verify(inst: Instance, report: MethodReport) -> tuple[Fraction | None, str | None]:
+    """(reference, failure or None): an exact route must equal the recursive reference.
 
-    Recursive is the reference and epsilon is approximate, so neither is compared.
-    The reference starts its sweep at the width of the report's denominator,
-    which changes only how fast it runs, never its value.
+    Recursive is the reference and epsilon is approximate, so neither is
+    compared nor swept: (None, None).  The sweep starts at the width of the
+    report's denominator, which sets its speed, never its value.
     """
     if report.method in ("recursive", "epsilon"):
-        return None
-    if reference is None:
-        reference = p_a_wins_recursive(inst, report.value.denominator)
+        return None, None
+    reference = p_a_wins_recursive(inst, report.value.denominator)
     if report.value == reference:
-        return None
-    return f"{report.method} gave {report.value}, recursive reference gives {reference}"
+        return reference, None
+    return reference, f"{report.method} gave {report.value}, recursive reference gives {reference}"
 
 
 def p_a_wins_distinct(inst: Instance) -> MethodReport:
@@ -201,12 +200,8 @@ def _regular_coefficient(ratios: list[int], weights: list[int], degree: int) -> 
     return coefficients[degree]
 
 
-def _total(residues) -> Fraction:
-    """Sum pairwise in a balanced tree, so that operands stay alike in size."""
-    terms = list(residues) or [Fraction(0)]
-    while len(terms) > 1:
-        terms = [sum(terms[k : k + 2]) for k in range(0, len(terms), 2)]
-    return terms[0]
+def _total(residues: tuple) -> Fraction:
+    return balanced(residues, sum) if residues else Fraction(0)
 
 
 def p_two_speeds(m: int, n: int, v) -> Fraction:

@@ -89,6 +89,18 @@ def break_route(monkeypatch, route="distinct", value=Fraction(1, 3)):
     monkeypatch.setattr(residues, f"p_a_wins_{route}", broken)
 
 
+def record_sweeps(monkeypatch):
+    """The list of guesses, in order, of every reference sweep that `verify` runs from now on."""
+    sweep, guesses = residues.p_a_wins_recursive, []
+
+    def recorded(inst, guess=None):
+        guesses.append(guess)
+        return sweep(inst, guess)
+
+    monkeypatch.setattr(residues, "p_a_wins_recursive", recorded)
+    return guesses
+
+
 # Wrong answers whose denominators `verify` hands the reference as its
 # guess: the complement, a wrong numerator over the right denominator; 1,
 # whose denominator is 1; and the value over one prime more.

@@ -216,13 +216,18 @@ BUFFERED_ENV = {
 
 # A fresh interpreter has no Python thread but its main one, so it forks
 # where the library forks.  `os.fork` is wrapped to count its calls; the
-# script reports what it saw as JSON on its last line.
+# script reports what it saw as JSON on its last line.  At most two cores
+# are granted, so that the forks a test counts do not grow with the host;
+# a test that needs more sets its own count.
 FORK_PRELUDE = """
 import contextlib, io, json, os, random, sys
 from fractions import Fraction
 from itertools import repeat
 from skirmish import Instance, streams
 from skirmish.cli import main
+
+host_cores = streams.usable_cores
+streams.usable_cores = lambda: min(2, host_cores())
 
 forks = []
 real_fork = os.fork

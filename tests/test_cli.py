@@ -19,10 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import ROUTES, Instance, p_a_wins_recursive
-from skirmish import residues, streams
+from skirmish import cli, residues, streams
 from skirmish.cli import build_parser, main
 
-from conftest import SOLVE_FORKING_SIZE, WRONG_ANSWERS, break_route, seeded_duel, wrong_answer
+from conftest import (
+    SOLVE_FORKING_SIZE,
+    WRONG_ANSWERS,
+    break_route,
+    record_sweeps,
+    seeded_duel,
+    wrong_answer,
+)
 from oracles import needs_fork, run_fresh
 
 
@@ -594,6 +601,25 @@ class TestCrosscheck:
         payload = json.loads(captured.out)
         assert payload["value"] == payload["methods"][0]["value"] == str(value)
         assert payload["methods"][1] == {"method": "distinct", "value": str(wrong), "agree": False}
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_one_reference_sweep_from_the_auto_denominator(self, capsys, monkeypatch, broken):
+        # The CLI reaches the reference only through `verify`, which sweeps
+        # it once, from the denominator of the answer it checks.
+        assert "p_a_wins_recursive" not in vars(cli)
+        inst = seeded_duel(20)
+        answer = p_a_wins_recursive(inst)
+        if broken:
+            answer = wrong_answer("extra-prime", answer)
+            break_route(monkeypatch, value=answer)
+        guesses = record_sweeps(monkeypatch)
+        argv = [
+            "crosscheck", "--a", ",".join(map(str, inst.a)), "--b", ",".join(map(str, inst.b)),
+            "--trials", "1000", "--samples", "1000",
+        ]
+        assert main(argv) == (1 if broken else 0)
+        capsys.readouterr()
+        assert guesses == [answer.denominator]
 
     def test_single_trial_is_no_false_alarm(self, capsys):
         argv = ["crosscheck", "--a", "1", "--b", "1", "--trials", "1", "--samples", "1"]

@@ -384,12 +384,10 @@ def test_guessed_sweep_widens(monkeypatch, n):
 
 
 # Specific to the reference: a one-band sweep to compare with, and the duels.
-# At most two cores are granted, so that the forks the tests count do not
-# grow with the host: the unguessed duels ask for 4 bands or more.
+# The unguessed duels ask for 4 bands or more; FORK_PRELUDE's cap of two
+# cores keeps the forks the tests count the same on any host.
 RECURRENCE_PRELUDE = """
 from skirmish import p_a_wins_recursive, recurrence
-
-streams.usable_cores = lambda: min(2, len(os.sched_getaffinity(0)))
 
 def in_process(inst):
     a, b = inst.integer_speeds()

@@ -33,6 +33,7 @@ from conftest import (
     grouped_instances,
     huge_rational_speeds,
     instances,
+    record_sweeps,
     seeded_duel,
     speeds,
     wrong_answer,
@@ -419,30 +420,34 @@ class TestVerify:
 
     @pytest.mark.parametrize("route", EXACT_ROUTES)
     def test_agreeing_route_passes(self, route):
-        assert verify(self.INST, solve(self.INST, route)) is None
+        reference = None if route == "recursive" else F(4, 25)
+        assert verify(self.INST, solve(self.INST, route)) == (reference, None)
 
     @pytest.mark.parametrize("method", ["recursive", "epsilon"])
-    def test_reference_and_epsilon_are_not_compared(self, method):
-        assert verify(self.INST, MethodReport(F(1, 3), method, None)) is None
+    def test_reference_and_epsilon_are_not_compared(self, monkeypatch, method):
+        report = solve(self.INST, method)
+
+        def refuse(inst, guess=None):
+            raise AssertionError("the reference was swept")
+
+        monkeypatch.setattr(residues, "p_a_wins_recursive", refuse)
+        assert verify(self.INST, report) == (None, None)
+        assert verify(self.INST, MethodReport(F(1, 3), method, None)) == (None, None)
 
     @pytest.mark.parametrize("route", ["distinct", "series", "closed-form"])
     def test_wrong_exact_route_reports_mismatch(self, route):
         report = solve(self.INST, route)
         wrong = MethodReport(F(1, 3), report.method, report.residues)
         assert verify(self.INST, wrong) == (
-            f"{report.method} gave 1/3, recursive reference gives 4/25"
+            F(4, 25),
+            f"{report.method} gave 1/3, recursive reference gives 4/25",
         )
 
-    def test_given_reference_is_not_recomputed(self, monkeypatch):
-        def refuse(inst):
-            raise AssertionError("the reference was recomputed")
-
-        monkeypatch.setattr(residues, "p_a_wins_recursive", refuse)
-        report = solve(self.INST, "distinct")
-        assert verify(self.INST, report, reference=F(4, 25)) is None
-        assert verify(self.INST, report, reference=F(1, 2)) == (
-            "distinct gave 4/25, recursive reference gives 1/2"
-        )
+    @pytest.mark.parametrize("value", [F(4, 25), F(1, 3)])
+    def test_one_sweep_from_the_report_denominator(self, monkeypatch, value):
+        guesses = record_sweeps(monkeypatch)
+        reference, _ = verify(self.INST, MethodReport(value, "distinct", None))
+        assert (reference, guesses) == (F(4, 25), [value.denominator])
 
     @pytest.mark.parametrize("kind", WRONG_ANSWERS)
     def test_wrong_route_with_its_denominator_as_guess(self, monkeypatch, capsys, kind):
@@ -451,7 +456,7 @@ class TestVerify:
         value = p_a_wins_recursive(inst)
         wrong = wrong_answer(kind, value)
         message = f"distinct gave {wrong}, recursive reference gives {value}"
-        assert verify(inst, MethodReport(wrong, "distinct", None)) == message
+        assert verify(inst, MethodReport(wrong, "distinct", None)) == (value, message)
         break_route(monkeypatch, value=wrong)
         argv = ["solve", "--a", ",".join(map(str, inst.a)), "--b", ",".join(map(str, inst.b))]
         assert main(argv) == 1
