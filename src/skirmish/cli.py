@@ -267,6 +267,13 @@ def _run_crosscheck(args) -> int:
     inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
+    # Read before any exact work, so that a bad --epsilon costs none.  The
+    # epsilon row prints the perturbation, so the default is resolved here.
+    eps = (
+        default_epsilon(group(inst))
+        if args.epsilon is None
+        else parse_perturbation(args.epsilon)
+    )
     report = solve(inst)
     exact, failure = verify(inst, report)
     payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
@@ -286,12 +293,6 @@ def _run_crosscheck(args) -> int:
         failure,
     )
 
-    # The row prints the perturbation, so the default is resolved here.
-    eps = (
-        default_epsilon(group(inst))
-        if args.epsilon is None
-        else parse_perturbation(args.epsilon)
-    )
     eps_report = solve(inst, "epsilon", eps)
     abs_error = decimal_str(abs(eps_report.value - exact), 3)
     # Informational row: the perturbation is approximate by design, so its

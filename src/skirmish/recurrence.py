@@ -25,15 +25,13 @@ i + j = d at most once, and the per-diagonal
     D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
 
 is such a multiple.  It is loose, since a path takes one cell of each
-diagonal and not all of them, and every cell's division checks it: a D
-too small leaves a remainder at the first cell it does not clear, which
-raises AssertionError, so it can never give a wrong value.
+diagonal and not all of them.
 
 The values need less than D: only the lcm of the cells' own denominators,
 about the width of the answer's.  `p_a_wins_recursive(inst, guess)`
-starts the sweep at the scale gcd(guess, D) instead of D, and `verify`
-guesses the denominator of the answer it checks (seeded distinct speeds
-in 1..5000: 5.7 k bits against D's 13.8 k at 40v40, 17 k against 107 k at
+starts the sweep at the scale |guess| and builds no D; `verify` guesses
+the denominator of the answer it checks (seeded distinct speeds in
+1..5000: 5.7 k bits against D's 13.8 k at 40v40, 17 k against 107 k at
 120v120).  Where a division leaves a remainder r, the band widens: it
 multiplies every live value, and its scale, by g = s / gcd(s, r) for the
 cell's sum s, the least factor that makes that cell exact.  Before and
@@ -41,11 +39,14 @@ after a widening every cell is exactly P(i, j) times its band's scale,
 since all of them are multiplied by the same g, so the sweep returns
 P(0, 0) from any start, right or wrong: a guess changes only how often
 the sweep widens, and so its speed, never the value.  Each widening makes
-the scale the lcm of the start and of the denominators met so far, a
-divisor of D whenever D is right.  The sweep raises the same
-AssertionError where a widened scale would not divide D, which is where a
-cell's denominator does not divide D: the condition on which a sweep
-started at D, as it is with no guess, raises too.
+the scale the lcm of the start and of the denominators met so far, so a
+right answer's denominator, which divides D, widens only to divisors of D.
+
+With no guess (or 0) the sweep starts at D, and only that sweep checks
+D: a right D clears every cell, so the sweep must end unwidened.  The top
+band's final growth is a multiple of every band's, so where it is not 1
+some cell's denominator does not divide D, and the sweep raises
+AssertionError instead of returning; a short D is never passed over.
 
 Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 (i+1, j), so the table is swept column by column from the right, in
@@ -136,30 +137,31 @@ def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:
     """Exact probability that side A annihilates all of side B.
 
     `guess`, a denominator the value is expected to have, sets the scale
-    the sweep starts at, gcd(guess, D); None starts at D itself.
+    the sweep starts at, |guess|, and changes only the sweep's speed.  None
+    or 0 starts at D itself, and raises AssertionError if D does not clear
+    every cell.
     """
     a, b = inst.integer_speeds()
     if not b:
         return Fraction(1)
-    denominator = path_denominator(a, b)
-    scale = denominator if guess is None else math.gcd(guess, denominator)
+    scale = abs(guess) if guess else path_denominator(a, b)
     bands = min(len(a), len(a) * len(b) * scale.bit_length() // BAND_WORK)
-    value, growth = in_processes(
-        bands, partial(_banded_sweep, a, b, scale, denominator // scale)
-    )
+    value, growth = in_processes(bands, partial(_banded_sweep, a, b, scale))
+    if growth != 1 and not guess:
+        raise AssertionError("inexact division: the path denominator does not clear the table")
     return Fraction(value, scale * growth)
 
 
 def _sweep(
-    a, b, lo: int, hi: int, scale: int, room: int, below: Iterable[tuple[int, int]]
+    a, b, lo: int, hi: int, scale: int, below: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, int]]:
     """(N(lo, j), growth) for j = n-1 down to 0: rows lo..hi-1 of the table, column by column.
 
     Each cell holds P(i, j) * scale * growth, where growth, from 1, is how
-    far the band has widened its scale; it may widen only by divisors of
-    `room`, which is D // scale.  `below` yields (N(hi, j), growth) in the
-    same order: the top row of the band below, or (0, 1) when hi = m.  It
-    is read one column ahead of the work on that column, and no further.
+    far the band has widened its scale.  `below` yields (N(hi, j), growth)
+    in the same order: the top row of the band below, or (0, 1) when
+    hi = m.  It is read one column ahead of the work on that column, and
+    no further.
     """
     # column[k] holds N(hi-1-k, j+1) until cell (hi-1-k, j) overwrites it
     # with N(hi-1-k, j); the column right of the table is N(i, n) = scale.
@@ -180,11 +182,6 @@ def _sweep(
                 # Widen every live value by the least g that clears this cell.
                 common = math.gcd(ai + bj, remainder)
                 g = (ai + bj) // common
-                if room % (growth * g):
-                    raise AssertionError(
-                        f"inexact division at cell ({hi - 1 - k}, {j}): "
-                        "the path denominator does not clear this cell"
-                    )
                 growth *= g
                 column = [value * g for value in column]
                 down = down * g + remainder // common
@@ -203,7 +200,7 @@ def _last(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return value
 
 
-def _banded_sweep(a, b, scale: int, room: int, bands: int, start) -> tuple[int, int]:
+def _banded_sweep(a, b, scale: int, bands: int, start) -> tuple[int, int]:
     """(N(0, 0), growth) from the top band, with every band below it swept in a child from `start`.
 
     Band t holds rows bounds[t]..bounds[t+1]-1.  Its child reads `below`
@@ -216,9 +213,9 @@ def _banded_sweep(a, b, scale: int, room: int, bands: int, start) -> tuple[int, 
     below, pipe = repeat((0, 1)), None
     for t in range(bands - 1, 0, -1):
         held = pipe
-        pipe = start(partial(_flat_sweep, a, b, bounds[t], bounds[t + 1], scale, room, below))
+        pipe = start(partial(_flat_sweep, a, b, bounds[t], bounds[t + 1], scale, below))
         if held is not None:
             held.close()
         values = frames(pipe)
         below = zip(values, values)
-    return _last(_sweep(a, b, 0, bounds[1], scale, room, below))
+    return _last(_sweep(a, b, 0, bounds[1], scale, below))

@@ -152,17 +152,25 @@ class TestFractionFreeKernel:
         # least that clears both cells, so a smaller D leaves a remainder,
         # which must not pass.  D is recorded to be restored after the test;
         # the fault's code then replaces it.
+        inst = Instance((1, 9001), (1,))
+        argv = ["solve", "--a", "1,9001", "--b", "1"]
+        assert main(argv) == 0
+        right = capsys.readouterr().out
         monkeypatch.setattr(recurrence, "path_denominator", recurrence.path_denominator)
-        answer = fill_table(Instance((1, 9001), (1,)))[0, 0]
+        answer = fill_table(inst)[0, 0]
         exec(DENOMINATOR_FAULTS[fault], {"recurrence": recurrence})
-        # Unhinted, then from the answer's denominator, from 1 and from a wide guess.
-        for guess in (None, answer.denominator, 1, 2**4000):
-            with pytest.raises(AssertionError, match="inexact division"):
-                p_a_wins_recursive(Instance((1, 9001), (1,)), guess)
-        assert main(["solve", "--a", "1,9001", "--b", "1"]) == 3
+        # Only the unguessed reference starts at D, so only it can catch it.
+        with pytest.raises(AssertionError, match="inexact division"):
+            p_a_wins_recursive(inst)
+        assert main(argv + ["--method", "recursive"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "inexact division" in err
+        # From the answer's denominator, from 1 and from a wide guess.
+        for guess in (answer.denominator, 1, 2**4000):
+            assert p_a_wins_recursive(inst, guess) == answer
+        assert main(argv) == 0
+        assert capsys.readouterr().out == right
 
 
 # One side of an integer duel: one to five speeds up to 10^6, repeats
@@ -203,7 +211,7 @@ def test_answer_denominator_divides_path_denominator(n):
 
 
 def band_rows(inst, bands, guess=None):
-    """D, the starting scale and each band's top row, from `bands` chained _sweep generators.
+    """The starting scale and each band's top row, from `bands` chained _sweep generators.
 
     A row holds (N(lo, j), growth) pairs, so that N(lo, j) / (scale * growth)
     is P(lo, j).  The rows split as the forked path splits them, except that
@@ -211,8 +219,7 @@ def band_rows(inst, bands, guess=None):
     straight up.  The scale starts as `p_a_wins_recursive(inst, guess)` starts it.
     """
     a, b = inst.integer_speeds()
-    denominator = path_denominator(a, b)
-    scale = denominator if guess is None else math.gcd(guess, denominator)
+    scale = abs(guess) if guess else path_denominator(a, b)
     bounds = [len(a) * t // bands for t in range(bands + 1)]
     rows = [[] for _ in range(bands)]
 
@@ -223,11 +230,11 @@ def band_rows(inst, bands, guess=None):
 
     below = repeat((0, 1))
     for t in range(bands - 1, -1, -1):
-        rows_t = _sweep(a, b, bounds[t], bounds[t + 1], scale, denominator // scale, below)
+        rows_t = _sweep(a, b, bounds[t], bounds[t + 1], scale, below)
         below = recorded(rows_t, rows[t])
     for _ in below:
         pass
-    return denominator, scale, bounds, rows
+    return scale, bounds, rows
 
 
 class TestRowBands:
@@ -240,12 +247,11 @@ class TestRowBands:
     @example(Instance((3, 1, 4), ()), 3)
     @example(Instance((), (2, 7)), 2)
     def test_every_band_streams_its_top_row(self, inst, bands):
-        denominator, scale, bounds, rows = band_rows(inst, bands)
+        scale, bounds, rows = band_rows(inst, bands)
         table = fill_table(inst)
         n = len(inst.b)
-        assert scale == denominator
         for lo, row in zip(bounds, rows):
-            assert [Fraction(value, denominator) for value, _ in row] == [
+            assert [Fraction(value, scale) for value, _ in row] == [
                 table[lo, j] for j in range(n - 1, -1, -1)
             ]
             # Started at D, no band ever widens.
@@ -254,8 +260,8 @@ class TestRowBands:
     @pytest.mark.parametrize("bands", [2, 3, 4])
     @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst, bands):
-        denominator, _, _, rows = band_rows(inst, bands)
-        assert Fraction(rows[0][-1][0], denominator) == fill_table(inst)[0, 0]
+        scale, _, rows = band_rows(inst, bands)
+        assert Fraction(rows[0][-1][0], scale) == fill_table(inst)[0, 0]
 
 
 def guess_for(kind, value, inst, multiple, number):
@@ -285,7 +291,7 @@ GUESSES = ("answer", "one", "multiple", "prime-removed", "random", "huge")
 
 
 class TestGuessedScale:
-    """The sweep from gcd(guess, D), widened where a cell needs it: no guess changes the value."""
+    """The sweep from |guess|, widened where a cell needs it: no guess changes the value."""
 
     @given(
         instances(min_side=0),
@@ -296,18 +302,19 @@ class TestGuessedScale:
     )
     @example(Instance((3, 1, 4), (1, 5)), 2, "one", 2, 0)
     @example(Instance((2, 1), (1,)), 2, "prime-removed", 2, 0)
+    # A guess of 0 starts at D, and a negative one at its absolute value.
+    @example(Instance((3, 1, 4), (1, 5)), 2, "random", 2, 0)
+    @example(Instance((3, 1, 4), (1, 5)), 3, "random", 2, -35)
     def test_any_guess_gives_the_value(self, inst, bands, kind, multiple, number):
         table = fill_table(inst)
         guess = guess_for(kind, table[0, 0], inst, multiple, number)
         assert p_a_wins_recursive(inst, guess) == table[0, 0]
-        denominator, scale, bounds, rows = band_rows(inst, bands, guess)
+        scale, bounds, rows = band_rows(inst, bands, guess)
         n = len(inst.b)
         for lo, row in zip(bounds, rows):
             assert [Fraction(value, scale * growth) for value, growth in row] == [
                 table[lo, j] for j in range(n - 1, -1, -1)
             ]
-            # Each band's final scale divides D.
-            assert not row or denominator % (scale * row[-1][1]) == 0
 
     @given(grouped_instances().map(expand), st.sampled_from(GUESSES), st.integers(2, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -392,7 +399,7 @@ from skirmish import p_a_wins_recursive, recurrence
 def in_process(inst):
     a, b = inst.integer_speeds()
     denominator = recurrence.path_denominator(a, b)
-    top = list(recurrence._sweep(a, b, 0, len(a), denominator, 1, repeat((0, 1))))
+    top = list(recurrence._sweep(a, b, 0, len(a), denominator, repeat((0, 1))))
     return Fraction(top[-1][0], denominator)
 """ + inspect.getsource(seeded_duel) + (
     f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\nSOLVE_FORKING = {SOLVE_FORKING_SIZE}\n"
@@ -409,13 +416,31 @@ def test_fork_fixtures_fork():
     n = SOLVE_FORKING_SIZE
     inst = seeded_duel(n)
     guess = solve(inst).value.denominator
-    _, scale, _, rows = band_rows(inst, 2, guess)
+    scale, _, rows = band_rows(inst, 2, guess)
     assert n * n * scale.bit_length() >= 2 * recurrence.BAND_WORK
     assert rows[1][-1][1] > 1
 
 
 def run_bands(body):
     return run_fresh(RECURRENCE_PRELUDE + body)
+
+
+# Makes the bottom band, rows lo..m-1, fail before its first column, in
+# whatever process sweeps it: a child wherever the table forks.
+FAILING_BOTTOM = (
+    "inner = recurrence._sweep\n"
+    "def failing_bottom(a, b, lo, hi, scale, below):\n"
+    "    rows = inner(a, b, lo, hi, scale, below)\n"
+    "    if hi == len(a):\n"
+    "        raise AssertionError(f'the bottom band, rows {lo}..{hi - 1}, failed')\n"
+    "    yield from rows\n"
+    "recurrence._sweep = failing_bottom\n"
+)
+
+
+def solve_argv(inst, *options):
+    a, b = (",".join(map(str, side)) for side in (inst.a, inst.b))
+    return ["solve", "--a", a, "--b", b, *options]
 
 
 @needs_fork
@@ -440,13 +465,10 @@ class TestForkedBands:
         assert out.count("printed before the fork") == 1
 
     def test_failure_in_a_child_band_is_caught(self):
-        # D - 1 is coprime to D, so the bottom-right cell (63, 63), which
-        # lies in the forked lower band, is the first that cannot divide.
-        # The bit length, and with it the decision to fork, is unchanged.
+        # Two bands: the lower one, rows 32..63, runs in the child.
         _, seen = run_bands(
-            "shrunk = recurrence.path_denominator\n"
-            "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
-            "fds = open_fds()\n"
+            FAILING_BOTTOM
+            + "fds = open_fds()\n"
             "inst = duel(FORKING)\n"
             "try:\n"
             "    p_a_wins_recursive(inst)\n"
@@ -461,35 +483,33 @@ class TestForkedBands:
             "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
             " 'stderr': err.getvalue()}))\n"
         )
-        assert seen["message"].startswith("inexact division at cell (63, 63)")
+        assert seen["message"] == "the bottom band, rows 32..63, failed"
         # Forks so far, fds opened and not closed, a child left unreaped.  The
-        # solve's reference starts at gcd(answer's denominator, D - 1), a few
-        # bits, so it sweeps in one band and forks nothing.
+        # solve's reference starts at the answer's denominator, one band's
+        # work, so it sweeps in one band, rows 0..63, and forks nothing.
         assert seen["checks"] == [1, 0, False, 1, 0, False]
         assert seen["code"] == 3
-        assert "inexact division at cell (63, 63)" in seen["stderr"]
+        assert "the bottom band, rows 0..63, failed" in seen["stderr"]
 
     def test_three_bands_chain_their_pipes(self):
         # Three bands: the middle child reads the bottom child's pipe, and
         # the parent closes the middle pipe once it holds the top one, before
-        # the top band starts.  A failure at cell (89, 89), in the bottom
-        # band, crosses both pipes.
+        # the top band starts.  A failure in the bottom band crosses both pipes.
         _, seen = run_bands(
             "streams.usable_cores = lambda: 3\n"
             "sweep = recurrence._sweep\n"
             "held = []\n"
-            "def counted_top(a, b, lo, hi, scale, room, below):\n"
+            "def counted_top(a, b, lo, hi, scale, below):\n"
             "    if lo == 0 and hi < len(a):\n"
             "        held.append(open_fds() - fds)\n"
-            "    return sweep(a, b, lo, hi, scale, room, below)\n"
+            "    return sweep(a, b, lo, hi, scale, below)\n"
             "recurrence._sweep = counted_top\n"
             "fds = open_fds()\n"
             "inst = duel(90)\n"
             "checks = [p_a_wins_recursive(inst) == in_process(inst)]\n"
             "checks += [len(forks), open_fds() - fds, children_left()]\n"
-            "shrunk = recurrence.path_denominator\n"
-            "recurrence.path_denominator = lambda a, b: shrunk(a, b) - 1\n"
-            "try:\n"
+            + FAILING_BOTTOM
+            + "try:\n"
             "    p_a_wins_recursive(inst)\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
@@ -497,7 +517,7 @@ class TestForkedBands:
             "checks += [len(forks), open_fds() - fds, children_left()]\n"
             "print(json.dumps({'message': message, 'checks': checks, 'held': held}))\n"
         )
-        assert seen["message"].startswith("inexact division at cell (89, 89)")
+        assert seen["message"] == "the bottom band, rows 60..89, failed"
         # Equal to the one band; forks so far, fds left open, a child left unreaped.
         assert seen["checks"] == [True, 2, 0, False, 4, 0, False]
         # Fds the parent held as its top band started, in each of the two calls.
@@ -508,8 +528,8 @@ class TestForkedBands:
         # band stops reading; it must fail its write, not block the reaping.
         _, seen = run_bands(
             "sweep = recurrence._sweep\n"
-            "def failing_top(a, b, lo, hi, scale, room, below):\n"
-            "    rows = sweep(a, b, lo, hi, scale, room, below)\n"
+            "def failing_top(a, b, lo, hi, scale, below):\n"
+            "    rows = sweep(a, b, lo, hi, scale, below)\n"
             "    if lo == 0:\n"
             "        next(rows)\n"
             "        raise AssertionError('the top band failed first')\n"
@@ -567,8 +587,17 @@ class TestForkedBands:
         )
         assert seen == {"forks": 0, "same": True}
 
-    @pytest.mark.parametrize("fault", ["dropped-prime", "short-chain"])
-    def test_too_small_denominator_is_caught(self, fault):
+    # D halved still clears every cell of this duel, since D is loose.
+    @pytest.mark.parametrize("fault", ["one", "dropped-prime", "short-chain"])
+    def test_too_small_denominator_is_caught(self, capsys, fault):
+        # The unguessed reference raises once every band is reaped, and the
+        # CLI's recursive route exits 3.  A verified solve builds no D, so it
+        # answers as it does without the fault.  D = 1 is one band's work.
+        forks = 0 if fault == "one" else 1
+        verified = solve_argv(seeded_duel(SOLVE_FORKING_SIZE))
+        recursive = solve_argv(seeded_duel(FORKING_SIZE), "--method", "recursive")
+        assert main(verified) == 0
+        right = capsys.readouterr().out
         _, seen = run_bands(
             DENOMINATOR_FAULTS[fault]
             + "fds = open_fds()\n"
@@ -577,26 +606,41 @@ class TestForkedBands:
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
-            "checks = [len(forks)]\n"
-            "inst = duel(SOLVE_FORKING)\n"
+            "checks = [len(forks), open_fds() - fds, children_left()]\n"
             "with contextlib.redirect_stdout(io.StringIO()) as out,"
             " contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
-            " '--b', ','.join(map(str, inst.b))])\n"
-            "checks += [len(forks), open_fds() - fds, children_left(), code, out.getvalue()]\n"
-            "print(json.dumps({'message': message, 'checks': checks, 'stderr': err.getvalue()}))\n"
+            f"    checks.append(main({recursive}))\n"
+            "checks += [out.getvalue(), 'inexact division' in err.getvalue()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    checks.append(main({verified}))\n"
+            "checks += [out.getvalue(), len(forks), open_fds() - fds, children_left()]\n"
+            "print(json.dumps({'message': message, 'checks': checks}))\n"
         )
         assert seen["message"].startswith("inexact division")
-        # Forks by then, fds left open, a child left unreaped, exit code, stdout.
-        assert seen["checks"] == [1, 2, 0, False, 3, ""]
-        assert "inexact division" in seen["stderr"]
+        # Forks by then, fds left open, a child left unreaped; the recursive
+        # route's exit code, stdout and stderr; the verified solve's exit
+        # code and stdout; forks, fds and children after both.
+        assert seen["checks"] == [
+            forks, 0, False, 3, "", True, 0, right, 2 * forks + 1, 0, False
+        ]
 
+    def test_negative_guess_forks(self):
+        # A forked child writes unsigned frames, so the sweep starts at |guess|:
+        # here the answer's width, two bands' work (`test_fork_fixtures_fork`).
+        _, seen = run_bands(
+            "inst = duel(SOLVE_FORKING)\n"
+            "value = in_process(inst)\n"
+            "fds = open_fds()\n"
+            "same = p_a_wins_recursive(inst, -value.denominator) == value\n"
+            "print(json.dumps([same, len(forks), open_fds() - fds, children_left()]))\n"
+        )
+        assert seen == [True, 1, 0, False]
 
     @pytest.mark.parametrize(
         "kind, forks", [("wrong-numerator", 1), ("denominator-1", 0), ("extra-prime", 1)]
     )
     def test_wrong_route_with_its_denominator_as_guess(self, kind, forks):
-        # The reference starts at gcd(wrong denominator, D).  From the right
+        # The reference starts at the wrong denominator.  From the right
         # denominator that is two bands, and the lower one must widen its
         # start (`test_fork_fixtures_fork`); from 1 it is one band's work.
         _, seen = run_bands(
