@@ -21,6 +21,9 @@ them against each other:
 Everything deterministic is exact rational arithmetic; floats appear only
 in the two stochastic estimators.  The `skirmish` console script fronts
 all of it.
+
+`montecarlo` and `volume` load on first use of one of their names (PEP
+562), so the exact commands start without them.
 """
 
 from .model import (
@@ -52,14 +55,6 @@ from .residues import (
     p_two_speeds,
     solve,
 )
-from .montecarlo import (
-    POLICIES,
-    SimConfig,
-    SimReport,
-    simulate,
-    win_threshold,
-)
-from .volume import VolumeEstimate, estimate_volume
 
 __version__ = "0.1.0"
 
@@ -96,3 +91,13 @@ __all__ = [
     "win_threshold",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("POLICIES", "SimConfig", "SimReport", "simulate", "win_threshold"):
+        from . import montecarlo as module
+    elif name in ("VolumeEstimate", "estimate_volume"):
+        from . import volume as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -14,17 +14,22 @@ diagnostics go to standard error.  Output is deterministic for fixed
 arguments and seed.
 
 `run` is the process entry (`python -m skirmish` and the `skirmish`
-script): it returns `main`'s exit code and then freezes the heap with
-`gc.freeze`, so the interpreter's final collections skip every object
-that start-up made.  Call it only where the process exits next.  `main`
-is the in-process API and never freezes.
+script): once `main` returns, it flushes standard output and error and
+ends the process with `os._exit`, so the interpreter's teardown does not
+run.  Call it only where the process exits next.  `main` is the
+in-process API and always returns.
+
+A process pays only for its own command: `main` builds only the
+subparser `argv[0]` names, and `montecarlo` and `volume` are imported by
+the commands that draw (simulate, volume, crosscheck), not by the exact
+ones.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
 
 from .model import (
@@ -37,21 +42,28 @@ from .model import (
 )
 from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, Inconsistency, default_epsilon, parse_perturbation, solve, verify
-from .montecarlo import POLICIES, SimConfig, simulate
 from .streams import gate
-from .volume import estimate_volume
 
 
 def run(argv=None) -> int:
-    """`main(argv)` as the last act of a process, which exits next."""
+    """`main(argv)` as the last act of a process, which ends in here.
+
+    Returns only if flushing the output fails, as on a closed pipe: the
+    caller's exit then reports it as it would have without `os._exit`.
+    """
+    code = main(argv)
     try:
-        return main(argv)
-    finally:
-        gc.freeze()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # Exact results may have any number of digits: lift CPython's int<->str cap.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
@@ -75,14 +87,31 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(digit_limit)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with only `command`'s subparser where `command` names one.
+
+    `main` passes `argv[0]`, so a process builds the one subparser it runs,
+    and parses, prints and exits as the full parser would.  Any other
+    `command` (None, `-h`, an unknown name) builds all seven.
+    """
     parser = argparse.ArgumentParser(
         prog="skirmish",
         description="Exact and stochastic solvers for the two-beam annihilation duel.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    names, listing = COMMANDS, {}
+    if command in COMMANDS:
+        # The usage line lists all seven, as argparse derives it from a full
+        # parser.  Not set there: its missing-command error would name this
+        # metavar in place of `command`.
+        names, listing = (command,), {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    commands = parser.add_subparsers(dest="command", required=True, **listing)
+    for name in names:
+        summary, add_arguments = COMMANDS[name]
+        add_arguments(commands.add_parser(name, help=summary))
+    return parser
 
-    solve = commands.add_parser("solve", help="exact (or perturbed) win probability")
+
+def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     _instance_flags(solve)
     solve.add_argument(
         "--method",
@@ -94,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     _format_flag(solve)
     solve.set_defaults(handler=_run_solve)
 
-    sim = commands.add_parser("simulate", help="Monte Carlo play-out of the duel")
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
+    from .montecarlo import POLICIES
+
     _instance_flags(sim)
     sim.add_argument("--trials", type=integer, default=100_000)
     sim.add_argument("--seed", type=integer, default=0)
@@ -102,36 +134,36 @@ def build_parser() -> argparse.ArgumentParser:
     _format_flag(sim)
     sim.set_defaults(handler=_run_simulate)
 
-    vol = commands.add_parser("volume", help="hypercube-volume estimate of the win probability")
+
+def _volume_arguments(vol: argparse.ArgumentParser) -> None:
     _instance_flags(vol)
     vol.add_argument("--samples", type=integer, default=1_000_000)
     vol.add_argument("--seed", type=integer, default=0)
     _format_flag(vol)
     vol.set_defaults(handler=_run_volume)
 
-    rel = commands.add_parser("relate", help="beats / matched / loses verdict for --a against --b")
+
+def _relate_arguments(rel: argparse.ArgumentParser) -> None:
     _instance_flags(rel)
     _format_flag(rel)
     rel.set_defaults(handler=_run_relate)
 
-    curve = commands.add_parser(
-        "curve", help="pairs (x, y) that exactly match a lone speed-1 particle"
-    )
+
+def _curve_arguments(curve: argparse.ArgumentParser) -> None:
     curve.add_argument("--points", type=integer, default=100, help="grid size; x = k/(points+1)")
     _format_flag(curve, default="plain")
     curve.set_defaults(handler=_run_curve)
 
-    cycle = commands.add_parser("cycle", help="check three groups for a beats-cycle")
+
+def _cycle_arguments(cycle: argparse.ArgumentParser) -> None:
     cycle.add_argument(
         "groups", nargs=3, metavar="GROUP", help="comma-separated speeds, three groups"
     )
     _format_flag(cycle)
     cycle.set_defaults(handler=_run_cycle)
 
-    cross = commands.add_parser(
-        "crosscheck",
-        help="run the reference, the auto route, epsilon and both estimators on one instance",
-    )
+
+def _crosscheck_arguments(cross: argparse.ArgumentParser) -> None:
     _instance_flags(cross)
     cross.add_argument("--trials", type=integer, default=200_000)
     cross.add_argument("--samples", type=integer, default=1_000_000)
@@ -139,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--epsilon", help="override the default perturbation")
     _format_flag(cross)
     cross.set_defaults(handler=_run_crosscheck)
-
-    return parser
 
 
 def integer(text: str) -> int:
@@ -210,6 +240,8 @@ def _plain_value(payload: dict) -> str:
 
 
 def _run_simulate(args) -> int:
+    from .montecarlo import SimConfig, simulate
+
     inst = _read_instance(args)
     report = simulate(inst, SimConfig(args.trials, args.seed, args.policy))
     plain = (
@@ -221,6 +253,8 @@ def _run_simulate(args) -> int:
 
 
 def _run_volume(args) -> int:
+    from .volume import estimate_volume
+
     inst = _read_instance(args)
     estimate = estimate_volume(inst, args.samples, args.seed)
     plain = (
@@ -264,6 +298,9 @@ def _run_cycle(args) -> int:
 
 
 def _run_crosscheck(args) -> int:
+    from .montecarlo import SimConfig, simulate
+    from .volume import estimate_volume
+
     inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
@@ -333,6 +370,22 @@ def _run_crosscheck(args) -> int:
     if failures:
         raise Inconsistency(failures[0])
     return 0
+
+
+# Each command's help line and the function that adds its arguments, in
+# the order `skirmish -h` lists them.
+COMMANDS = {
+    "solve": ("exact (or perturbed) win probability", _solve_arguments),
+    "simulate": ("Monte Carlo play-out of the duel", _simulate_arguments),
+    "volume": ("hypercube-volume estimate of the win probability", _volume_arguments),
+    "relate": ("beats / matched / loses verdict for --a against --b", _relate_arguments),
+    "curve": ("pairs (x, y) that exactly match a lone speed-1 particle", _curve_arguments),
+    "cycle": ("check three groups for a beats-cycle", _cycle_arguments),
+    "crosscheck": (
+        "run the reference, the auto route, epsilon and both estimators on one instance",
+        _crosscheck_arguments,
+    ),
+}
 
 
 if __name__ == "__main__":

@@ -65,9 +65,23 @@ class SimReport(_Record):
 
 def win_threshold(a, b) -> int:
     """floor(2^64 * a/(a+b)): side A survives iff its raw draw is below this."""
-    a = parse_speed(a)
-    p = a / (a + parse_speed(b))
-    return (p.numerator << 64) // p.denominator
+    return thresholds([parse_speed(a)], [parse_speed(b)])[0][0]
+
+
+def thresholds(a, b) -> list[list[int]]:
+    """`win_threshold(a_i, b_j)` as row i, column j, for Fraction speeds.
+
+    Each pair is cross-multiplied to integers A/B = a_i/b_j, and
+    floor(2^64 * A/(A+B)) is the same integer for any such pair, so no
+    speed is parsed and no Fraction divided per pair.  The speeds are read
+    here, not from `Instance.integer_speeds`, which the exact routes share:
+    a fault there still shows as an estimate that misses the exact value.
+    """
+    b = [(s.numerator, s.denominator) for s in b]
+    return [
+        [(p * s << 64) // (p * s + r * q) for r, s in b]
+        for p, q in ((s.numerator, s.denominator) for s in a)
+    ]
 
 
 def simulate(inst: Instance, cfg: SimConfig) -> SimReport:
@@ -103,10 +117,9 @@ def _run_frontmost(inst: Instance, cfg: SimConfig) -> int:
     # After i A deaths and j B deaths the duel is at step i + j, and the
     # front pair is A's (m-1-i)th particle against B's jth: B dies front to
     # back, A from the rear, since its leading particle is the last fired.
+    i, j = np.indices((m, n))
     rows = np.zeros((collisions, n + 1), dtype=np.uint64)
-    for i in range(m):
-        for j in range(n):
-            rows[i + j, j] = win_threshold(a[m - 1 - i], b[j])
+    rows[i + j, j] = np.array(thresholds(a, b), dtype=np.uint64)[m - 1 - i, j]
     width = streams.slot_width(collisions)
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
     steps = min(collisions, width)
@@ -136,7 +149,7 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
 
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
-    pair = np.array([[win_threshold(ai, bj) for bj in b] for ai in a], dtype=np.uint64)
+    pair = np.array(thresholds(a, b), dtype=np.uint64)
     collisions = m + n - 1
     width = streams.slot_width(3 * collisions)
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.

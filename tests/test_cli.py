@@ -708,6 +708,94 @@ class TestCrosscheck:
         )
 
 
+# Usage, help and error output of `python -m skirmish` at COLUMNS=80, as
+# the parser that always built all seven subparsers printed it.  argparse's
+# wording moves between Python versions, so the bytes hold on the version
+# they were recorded on; the one-parser equivalence below holds on every one.
+USAGE_PINS = json.loads((Path(__file__).with_name("usage_pins.json")).read_text())
+
+_SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+_FLAGS = sorted(
+    {flag for sub in _SUBPARSERS.values() for action in sub._actions for flag in action.option_strings}
+)
+_VALUES = st.sampled_from(["1", "2,3", "x", "1/2", "-1", "", "plain", "frontmost", "series", "nope"])
+
+
+@st.composite
+def _flag(draw):
+    """A flag of any subparser: valid, `=`-joined, misspelled, abbreviated or missing its value."""
+    flag = draw(st.sampled_from(_FLAGS))
+    form = draw(st.sampled_from(["valid", "joined", "misspelled", "abbreviated", "missing"]))
+    if form == "joined":
+        return [f"{flag}={draw(_VALUES)}"]
+    if form == "misspelled":
+        at = draw(st.integers(1, len(flag) - 1))
+        return [flag[:at] + draw(st.sampled_from("xz-")) + flag[at + 1 :], draw(_VALUES)]
+    if form == "abbreviated":
+        return [flag[: draw(st.integers(min(3, len(flag)), len(flag)))], draw(_VALUES)]
+    if form == "missing":
+        return [flag]
+    return [flag, draw(_VALUES)]
+
+
+_ARGVS = st.builds(
+    lambda command, parts: [command, *(token for part in parts for token in part)],
+    st.one_of(st.sampled_from(sorted(_SUBPARSERS)), st.sampled_from(["-h", "--", "bogus", "solv"])),
+    st.lists(st.one_of(_flag(), _VALUES.map(lambda value: [value])), max_size=6),
+)
+
+
+def _parsed(parser, argv):
+    """The Namespace `parser` makes of argv, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestOneParser:
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGVS)
+    def test_the_command_s_subparser_parses_as_all_seven(self, argv):
+        """`build_parser(argv[0])` parses, exits and prints as the full parser does."""
+        assert _parsed(build_parser(argv[0]), argv) == _parsed(build_parser(), argv)
+
+    def test_only_the_named_command_is_built(self):
+        (commands,) = (a for a in build_parser("curve")._actions if a.dest == "command")
+        assert list(commands.choices) == ["curve"]
+        for command in (None, "-h", "bogus"):
+            (commands,) = (a for a in build_parser(command)._actions if a.dest == "command")
+            assert list(commands.choices) == list(_SUBPARSERS)
+
+    @pytest.mark.skipif(
+        ".".join(map(str, sys.version_info[:2])) != USAGE_PINS["python"],
+        reason="argparse's wording is pinned on the Python version it was recorded on",
+    )
+    @pytest.mark.parametrize("pin", USAGE_PINS["pins"], ids=lambda pin: " ".join(pin["argv"]))
+    def test_usage_bytes_are_pinned(self, pin):
+        result = subprocess.run(
+            [sys.executable, "-m", "skirmish", *pin["argv"]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": str(USAGE_PINS["columns"])},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            pin["code"], pin["stdout"], pin["stderr"]
+        )
+
+
+# A seeded duel whose verified reference, started at the answer's
+# denominator, is swept in forked row bands wherever two cores are usable
+# (`test_solve_forking_forks`).
+SOLVE_FORKING = [
+    "solve",
+    "--a", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).a)),
+    "--b", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).b)),
+]
+
+
 class TestEntryPoints:
     def test_source_parses_as_the_oldest_supported_python(self):
         """Every module is Python 3.10 syntax, as `requires-python` promises."""
@@ -731,18 +819,7 @@ class TestEntryPoints:
         generated wrapper runs it, so no install is needed; an installed
         `skirmish` on PATH is run as well.
         """
-        with PYPROJECT.open("rb") as f:
-            target = toml_reader().load(f)["project"]["scripts"]["skirmish"]
-        module, function = target.split(":")
-        wrapper = (
-            f"import sys\nfrom {module} import {function}\n"
-            f"sys.argv[0] = 'skirmish'\nsys.exit({function}())"
-        )
-        commands = [[sys.executable, "-c", wrapper]]
-        installed = shutil.which("skirmish")
-        if installed:
-            commands.append([installed])
-        for command in commands:
+        for command in script_commands():
             result = subprocess.run(
                 [*command, "solve", "--a", "1", "--b", "1"],
                 capture_output=True,
@@ -755,21 +832,70 @@ class TestEntryPoints:
         result = run_cli()
         assert result.returncode == 2
 
-    def test_run_freezes_the_heap_and_main_does_not(self):
-        """`run` ends a process with the heap frozen; `main` leaves it as it was."""
+    @pytest.mark.parametrize("speeds, code", [(("1", "2"), 0), (("0", "2"), 2)])
+    def test_run_ends_the_process_and_main_returns(self, capsys, speeds, code):
+        """`run` ends the process with `main`'s code; `main` returns in process."""
+        argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
         script = (
-            "import gc\n"
+            "import sys\n"
             "from skirmish.cli import main, run\n"
-            "argv = ['solve', '--a', '1', '--b', '2']\n"
-            "codes = [main(argv), gc.get_freeze_count()]\n"
-            "codes += [run(argv), gc.get_freeze_count()]\n"
-            "print(codes)\n"
+            "print('main returned', main(sys.argv[1:]))\n"
+            "run(sys.argv[1:])\n"
+            "print('run returned')\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        main_code, after_main, run_code, after_run = json.loads(result.stdout.splitlines()[-1])
-        assert (main_code, after_main, run_code) == (0, 0, 0)
-        assert after_run > 0
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == code, result.stderr
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert result.stdout == f"{out}main returned {code}\n{out}"
+        assert result.stderr == err + err
+
+    @pytest.mark.parametrize(
+        "argv", [SOLVE_FORKING, ["curve", "--points", "20000"]], ids=["solve-forking", "curve"]
+    )
+    def test_piped_stdout_is_mains(self, capsys, argv):
+        """All that `main` prints reaches a pipe before `run` ends the process.
+
+        Block-buffered, as for most callers, so the output is still in the
+        buffer when `main` returns, and only `run`'s flush writes it.
+        """
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for command in [[sys.executable, "-m", "skirmish"], *script_commands()]:
+            result = subprocess.run([*command, *argv], stdout=subprocess.PIPE, env=env)
+            assert result.returncode == 0, command
+            assert result.stdout == expected, command
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["solve", "--a", "1", "--b", "2"], 120), (["curve", "--points", "20000"], 2)],
+        ids=["flushed-at-exit", "written-in-main"],
+    )
+    def test_a_closed_pipe_ends_as_an_ordinary_exit(self, argv, code):
+        """With no reader left, exit code and stderr are those of `sys.exit(main(argv))`.
+
+        A small output fails at the last flush (CPython's exit code 120), a
+        large one inside `main` (a usage error, 2).
+        """
+        plain_exit = "import sys\nfrom skirmish.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        ends = []
+        for command in ([sys.executable, "-c", plain_exit], [sys.executable, "-m", "skirmish"]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = subprocess.run(
+                    [*command, *argv], stdout=write, stderr=subprocess.PIPE, env=env
+                )
+            finally:
+                os.close(write)
+            ends.append((result.returncode, result.stderr))
+        assert ends[0] == ends[1]
+        assert ends[0][0] == code
+        assert b"Broken pipe" in ends[0][1]
 
     @pytest.mark.parametrize(
         "patch, speeds, code",
@@ -842,6 +968,23 @@ def _crash(inst):
     raise RuntimeError("route crashed")
 
 
+def script_commands():
+    """The `skirmish` console script, run as the installer's wrapper runs its
+    pyproject.toml target, and an installed `skirmish` on PATH if there is one."""
+    with PYPROJECT.open("rb") as f:
+        target = toml_reader().load(f)["project"]["scripts"]["skirmish"]
+    module, function = target.split(":")
+    wrapper = (
+        f"import sys\nfrom {module} import {function}\n"
+        f"sys.argv[0] = 'skirmish'\nsys.exit({function}())"
+    )
+    commands = [[sys.executable, "-c", wrapper]]
+    installed = shutil.which("skirmish")
+    if installed:
+        commands.append([installed])
+    return commands
+
+
 def modules_loaded_by(commands):
     """Modules that running `commands` through `main` in a fresh interpreter loads.
 
@@ -871,15 +1014,6 @@ def modules_loaded_by(commands):
     return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
 
 
-# A seeded duel whose verified reference, started at the answer's
-# denominator, is swept in forked row bands wherever two cores are usable
-# (`test_solve_forking_forks`).
-SOLVE_FORKING = [
-    "solve",
-    "--a", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).a)),
-    "--b", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).b)),
-]
-
 # One speed a side (B repeated) is in every route's domain.
 EXACT_COMMANDS = [
     ["solve", "--a", "2", "--b", "3,3", "--method", method] for method in ("auto", *ROUTES)
@@ -901,18 +1035,51 @@ UNBUDGETED_MODULES = {
 }
 
 
+# Only the commands that draw load the stochastic estimators.
+STOCHASTIC_MODULES = {"skirmish.montecarlo", "skirmish.volume"}
+
+
 class TestImportBudget:
     def test_import_loads_no_unbudgeted_module(self):
         loaded = modules_loaded_by([])
         assert "skirmish.cli" in loaded
-        assert not loaded & UNBUDGETED_MODULES
+        assert not loaded & (UNBUDGETED_MODULES | STOCHASTIC_MODULES)
 
     def test_exact_commands_load_no_unbudgeted_module(self):
-        assert not modules_loaded_by(EXACT_COMMANDS) & UNBUDGETED_MODULES
+        assert not modules_loaded_by(EXACT_COMMANDS) & (UNBUDGETED_MODULES | STOCHASTIC_MODULES)
 
-    def test_simulate_loads_numpy(self):
-        commands = [["simulate", "--a", "1", "--b", "2", "--trials", "10"]]
-        assert "numpy" in modules_loaded_by(commands)
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            (["simulate", "--trials", "10"], {"skirmish.montecarlo"}),
+            (["volume", "--samples", "10"], {"skirmish.volume"}),
+            (["crosscheck", "--trials", "10", "--samples", "10"], STOCHASTIC_MODULES),
+        ],
+    )
+    def test_drawing_commands_load_numpy_and_their_estimators(self, command, modules):
+        loaded = modules_loaded_by([[*command, "--a", "1", "--b", "2"]])
+        assert {"numpy", *modules} <= loaded
+
+    def test_every_public_name_resolves(self):
+        """`__all__` resolves by attribute and by `from skirmish import`, the
+        stochastic names on first use; a name outside it is an AttributeError."""
+        script = (
+            "import sys\n"
+            "import skirmish\n"
+            f"assert not {STOCHASTIC_MODULES!r} & set(sys.modules)\n"
+            "values = [getattr(skirmish, name) for name in skirmish.__all__]\n"
+            "namespace = {}\n"
+            "exec(f'from skirmish import {\", \".join(skirmish.__all__)}', namespace)\n"
+            "assert [namespace[name] for name in skirmish.__all__] == values\n"
+            "exec('from skirmish import *', namespace)\n"
+            "try:\n"
+            "    skirmish.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "module 'skirmish' has no attribute 'no_such_name'\n"
 
 
 # 300-digit integers, and small ones that include zero and negatives.

@@ -122,6 +122,20 @@ class TestThreshold:
         assert win_threshold(7, 7) == 1 << 63
 
     @given(speeds, speeds)
+    def test_floor_of_the_exact_share(self, a, b):
+        assert win_threshold(a, b) == math.floor(2**64 * a / (a + b))
+
+    @given(instances())
+    def test_every_table_entry_is_the_pair_s_threshold(self, inst):
+        """The policies' threshold table, from cross-multiplied integers, is
+        `win_threshold` of each pair, itself the floor of the exact share."""
+        table = mc.thresholds(inst.a, inst.b)
+        assert table == [
+            [math.floor(2**64 * ai / (ai + bj)) for bj in inst.b] for ai in inst.a
+        ]
+        assert table == [[win_threshold(ai, bj) for bj in inst.b] for ai in inst.a]
+
+    @given(speeds, speeds)
     def test_scale_invariant(self, a, b):
         assert win_threshold(a, b) == win_threshold(3 * a, 3 * b)
 

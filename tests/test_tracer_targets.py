@@ -8,7 +8,12 @@ import importlib.util
 from pathlib import Path
 
 import skirmish.cli  # noqa: F401  (the tracer wraps what the CLI has imported)
+# The CLI imports the stochastic modules only where it draws; the harness
+# imports them itself (bench/checks.py), and the tracer reads them from
+# sys.modules.
+import skirmish.montecarlo  # noqa: F401
 import skirmish.series  # noqa: F401
+import skirmish.volume  # noqa: F401
 from skirmish import streams
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
