@@ -9,9 +9,14 @@ with the reference from `residues.verify`, the one owner of that check.
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
 traceback on standard error, so that 1 always means the routes disagree.
-Reports go to standard output as compact JSON (or --format plain);
-diagnostics go to standard error.  Output is deterministic for fixed
-arguments and seed.
+A report that standard output refuses is none of these.  A closed pipe
+(the reader left, as `head` does) ends with no message and 141, the
+status a shell shows for a writer that SIGPIPE killed; any other failed
+write, such as a full disk (ENOSPC) or an I/O error (EIO), ends with
+`error: standard output: ...` and 4.
+Reports go to standard output as compact JSON (or --format plain),
+flushed as they are written; diagnostics go to standard error.  Output
+is deterministic for fixed arguments and seed.
 
 `run` is the process entry (`python -m skirmish` and the `skirmish`
 script): once `main` returns, it flushes standard output and error and
@@ -20,9 +25,11 @@ run.  Call it only where the process exits next.  `main` is the
 in-process API and always returns.
 
 A process pays only for its own command: `main` builds only the
-subparser `argv[0]` names, and `montecarlo` and `volume` are imported by
-the commands that draw (simulate, volume, crosscheck), not by the exact
-ones.
+subparser `argv[0]` names.  The handlers of the commands that draw
+(simulate, volume, crosscheck) live in `cli_draws`, which each of those
+commands' argument builders imports, and they import `montecarlo` and
+`volume`.  So the exact commands load none of these, nor `streams`,
+which only the drawing commands and a reference sweep that forks load.
 """
 
 from __future__ import annotations
@@ -32,30 +39,28 @@ import json
 import os
 import sys
 
-from .model import (
-    Instance,
-    InvalidInstance,
-    ascii_number,
-    decimal_str,
-    group,
-    parse_instance,
-)
+from .model import Instance, InvalidInstance, ascii_number, decimal_str, parse_instance
 from .relations import matching_curve_grid, relate, verify_cycle
-from .residues import ROUTES, Inconsistency, default_epsilon, parse_perturbation, solve, verify
-from .streams import gate
+from .residues import ROUTES, Inconsistency, solve, verify
 
 
 def run(argv=None) -> int:
     """`main(argv)` as the last act of a process, which ends in here.
 
-    Returns only if flushing the output fails, as on a closed pipe: the
-    caller's exit then reports it as it would have without `os._exit`.
+    Returns only if a flush fails, as when standard output refused the
+    report: `main` has returned the code for that, and the caller's exit
+    then ends the process with it.
     """
     code = main(argv)
     try:
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError:
+        # The bytes that standard output refused are still buffered, and
+        # CPython's own flush at exit would fail on them again, with a
+        # message and status 120.  As the `signal` docs advise ("Note on
+        # SIGPIPE"), send them to devnull, where that flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     os._exit(code)
 
@@ -70,6 +75,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
+    except _Unwritten as exc:
+        if isinstance(exc.__cause__, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, and nobody left to tell
+        print(f"error: standard output: {exc.__cause__}", file=sys.stderr)
+        return 4
     except Inconsistency as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
@@ -125,6 +135,7 @@ def _solve_arguments(solve: argparse.ArgumentParser) -> None:
 
 
 def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
+    from .cli_draws import _run_simulate
     from .montecarlo import POLICIES
 
     _instance_flags(sim)
@@ -136,6 +147,8 @@ def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
 
 
 def _volume_arguments(vol: argparse.ArgumentParser) -> None:
+    from .cli_draws import _run_volume
+
     _instance_flags(vol)
     vol.add_argument("--samples", type=integer, default=1_000_000)
     vol.add_argument("--seed", type=integer, default=0)
@@ -164,6 +177,8 @@ def _cycle_arguments(cycle: argparse.ArgumentParser) -> None:
 
 
 def _crosscheck_arguments(cross: argparse.ArgumentParser) -> None:
+    from .cli_draws import _run_crosscheck
+
     _instance_flags(cross)
     cross.add_argument("--trials", type=integer, default=200_000)
     cross.add_argument("--samples", type=integer, default=1_000_000)
@@ -211,11 +226,17 @@ def _split_speeds(text) -> tuple:
     return tuple(part.strip() for part in text.split(","))
 
 
+class _Unwritten(Exception):
+    """Standard output refused the report; the OSError is the cause."""
+
+
 def _emit(args, payload: dict, plain: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(plain)
+    """Print the report, flushed, so that a write it fails is `main`'s to report."""
+    text = json.dumps(payload, separators=(",", ":")) if args.format == "json" else plain
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # told apart from the OSError of reading --input
+        raise _Unwritten from exc
 
 
 def _run_solve(args) -> int:
@@ -237,32 +258,6 @@ def _plain_value(payload: dict) -> str:
     if residues:
         line += "\nresidues: " + ", ".join(residues)
     return line
-
-
-def _run_simulate(args) -> int:
-    from .montecarlo import SimConfig, simulate
-
-    inst = _read_instance(args)
-    report = simulate(inst, SimConfig(args.trials, args.seed, args.policy))
-    plain = (
-        f"A wins {report.a_wins}/{report.trials} = {report.estimate:.6f} "
-        f"+/- {report.std_error:.6f} (seed {report.seed}, policy {report.policy})"
-    )
-    _emit(args, report.to_json(), plain)
-    return 0
-
-
-def _run_volume(args) -> int:
-    from .volume import estimate_volume
-
-    inst = _read_instance(args)
-    estimate = estimate_volume(inst, args.samples, args.seed)
-    plain = (
-        f"hit fraction {estimate.hits}/{estimate.samples} = {estimate.estimate:.6f} "
-        f"+/- {estimate.std_error:.6f} (seed {estimate.seed})"
-    )
-    _emit(args, estimate.to_json(), plain)
-    return 0
 
 
 def _run_relate(args) -> int:
@@ -294,81 +289,6 @@ def _run_cycle(args) -> int:
         f"beats-cycle: {'yes' if witness.is_cycle else 'no'}",
     ]
     _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-def _run_crosscheck(args) -> int:
-    from .montecarlo import SimConfig, simulate
-    from .volume import estimate_volume
-
-    inst = _read_instance(args)
-    if not inst.a or not inst.b:
-        raise InvalidInstance("crosscheck needs particles on both sides")
-    # Read before any exact work, so that a bad --epsilon costs none.  The
-    # epsilon row prints the perturbation, so the default is resolved here.
-    eps = (
-        default_epsilon(group(inst))
-        if args.epsilon is None
-        else parse_perturbation(args.epsilon)
-    )
-    report = solve(inst)
-    exact, failure = verify(inst, report)
-    payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
-    lines = [f"exact value: {exact} = {payload['decimal']}"]
-    failures = []
-
-    def add(row: dict, line: str, failure: str | None = None) -> None:
-        payload["methods"].append(row)
-        lines.append(f"  {row['method']:<12} {line}")
-        if failure:
-            failures.append(failure)
-
-    add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
-    add(
-        {"method": report.method, "value": str(report.value), "agree": not failure},
-        f"{report.value}  ({'MISMATCH' if failure else 'exact match'})",
-        failure,
-    )
-
-    eps_report = solve(inst, "epsilon", eps)
-    abs_error = decimal_str(abs(eps_report.value - exact), 3)
-    # Informational row: the perturbation is approximate by design, so its
-    # deviation is reported but never gates the exit code.
-    add(
-        {
-            "method": "epsilon",
-            "value": str(eps_report.value),
-            "epsilon": str(eps),
-            "absError": abs_error,
-        },
-        f"abs error {abs_error} at eps = {eps}",
-    )
-
-    sim = simulate(inst, SimConfig(args.trials, args.seed))
-    vol = estimate_volume(inst, args.samples, args.seed)
-    for name, hits, draws, estimate, std_error in (
-        ("montecarlo", sim.a_wins, sim.trials, sim.estimate, sim.std_error),
-        ("hypervolume", vol.hits, vol.samples, vol.estimate, vol.std_error),
-    ):
-        agree, sigmas = gate(hits, draws, exact)
-        failure = f"{name} estimate {estimate} is {sigmas:.1f} sigma from exact {exact}"
-        add(
-            {
-                "method": name,
-                "estimate": estimate,
-                "stdError": std_error,
-                "sigmas": sigmas,
-                "agree": agree,
-            },
-            f"{estimate:.6f} +/- {std_error:.6f}  [{sigmas:.2f} sigma]",
-            None if agree else failure,
-        )
-
-    payload["agree"] = not failures
-    lines.append("agreement: " + ("NO" if failures else "yes"))
-    _emit(args, payload, "\n".join(lines))
-    if failures:
-        raise Inconsistency(failures[0])
     return 0
 
 

@@ -61,8 +61,10 @@ in the caller, and each band below it in a forked child that streams its
 top row up a pipe to the band above, so all bands work at once, one
 column apart.  A table asks for one band per BAND_WORK of its work, cells
 times the bits of the starting scale, and never more bands than rows.
-Every band clears the same cells, so the value and the inexact-division
-check do not depend on the split.
+A table that asks for fewer than two is one band, swept in the caller
+without the runner: only a sweep that forks loads `streams`.  Every band
+clears the same cells, so the value and the inexact-division check do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from functools import partial
 from itertools import chain, repeat
 
 from .model import Instance
-from .streams import frames, in_processes
 
 # The least work, in cells times the bits of the starting scale, that pays
 # for a band of its own.  A fork in a fresh `skirmish solve` costs about as
@@ -146,7 +147,12 @@ def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:
         return Fraction(1)
     scale = abs(guess) if guess else path_denominator(a, b)
     bands = min(len(a), len(a) * len(b) * scale.bit_length() // BAND_WORK)
-    value, growth = in_processes(bands, partial(_banded_sweep, a, b, scale))
+    if bands < 2:
+        value, growth = _banded_sweep(a, b, scale, 1, None)
+    else:
+        from .streams import in_processes
+
+        value, growth = in_processes(bands, partial(_banded_sweep, a, b, scale))
     if growth != 1 and not guess:
         raise AssertionError("inexact division: the path denominator does not clear the table")
     return Fraction(value, scale * growth)
@@ -207,11 +213,15 @@ def _banded_sweep(a, b, scale: int, bands: int, start) -> tuple[int, int]:
     from the pipe of band t+1 and writes its own top row into a pipe to
     band t-1, column by column, each value followed by its growth, so that
     all bands run at once, one column apart.  The parent closes each pipe
-    once the child that reads it exists.  One band forks nothing.
+    once the child that reads it exists.  One band forks nothing and needs
+    no `start`.
     """
     bounds = [len(a) * t // bands for t in range(bands + 1)]
     below, pipe = repeat((0, 1)), None
     for t in range(bands - 1, 0, -1):
+        # Here, not at the top: one band must not load `streams`.
+        from .streams import frames
+
         held = pipe
         pipe = start(partial(_flat_sweep, a, b, bounds[t], bounds[t + 1], scale, below))
         if held is not None:

@@ -23,7 +23,10 @@ number of processes that run them changes a count.
 
 `in_processes` is the one place this package decides how many processes
 run a computation, and how it falls back to one; the draw blocks and the
-reference recurrence's row bands both run through it.  It forks only
+reference recurrence's row bands both run through it.  The recurrence
+calls it only for a sweep of two bands or more, so that only a sweep that
+forks loads this module: the exact commands otherwise start without it.
+It forks only
 where `can_fork` says it may: `os.fork` exists and no Python thread other
 than the caller is alive, since only the forking thread lives on in the
 child, and a lock that another thread held would stay held there.

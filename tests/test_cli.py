@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import ast
+import errno
 import io
 import json
 import math
@@ -796,6 +797,11 @@ SOLVE_FORKING = [
 ]
 
 
+# A report small enough to wait in stdout's buffer, and one too large to.
+REPORTS = [["solve", "--a", "1", "--b", "2"], ["curve", "--points", "20000"]]
+REPORT_SIZES = ["small", "large"]
+
+
 class TestEntryPoints:
     def test_source_parses_as_the_oldest_supported_python(self):
         """Every module is Python 3.10 syntax, as `requires-python` promises."""
@@ -858,8 +864,8 @@ class TestEntryPoints:
     def test_piped_stdout_is_mains(self, capsys, argv):
         """All that `main` prints reaches a pipe before `run` ends the process.
 
-        Block-buffered, as for most callers, so the output is still in the
-        buffer when `main` returns, and only `run`'s flush writes it.
+        Block-buffered, as for most callers, so that the report is written
+        only by a flush, as `main` does.
         """
         assert main(argv) == 0
         expected = capsys.readouterr().out.encode()
@@ -869,21 +875,25 @@ class TestEntryPoints:
             assert result.returncode == 0, command
             assert result.stdout == expected, command
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [(["solve", "--a", "1", "--b", "2"], 120), (["curve", "--points", "20000"], 2)],
-        ids=["flushed-at-exit", "written-in-main"],
-    )
-    def test_a_closed_pipe_ends_as_an_ordinary_exit(self, argv, code):
-        """With no reader left, exit code and stderr are those of `sys.exit(main(argv))`.
+    @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
+    def test_a_closed_pipe_ends_as_sigpipe_would(self, argv):
+        """With no reader left, the process ends as a writer killed by SIGPIPE
+        looks to a shell: status 141, and nothing on stderr.
 
-        A small output fails at the last flush (CPython's exit code 120), a
-        large one inside `main` (a usage error, 2).
+        A small report fails at its flush, a large one at its write, both
+        inside `main`, which returns 141 in process too.
         """
-        plain_exit = "import sys\nfrom skirmish.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        # `main`'s code, with no exit flush: that would fail on what the pipe refused.
+        returned = (
+            "import os, sys\n"
+            "from skirmish.cli import main\n"
+            "print(main(sys.argv[1:]), file=sys.stderr)\n"
+            "os._exit(0)\n"
+        )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         ends = []
-        for command in ([sys.executable, "-c", plain_exit], [sys.executable, "-m", "skirmish"]):
+        commands = [[sys.executable, "-c", returned], [sys.executable, "-m", "skirmish"]]
+        for command in commands + script_commands():
             read, write = os.pipe()
             os.close(read)
             try:
@@ -893,9 +903,22 @@ class TestEntryPoints:
             finally:
                 os.close(write)
             ends.append((result.returncode, result.stderr))
-        assert ends[0] == ends[1]
-        assert ends[0][0] == code
-        assert b"Broken pipe" in ends[0][1]
+        assert ends == [(0, b"141\n")] + [(141, b"")] * (len(ends) - 1)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
+    def test_a_full_disk_exits_four(self, argv):
+        """A write that fails otherwise than on a closed pipe says so once, and exits 4."""
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "skirmish", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert (result.returncode, result.stderr) == (
+            4, f"error: standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
 
     @pytest.mark.parametrize(
         "patch, speeds, code",
@@ -1014,14 +1037,14 @@ def modules_loaded_by(commands):
     return set(loaded.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
 
 
-# One speed a side (B repeated) is in every route's domain.
+# Exact commands whose reference sweeps are one band each.  One speed a
+# side (B repeated) is in every route's domain.
 EXACT_COMMANDS = [
     ["solve", "--a", "2", "--b", "3,3", "--method", method] for method in ("auto", *ROUTES)
 ] + [
     ["relate", "--a", "1,2", "--b", "3"],
     ["curve", "--points", "3"],
     ["cycle", "1", "2", "3"],
-    SOLVE_FORKING,
 ]
 
 # Slow imports no exact command needs: `dataclasses` pulls in `inspect`,
@@ -1037,16 +1060,26 @@ UNBUDGETED_MODULES = {
 
 # Only the commands that draw load the stochastic estimators.
 STOCHASTIC_MODULES = {"skirmish.montecarlo", "skirmish.volume"}
+# ... and their handlers and the process runner, which a reference sweep
+# loads too, but only where it forks.
+DRAWING_MODULES = {"skirmish.cli_draws", "skirmish.streams", *STOCHASTIC_MODULES}
 
 
 class TestImportBudget:
     def test_import_loads_no_unbudgeted_module(self):
         loaded = modules_loaded_by([])
         assert "skirmish.cli" in loaded
-        assert not loaded & (UNBUDGETED_MODULES | STOCHASTIC_MODULES)
+        assert not loaded & (UNBUDGETED_MODULES | DRAWING_MODULES)
 
     def test_exact_commands_load_no_unbudgeted_module(self):
-        assert not modules_loaded_by(EXACT_COMMANDS) & (UNBUDGETED_MODULES | STOCHASTIC_MODULES)
+        assert not modules_loaded_by(EXACT_COMMANDS) & (UNBUDGETED_MODULES | DRAWING_MODULES)
+
+    def test_a_forking_sweep_loads_the_runner_alone(self):
+        """Asking for two bands or more loads `streams`, whether or not the host
+        grants a second process, and nothing else a drawing command needs."""
+        loaded = modules_loaded_by([SOLVE_FORKING])
+        assert "skirmish.streams" in loaded
+        assert not loaded & (UNBUDGETED_MODULES | DRAWING_MODULES - {"skirmish.streams"})
 
     @pytest.mark.parametrize(
         "command, modules",
@@ -1057,8 +1090,10 @@ class TestImportBudget:
         ],
     )
     def test_drawing_commands_load_numpy_and_their_estimators(self, command, modules):
+        """... and no other estimator."""
         loaded = modules_loaded_by([[*command, "--a", "1", "--b", "2"]])
-        assert {"numpy", *modules} <= loaded
+        assert {"numpy", "skirmish.cli_draws", "skirmish.streams", *modules} <= loaded
+        assert not loaded & (STOCHASTIC_MODULES - modules)
 
     def test_every_public_name_resolves(self):
         """`__all__` resolves by attribute and by `from skirmish import`, the

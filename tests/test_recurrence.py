@@ -15,6 +15,7 @@ from skirmish import (
     p_a_wins_recursive,
     recurrence,
     solve,
+    streams,
 )
 from skirmish.cli import main
 from skirmish.recurrence import _sweep, fill_table, path_denominator
@@ -330,7 +331,7 @@ class TestGuessedScale:
         assert p_a_wins_recursive(inst, guess_for(kind, value, inst, 7, 12345)) == value
 
 
-# The bands that the reference asks `in_processes` for on seeded duels: with
+# The bands that the reference asks for on seeded duels: with
 # no guess, from the per-diagonal D, and from the answer's denominator, a
 # fraction of D's width.  The guessed column is the verify path's and must
 # not move.  The unhinted one is wider than it was under the former
@@ -349,16 +350,27 @@ BAND_COUNTS = [
 
 @pytest.mark.parametrize("n, unhinted, guessed", BAND_COUNTS)
 def test_bands_asked_for(monkeypatch, n, unhinted, guessed):
+    """Two bands or more are asked of `streams.in_processes`; fewer are one band in the caller."""
     asked, scales = [], []
-    monkeypatch.setattr(
-        recurrence, "in_processes", lambda units, run: (asked.append(units), run(1, None))[1]
-    )
+
+    def in_processes(units, run):
+        asked.append(units)
+        assert units >= 2, "only a sweep that forks loads the runner"
+        return run(1, None)
+
     sweep = recurrence._banded_sweep
-    monkeypatch.setattr(
-        recurrence,
-        "_banded_sweep",
-        lambda a, b, scale, *rest: (scales.append(scale), sweep(a, b, scale, *rest))[1],
-    )
+
+    def banded_sweep(a, b, scale, bands, start):
+        scales.append(scale)
+        if len(asked) < len(scales):
+            # Not through the runner: the request, cells times the scale's
+            # bits over BAND_WORK, is under two bands, and one runs.
+            asked.append(min(len(a), len(a) * len(b) * scale.bit_length() // recurrence.BAND_WORK))
+            assert (asked[-1] < 2, bands, start) == (True, 1, None)
+        return sweep(a, b, scale, bands, start)
+
+    monkeypatch.setattr(streams, "in_processes", in_processes)
+    monkeypatch.setattr(recurrence, "_banded_sweep", banded_sweep)
     inst = seeded_duel(n)
     value = p_a_wins_recursive(inst)
     answer = solve(inst).value.denominator
