@@ -9,6 +9,8 @@ with the reference from `residues.verify`, the one owner of that check.
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
 traceback on standard error, so that 1 always means the routes disagree.
+A standard error that refuses the diagnostic (its reader gone) loses the
+message, not the code.
 A report that standard output refuses is none of these.  A closed pipe
 (the reader left, as `head` does) ends with no message and 141, the
 status a shell shows for a writer that SIGPIPE killed; any other failed
@@ -19,10 +21,11 @@ flushed as they are written; diagnostics go to standard error.  Output
 is deterministic for fixed arguments and seed.
 
 `run` is the process entry (`python -m skirmish` and the `skirmish`
-script): once `main` returns, it flushes standard output and error and
-ends the process with `os._exit`, so the interpreter's teardown does not
-run.  Call it only where the process exits next.  `main` is the
-in-process API and always returns.
+script): once `main` returns, or argparse's `SystemExit` (help, usage
+error) leaves it, it flushes standard output and error and ends the
+process with `os._exit`, so the interpreter's teardown does not run.
+Call it only where the process exits next.  `main` is the in-process API
+and returns for every command that parses.
 
 A process pays only for its own command: `main` builds only the
 subparser `argv[0]` names.  The handlers of the commands that draw
@@ -48,19 +51,28 @@ def run(argv=None) -> int:
     """`main(argv)` as the last act of a process, which ends in here.
 
     Returns only if a flush fails, as when standard output refused the
-    report: `main` has returned the code for that, and the caller's exit
-    then ends the process with it.
+    report or standard error a diagnostic: `main` has returned the code
+    for that, and the caller's exit then ends the process with it.
     """
-    code = main(argv)
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        # The bytes that standard output refused are still buffered, and
-        # CPython's own flush at exit would fail on them again, with a
-        # message and status 120.  As the `signal` docs advise ("Note on
-        # SIGPIPE"), send them to devnull, where that flush succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = main(argv)
+    except SystemExit as exc:
+        # argparse printed help or a usage error and exits by itself, having
+        # dropped a write that failed; what a stream still buffers is left
+        # to the flushes below.
+        code = exc.code
+    refused = False
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # The bytes that the stream refused are still buffered, and
+            # CPython's own flush at exit would fail on them again, with a
+            # message and status 120.  As the `signal` docs advise ("Note on
+            # SIGPIPE"), send them to devnull, where that flush succeeds.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            refused = True
+    if refused:
         return code
     os._exit(code)
 
@@ -78,23 +90,33 @@ def main(argv=None) -> int:
     except _Unwritten as exc:
         if isinstance(exc.__cause__, BrokenPipeError):
             return 141  # 128 + SIGPIPE, and nobody left to tell
-        print(f"error: standard output: {exc.__cause__}", file=sys.stderr)
-        return 4
+        return _told(4, f"error: standard output: {exc.__cause__}\n")
     except Inconsistency as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
+        return _told(1, f"inconsistency: {exc}\n")
     except (ValueError, OSError) as exc:  # InvalidInstance is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _told(2, f"error: {exc}\n")
     except Exception:
         # Imported here: only a crash needs it, and it is slow to import.
         import traceback
 
-        traceback.print_exc()
-        return 3
+        return _told(3, traceback.format_exc())
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+
+
+def _told(code: int, text: str) -> int:
+    """Write `text` to standard error, flushed, and return `code`.
+
+    A standard error that refuses it, as a pipe whose reader has gone
+    does, loses the text but not the code.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
+    return code
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

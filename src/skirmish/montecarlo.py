@@ -14,9 +14,13 @@ uniformly chosen surviving B; the duel's winner distribution is invariant
 under collision order, so both policies estimate the same probability, and
 the pair of them exists to let tests demonstrate exactly that.
 
-Both policies run every trial of a block in lockstep, one numpy operation
-per collision step over the whole block, reading the step's draws as one
-column of the block `streams.raw_slots` returned, in place: the strided
+Both policies run every trial of a block in lockstep, a few whole-block
+numpy operations per collision step, reading the step's draws as columns
+of the block `streams.raw_slots` returned.  Frontmost's state is one count
+per trial.  Random-adjacent keeps, per side, a running count of the alive
+particles up to each position, as a (side size - 1) x trials array: a
+pick compares its rank against it, and a death takes one from its rows
+from the dead particle on.  The columns are read in place: the strided
 column reads as fast as a contiguous copy would, and no worker holds a
 second block.
 `streams.block_sums` deals the blocks to one worker per usable core, the
@@ -143,34 +147,40 @@ def _run_random_adjacent(inst: Instance, cfg: SimConfig) -> int:
     3c, 3c + 1 and 3c + 2 of the trial's slot.  A pick maps a raw word u
     to the alive particle of rank floor(u * k / 2^64) among the k alive on
     its side, ranked in firing order; `_scaled_floor` takes that floor
-    exactly.  Finished trials keep drawing with their alive masks frozen.
+    exactly.  Each side's state is a running count: `seen[i, t]` is how
+    many of the first i + 1 particles of trial t are alive, so the particle
+    of rank r is the number of rows with `seen <= r`, and a death at
+    particle p takes one from every row from p on.  The last particle needs
+    no row, which leaves a side of one with none.  Finished trials keep
+    drawing with their counts frozen.
     """
     import numpy as np
 
     a, b = inst.a, inst.b
     m, n = len(a), len(b)
-    pair = np.array(thresholds(a, b), dtype=np.uint64)
+    pair = np.array(thresholds(a, b), dtype=np.uint64).ravel()
     collisions = m + n - 1
     width = streams.slot_width(3 * collisions)
     # A narrowed slot leaves fewer steps than collisions; the budget check catches it.
     steps = min(collisions, width // 3)
+    rows_a = np.arange(m - 1)[:, None]
+    rows_b = np.arange(n - 1)[:, None]
 
     def count(raw):
         columns = raw[:, : 3 * steps].T
-        trials = np.arange(len(raw))
-        alive_a = np.ones((m, len(raw)), dtype=np.uint8)
-        alive_b = np.ones((n, len(raw)), dtype=np.uint8)
+        seen_a = (rows_a + 1).astype(np.uint64).repeat(len(raw), axis=1)
+        seen_b = (rows_b + 1).astype(np.uint64).repeat(len(raw), axis=1)
         left_a = np.full(len(raw), m, dtype=np.uint64)
         left_b = np.full(len(raw), n, dtype=np.uint64)
         for c in range(steps):
             live = (left_a > 0) & (left_b > 0)
-            ia = _ranked(alive_a, _scaled_floor(columns[3 * c], left_a))
-            ib = _ranked(alive_b, _scaled_floor(columns[3 * c + 1], left_b))
-            a_survives = columns[3 * c + 2] < pair[ia, ib]
+            ia = (seen_a <= _scaled_floor(columns[3 * c], left_a)).sum(axis=0)
+            ib = (seen_b <= _scaled_floor(columns[3 * c + 1], left_b)).sum(axis=0)
+            a_survives = columns[3 * c + 2] < pair.take(ia * n + ib)
             b_dies = live & a_survives
             a_dies = live & ~a_survives
-            alive_b[ib, trials] &= ~b_dies
-            alive_a[ia, trials] &= ~a_dies
+            seen_b -= (rows_b >= ib) & b_dies
+            seen_a -= (rows_a >= ia) & a_dies
             left_b -= b_dies
             left_a -= a_dies
         if not ((left_a == 0) ^ (left_b == 0)).all():
@@ -192,12 +202,3 @@ def _scaled_floor(words, k):
     half = np.uint64(32)
     return ((words >> half) * k + ((words & np.uint64(0xFFFFFFFF)) * k >> half)) >> half
 
-
-def _ranked(alive, rank):
-    """Row of each column's alive entry of the given rank, counting from 0.
-
-    Leaving out the last row's prefix keeps the row valid where none is alive.
-    """
-    import numpy as np
-
-    return (alive[:-1].cumsum(axis=0, dtype=np.uint64) <= rank).sum(axis=0)

@@ -801,6 +801,33 @@ SOLVE_FORKING = [
 REPORTS = [["solve", "--a", "1", "--b", "2"], ["curve", "--points", "20000"]]
 REPORT_SIZES = ["small", "large"]
 
+# Script lines that make `solve --method auto` at 1v1 disagree with the
+# reference ("wrong", exit 1) or crash ("raise", exit 3) in a fresh interpreter.
+_PATCH_PRELUDE = "import sys\nfrom fractions import Fraction\nfrom skirmish import residues\n"
+ROUTE_PATCHES = {
+    None: _PATCH_PRELUDE,
+    "wrong": _PATCH_PRELUDE
+    + "residues.p_a_wins_distinct = lambda inst: residues.MethodReport("
+    "Fraction(1, 3), 'distinct', (Fraction(-1, 3),))\n",
+    "raise": _PATCH_PRELUDE
+    + "def crash(inst):\n    raise RuntimeError('route crashed')\n"
+    "residues.p_a_wins_distinct = crash\n",
+}
+# What a script adds to end as `python -m skirmish` and the console script end.
+RUN_TAIL = "from skirmish.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+
+
+def into_closed_pipe(command, stream, env=None):
+    """Run `command` with `stream` ("stdout" or "stderr") a pipe whose reader
+    has gone; the other stream is captured."""
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+    try:
+        return subprocess.run(command, env=env, **streams)
+    finally:
+        os.close(write)
+
 
 class TestEntryPoints:
     def test_source_parses_as_the_oldest_supported_python(self):
@@ -894,16 +921,65 @@ class TestEntryPoints:
         ends = []
         commands = [[sys.executable, "-c", returned], [sys.executable, "-m", "skirmish"]]
         for command in commands + script_commands():
-            read, write = os.pipe()
-            os.close(read)
-            try:
-                result = subprocess.run(
-                    [*command, *argv], stdout=write, stderr=subprocess.PIPE, env=env
-                )
-            finally:
-                os.close(write)
+            result = into_closed_pipe([*command, *argv], "stdout", env)
             ends.append((result.returncode, result.stderr))
         assert ends == [(0, b"141\n")] + [(141, b"")] * (len(ends) - 1)
+
+    @pytest.mark.parametrize(
+        "patch, argv, code",
+        [
+            (None, ["solve", "--a", "0", "--b", "1"], 2),
+            (None, ["solve", "--a", "x"], 2),
+            ("wrong", ["solve", "--a", "1", "--b", "1"], 1),
+            ("raise", ["solve", "--a", "1", "--b", "2"], 3),
+        ],
+        ids=["zero-speed", "not-a-number", "disagree", "crash"],
+    )
+    def test_a_closed_stderr_keeps_the_exit_code(self, patch, argv, code):
+        """A diagnostic that standard error refuses is lost, and its code stands.
+
+        `main` returns the code in process, and `run` ends the process with
+        it.  The disagreement and the crash are patched into the interpreter
+        that runs them; the validation errors also run as the real commands.
+        """
+        returns = (
+            "import os\nfrom skirmish.cli import main\n"
+            # No exit flush: that would fail on what the pipe refused.
+            "print(main(sys.argv[1:]), flush=True)\nos._exit(0)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        in_process, ended = (
+            into_closed_pipe(
+                [sys.executable, "-c", ROUTE_PATCHES[patch] + tail, *argv], "stderr", env
+            )
+            for tail in (returns, RUN_TAIL)
+        )
+        assert (in_process.returncode, ended.returncode) == (0, code)
+        # Only the disagreement has a report to print, before it is found.
+        assert in_process.stdout == ended.stdout + f"{code}\n".encode()
+        assert (ended.stdout == b"") == (code != 1)
+        if patch is None:
+            for command in [[sys.executable, "-m", "skirmish"], *script_commands()]:
+                result = into_closed_pipe([*command, *argv], "stderr", env)
+                assert (result.returncode, result.stdout) == (code, b""), command
+
+    @pytest.mark.parametrize(
+        "argv, stream, code",
+        [(["-h"], "stdout", 0), (["solve", "-h"], "stdout", 0), (["nope"], "stderr", 2)],
+        ids=["help", "solve-help", "unknown-command"],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_argparse_exits_into_a_closed_pipe(self, argv, stream, code, unbuffered):
+        """argparse prints help or a usage error and exits by itself, outside
+        `main`'s handlers, dropping a write that fails: its own status, and
+        nothing on the other stream, even when the refused bytes stay buffered."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        other = "stderr" if stream == "stdout" else "stdout"
+        for command in [[sys.executable, "-m", "skirmish"], *script_commands()]:
+            result = into_closed_pipe([*command, *argv], stream, env)
+            assert (result.returncode, getattr(result, other)) == (code, b""), command
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
@@ -932,21 +1008,7 @@ class TestEntryPoints:
     def test_run_exit_codes_match_main(self, monkeypatch, capsys, patch, speeds, code):
         """Through `sys.exit(run(argv))`, each exit code and stdout are `main`'s."""
         argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
-        patches = {
-            None: "",
-            "wrong": "residues.p_a_wins_distinct = lambda inst: residues.MethodReport("
-            "Fraction(1, 3), 'distinct', (Fraction(-1, 3),))\n",
-            "raise": "def crash(inst):\n    raise RuntimeError('route crashed')\n"
-            "residues.p_a_wins_distinct = crash\n",
-        }
-        script = (
-            "import sys\n"
-            "from fractions import Fraction\n"
-            "from skirmish import residues\n"
-            "from skirmish.cli import run\n"
-            f"{patches[patch]}"
-            "sys.exit(run(sys.argv[1:]))\n"
-        )
+        script = ROUTE_PATCHES[patch] + RUN_TAIL
         result = subprocess.run(
             [sys.executable, "-c", script, *argv], capture_output=True, text=True
         )

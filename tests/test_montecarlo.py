@@ -222,6 +222,16 @@ class TestSimulate:
         report = simulate(inst, SimConfig(512, seed=13, policy="random-adjacent"))
         assert report.a_wins == random_adjacent_reference(inst, 13, 512)
 
+    @pytest.mark.parametrize("side, trials", [(12, 400), (40, 300)])
+    def test_random_adjacent_matches_scalar_reference_at_wide_sides(self, side, trials):
+        # The hypothesis replay below draws at most 6 a side: here the
+        # running counts span many rows, ragged across the trials of a block.
+        inst = Instance(
+            tuple(range(1, side + 1)), tuple(Fraction(2 * k + 1, 2) for k in range(side))
+        )
+        report = simulate(inst, SimConfig(trials, seed=side, policy="random-adjacent"))
+        assert report.a_wins == random_adjacent_reference(inst, side, trials)
+
     @settings(max_examples=100, deadline=None)
     @given(
         inst=instances(max_side=6),

@@ -43,6 +43,26 @@ def test_random_adjacent(case):
     assert simulate(inst, SimConfig(trials, seed, "random-adjacent")).a_wins == a_wins
 
 
+# Random-adjacent alone at wider sides and at a side of one, pinned from
+# the kernel that kept uint8 alive masks and ranked them by a cumsum.
+# (instance, trials, seed, random-adjacent aWins)
+WIDE = {
+    "forty": (
+        Instance(tuple(range(1, 41)), tuple(F(2 * k + 1, 2) for k in range(40))),
+        4000, 40, 2164,
+    ),
+    "hundred-v-three": (Instance(tuple(range(1, 101)), (800, 1200, 1700)), 2000, 100, 1506),
+    "three-v-hundred": (Instance((800, 1200, 1700), tuple(range(1, 101))), 2000, 100, 468),
+    "one-v-one": (Instance((3,), (5,)), 100_000, 1, 37399),
+}
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_random_adjacent_wide(case):
+    inst, trials, seed, a_wins = WIDE[case]
+    assert simulate(inst, SimConfig(trials, seed, "random-adjacent")).a_wins == a_wins
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_volume(case):
     inst, samples, seed, _, _, hits, swapped_hits = CASES[case]
