@@ -57,9 +57,9 @@ def run(argv=None) -> int:
     try:
         code = main(argv)
     except SystemExit as exc:
-        # argparse printed help or a usage error and exits by itself, having
-        # dropped a write that failed; what a stream still buffers is left
-        # to the flushes below.
+        # argparse printed help or a usage error and exits by itself, and
+        # `_Parser` dropped a write that failed; what a stream still buffers
+        # is left to the flushes below.
         code = exc.code
     refused = False
     for stream in (sys.stdout, sys.stderr):
@@ -119,6 +119,23 @@ def _told(code: int, text: str) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that drops a help or usage text its stream refuses.
+
+    argparse drops it itself only in newer releases (3.11.7 and 3.12.1
+    do); 3.10.13 and 3.11.2 raise the OSError out of `parse_args`, outside
+    `main`'s handlers.
+    Its subparsers are of this class too, as argparse makes them of the
+    parent's type.
+    """
+
+    def _print_message(self, message, file=None):
+        try:
+            super()._print_message(message, file)
+        except OSError:
+            pass
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser, with only `command`'s subparser where `command` names one.
 
@@ -126,7 +143,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     and parses, prints and exits as the full parser would.  Any other
     `command` (None, `-h`, an unknown name) builds all seven.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skirmish",
         description="Exact and stochastic solvers for the two-beam annihilation duel.",
     )

@@ -971,8 +971,9 @@ class TestEntryPoints:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_argparse_exits_into_a_closed_pipe(self, argv, stream, code, unbuffered):
         """argparse prints help or a usage error and exits by itself, outside
-        `main`'s handlers, dropping a write that fails: its own status, and
-        nothing on the other stream, even when the refused bytes stay buffered."""
+        `main`'s handlers, and skirmish's parser drops a write that fails: its
+        own status, and nothing on the other stream, even when the refused
+        bytes stay buffered."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -980,6 +981,25 @@ class TestEntryPoints:
         for command in [[sys.executable, "-m", "skirmish"], *script_commands()]:
             result = into_closed_pipe([*command, *argv], stream, env)
             assert (result.returncode, getattr(result, other)) == (code, b""), command
+
+    @pytest.mark.parametrize(
+        "argv, stream, code",
+        [(["-h"], "stdout", 0), (["solve", "-h"], "stdout", 0), (["nope"], "stderr", 2)],
+        ids=["help", "solve-help", "unknown-command"],
+    )
+    def test_the_parser_drops_a_refused_write(self, monkeypatch, argv, stream, code):
+        """The parser and its subparsers drop the help or usage text that a
+        stream refuses on every supported Python, where argparse drops it
+        only from 3.11.7 on: `parse_args` leaves by its SystemExit alone."""
+
+        class Refusing(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, stream, Refusing())
+        with pytest.raises(SystemExit) as exited:
+            build_parser(argv[0]).parse_args(argv)
+        assert exited.value.code == code
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
