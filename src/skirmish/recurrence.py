@@ -9,44 +9,22 @@ one.
 
 `p_a_wins_recursive` runs the recurrence fraction-free, in the manner of
 Bareiss's integer-preserving elimination.  On integer speeds (same ratios),
-P(i, j) for the suffix duel a[i:] versus b[j:] is a sum over paths from
-cell (i, j) to the boundary of products of step probabilities, and a step
-out of cell (i, j) has denominator a_i + b_j.  So for any multiple D of
-every path's product of sums a_i + b_j, N(i, j) = P(i, j) * D is an
-integer in every cell, and each step of
+a step out of cell (i, j) has denominator a_i + b_j, and each cell holds
+the integer N(i, j) = P(i, j) * S for its band's scale S:
 
     N(i, j) = (a_i * N(i, j+1) + b_j * N(i+1, j)) / (a_i + b_j)
 
-is an exact integer division.  The only reduction is Fraction(N(0, 0), D).
-
-Every step raises i + j by one, so a path leaves each anti-diagonal
-i + j = d at most once, and the per-diagonal
-
-    D = prod_{d=0..m+n-2} lcm{a_i + b_j : i + j = d}
-
-is such a multiple.  It is loose, since a path takes one cell of each
-diagonal and not all of them.
-
-The values need less than D: only the lcm of the cells' own denominators,
-about the width of the answer's.  `p_a_wins_recursive(inst, guess)`
-starts the sweep at the scale |guess| and builds no D; `verify` guesses
-the denominator of the answer it checks (seeded distinct speeds in
-1..5000: 5.7 k bits against D's 13.8 k at 40v40, 17 k against 107 k at
-120v120).  Where a division leaves a remainder r, the band widens: it
-multiplies every live value, and its scale, by g = s / gcd(s, r) for the
-cell's sum s, the least factor that makes that cell exact.  Before and
-after a widening every cell is exactly P(i, j) times its band's scale,
-since all of them are multiplied by the same g, so the sweep returns
-P(0, 0) from any start, right or wrong: a guess changes only how often
-the sweep widens, and so its speed, never the value.  Each widening makes
-the scale the lcm of the start and of the denominators met so far, so a
-right answer's denominator, which divides D, widens only to divisors of D.
-
-With no guess (or 0) the sweep starts at D, and only that sweep checks
-D: a right D clears every cell, so the sweep must end unwidened.  The top
-band's final growth is a multiple of every band's, so where it is not 1
-some cell's denominator does not divide D, and the sweep raises
-AssertionError instead of returning; a short D is never passed over.
+The only reduction is Fraction(N(0, 0), S).  The sweep starts at the scale
+|guess|, or at 1 with no guess; `verify` guesses the denominator of the
+answer it checks, about the width of the cells' own denominators.  Where a
+division leaves a remainder r, the band widens: it multiplies every live
+value, and its scale, by g = s / gcd(s, r) for the cell's sum s, the least
+factor that makes that cell exact.  Before and after a widening every cell
+is exactly P(i, j) times its band's scale, since all of them are
+multiplied by the same g, so the sweep returns P(0, 0) from any start,
+right or wrong: a guess changes only how often the sweep widens, and so
+its speed, never the value.  Each widening makes the scale the lcm of the
+start and of the denominators met so far.
 
 Cell (i, j) needs only its right neighbour (i, j+1) and the one below,
 (i+1, j), so the table is swept column by column from the right, in
@@ -62,8 +40,8 @@ top row up a pipe to the band above, so all bands work at once, one
 column apart.  A table asks for one band per BAND_WORK of its work, cells
 times the bits of the starting scale, and never more bands than rows.
 A table that asks for fewer than two is one band, swept in the caller
-without the runner: only a sweep that forks loads `streams`.  Every band
-clears the same cells, so the value and the inexact-division check do not
+without the runner: only a sweep that forks loads `streams`, and a sweep
+from 1 never does.  Every band clears the same cells, so the value does not
 depend on the split.
 """
 
@@ -81,12 +59,12 @@ from .model import Instance
 # for a band of its own.  A fork in a fresh `skirmish solve` costs about as
 # much as 18 million bit-cells of sweeping, and two bands broke even with
 # one at 35-45 million (Python 3.11, 2-core Xeon; distinct speeds in 1..5000
-# at 44v44 to 48v48, equal ones at 140v140, from D).  So a table forks from
-# twice this size on: seeded distinct speeds in 1..5000 reach it at 53v53
-# from D, and at 75v75 from the answer's width, where `verify` starts.  The
-# bands pay there: on the benchmark's seed-901 `exact-distinct` duels, fresh
-# `solve` processes took 127 against 153 ms with one band forced at 80v80,
-# and 231 against 278 ms at 120v120 (medians of 16 alternating pairs).
+# at 44v44 to 48v48, equal ones at 140v140).  So a table forks from twice
+# this size on: seeded distinct speeds in 1..5000 reach it at 75v75 from the
+# answer's width, where `verify` starts.  The bands pay there: on the
+# benchmark's seed-901 `exact-distinct` duels, fresh `solve` processes took
+# 127 against 153 ms with one band forced at 80v80, and 231 against 278 ms
+# at 120v120 (medians of 16 alternating pairs).
 BAND_WORK = 1 << 25
 
 
@@ -116,36 +94,17 @@ def fill_table(inst: Instance) -> dict[tuple[int, int], Fraction]:
     return memo
 
 
-def balanced(terms: Iterable, combine):
-    """combine(terms), as `sum` or `math.prod`, pairwise in a tree: operands stay alike in size."""
-    terms = list(terms)
-    while len(terms) > 1:
-        terms = [combine(terms[k : k + 2]) for k in range(0, len(terms), 2)]
-    return combine(terms)
-
-
-def path_denominator(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """D: the product over anti-diagonals of the lcm of their sums a_i + b_j."""
-    m, n = len(a), len(b)
-    lcms = (
-        math.lcm(*(a[i] + b[d - i] for i in range(max(0, d - n + 1), min(d, m - 1) + 1)))
-        for d in range(m + n - 1)
-    )
-    return balanced(lcms, math.prod)
-
-
 def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:
     """Exact probability that side A annihilates all of side B.
 
     `guess`, a denominator the value is expected to have, sets the scale
     the sweep starts at, |guess|, and changes only the sweep's speed.  None
-    or 0 starts at D itself, and raises AssertionError if D does not clear
-    every cell.
+    or 0 starts at 1.
     """
     a, b = inst.integer_speeds()
     if not b:
         return Fraction(1)
-    scale = abs(guess) if guess else path_denominator(a, b)
+    scale = abs(guess or 1)
     bands = min(len(a), len(a) * len(b) * scale.bit_length() // BAND_WORK)
     if bands < 2:
         value, growth = _banded_sweep(a, b, scale, 1, None)
@@ -153,8 +112,6 @@ def p_a_wins_recursive(inst: Instance, guess: int | None = None) -> Fraction:
         from .streams import in_processes
 
         value, growth = in_processes(bands, partial(_banded_sweep, a, b, scale))
-    if growth != 1 and not guess:
-        raise AssertionError("inexact division: the path denominator does not clear the table")
     return Fraction(value, scale * growth)
 
 

@@ -25,6 +25,7 @@ Routes provided here, all exact, with `solve` as the one route table and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .model import (
@@ -37,7 +38,7 @@ from .model import (
     parse_speed,
     whole_number,
 )
-from .recurrence import balanced, p_a_wins_recursive
+from .recurrence import p_a_wins_recursive
 
 ROUTES = ("recursive", "distinct", "series", "epsilon", "closed-form")
 
@@ -198,6 +199,14 @@ def _regular_coefficient(ratios: list[int], weights: list[int], degree: int) -> 
             )
         coefficients.append(coefficient)
     return coefficients[degree]
+
+
+def balanced(terms: Iterable, combine):
+    """combine(terms), as `sum` or `math.prod`, pairwise in a tree: operands stay alike in size."""
+    terms = list(terms)
+    while len(terms) > 1:
+        terms = [combine(terms[k : k + 2]) for k in range(0, len(terms), 2)]
+    return combine(terms)
 
 
 def _total(residues: tuple) -> Fraction:

@@ -67,16 +67,12 @@ def seeded_duel(n):
     )
 
 
-# A seeded duel whose unguessed reference table, cells times the bits of its
-# path denominator, reaches two bands' work (from 53 a side on), so that the
-# reference forks wherever two cores are usable (guarded by
-# `test_fork_fixtures_fork`).
-FORKING_SIZE = 64
-# A seeded duel whose verified `solve` forks too: its reference, started at
-# the width of the answer's denominator, still reaches two bands' work, and
-# the lower band must widen that start before the upper one can use its row
-# (both guarded by `test_fork_fixtures_fork`).  At FORKING_SIZE the answer's
-# width is one band.
+# A seeded duel whose reference, started at the width of the answer's
+# denominator as a verified `solve` starts it, reaches two bands' work, so
+# that it forks wherever two cores are usable, and the lower band must widen
+# that start before the upper one can use its row (both guarded by
+# `test_fork_fixtures_fork`).  The unguessed reference starts at 1, one
+# band's work at any size the tests use, and never forks.
 SOLVE_FORKING_SIZE = 84
 
 

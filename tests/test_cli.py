@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirmish import ROUTES, Instance, p_a_wins_recursive
-from skirmish import cli, recurrence, residues, streams
+from skirmish import cli, residues, streams
 from skirmish.cli import build_parser, main
 
 from conftest import (
@@ -419,32 +419,6 @@ class TestReadmeExamples:
     def test_example_output(self, capsys, argv, stdout):
         assert main(argv) == 0
         assert capsys.readouterr().out == stdout
-
-
-# README's `solve` (auto, series, epsilon), `relate`, `cycle` and `crosscheck`,
-# and a closed form: every command that checks an answer against the reference.
-CHECKED_COMMANDS = [
-    argv for argv, _ in README_EXAMPLES if argv[0] in ("solve", "relate", "cycle", "crosscheck")
-] + [["solve", "--a", "1,1,1", "--b", "2,2", "--method", "closed-form"]]
-
-
-def test_no_checking_path_builds_the_path_denominator(capsys, monkeypatch):
-    # The checking sweep starts at the answer's denominator; only the
-    # unguessed reference, the recursive route, starts at D.
-    unpatched = []
-    for argv in CHECKED_COMMANDS:
-        assert main(argv) == 0
-        unpatched.append(capsys.readouterr().out)
-
-    def unbuilt(a, b):
-        raise AssertionError("path_denominator was built")
-
-    monkeypatch.setattr(recurrence, "path_denominator", unbuilt)
-    for argv, out in zip(CHECKED_COMMANDS, unpatched):
-        assert main(argv) == 0
-        assert capsys.readouterr().out == out
-    assert main(["solve", "--a", "30,20", "--b", "15,36", "--method", "recursive"]) == 3
-    assert "path_denominator was built" in capsys.readouterr().err
 
 
 # Exact crosscheck stdout, JSON and plain, byte for byte.

@@ -27,7 +27,7 @@ from skirmish import (
 )
 from skirmish.cli import main
 
-from conftest import FORKING_SIZE, seeded_duel
+from conftest import SOLVE_FORKING_SIZE, seeded_duel
 from oracles import needs_fork, run_fresh, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
@@ -223,8 +223,10 @@ class TestInProcess:
 
     def test_no_fork_while_a_second_thread_lives(self, monkeypatch):
         monkeypatch.setattr(streams, "usable_cores", lambda: 2)
-        duel = seeded_duel(FORKING_SIZE)
-        expected = all_counts(), p_a_wins_recursive(duel)
+        # From the answer's denominator, the reference asks for two bands.
+        duel = seeded_duel(SOLVE_FORKING_SIZE)
+        value = p_a_wins_recursive(duel)
+        expected = all_counts(), value
 
         def forbidden():
             pytest.fail("forked while a second Python thread was alive")
@@ -235,7 +237,7 @@ class TestInProcess:
         thread.start()
         try:
             assert not streams.can_fork()
-            assert (all_counts(), p_a_wins_recursive(duel)) == expected
+            assert (all_counts(), p_a_wins_recursive(duel, value.denominator)) == expected
         finally:
             stop.set()
             thread.join(timeout=10)

@@ -3,7 +3,7 @@
 import inspect
 import math
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +17,9 @@ from skirmish import (
     solve,
     streams,
 )
-from skirmish.cli import main
-from skirmish.recurrence import _sweep, fill_table, path_denominator
+from skirmish.recurrence import _sweep, fill_table
 
 from conftest import (
-    FORKING_SIZE,
     SOLVE_FORKING_SIZE,
     WRONG_ANSWERS,
     grouped_instances,
@@ -89,50 +87,21 @@ EXTREME_SPEEDS = [
 ]
 
 
-def path_products(a, b, i=0, j=0):
-    """For each path from cell (i, j) out of the table, the product of its sums a_i + b_j."""
-    if i == len(a) or j == len(b):
-        yield 1
-        return
-    for rest in chain(path_products(a, b, i, j + 1), path_products(a, b, i + 1, j)):
-        yield (a[i] + b[j]) * rest
-
-
 def assert_sweeps_match_full_table(inst):
-    """The sweep from D and the one from the answer's denominator both give the oracle's value."""
+    """The sweep from 1 and the one from the answer's denominator both give the oracle's value."""
     value = fill_table(inst)[0, 0]
     assert p_a_wins_recursive(inst) == p_a_wins_recursive(inst, value.denominator) == value
 
 
-def largest_prime(n):
-    """The largest prime factor of n > 1, by trial division."""
-    p = 2
-    while p * p <= n:
-        if n % p:
-            p += 1
-        else:
-            n //= p
-    return n
-
-
-# Faults that leave D too small, each as the code that injects it into
-# `recurrence`: D halved, D = 1, D with every factor 2 removed, and D divided
-# by its largest prime factor, the largest of those of its sums a_i + b_j.
-DENOMINATOR_FAULTS = {
-    "half": "shrunk = recurrence.path_denominator\n"
-    "recurrence.path_denominator = lambda a, b: shrunk(a, b) // 2\n",
-    "one": "recurrence.path_denominator = lambda a, b: 1\n",
-    "dropped-prime": "shrunk = recurrence.path_denominator\n"
-    "recurrence.path_denominator = lambda a, b: (lambda d: d // (d & -d))(shrunk(a, b))\n",
-    "short-chain": inspect.getsource(largest_prime)
-    + "shrunk = recurrence.path_denominator\n"
-    "recurrence.path_denominator = lambda a, b: "
-    "shrunk(a, b) // max(largest_prime(ai + bj) for ai in a for bj in b)\n",
-}
+# One side of an integer duel: one to five speeds up to 10^6, repeats
+# included, so that a duel's sums a_i + b_j lie below 2^16, above it, or both.
+mixed_duels = st.lists(
+    st.one_of(st.integers(1, 60), st.integers(1 << 16, 10**6)), min_size=1, max_size=5
+)
 
 
 class TestFractionFreeKernel:
-    """The integer kernel against the full-table Fraction oracle, from D or the answer's width."""
+    """The integer kernel against the full-table Fraction oracle, from 1 or the answer's width."""
 
     @given(instances(min_side=0))
     def test_matches_full_table(self, inst):
@@ -147,68 +116,11 @@ class TestFractionFreeKernel:
     def test_extreme_speeds(self, inst):
         assert_sweeps_match_full_table(inst)
 
-    @pytest.mark.parametrize("fault", DENOMINATOR_FAULTS)
-    def test_too_small_denominator_is_caught(self, monkeypatch, capsys, fault):
-        # Integer speeds (1, 9001) vs (1,): D = 2 * 9002 = 2^2 * 7 * 643 is the
-        # least that clears both cells, so a smaller D leaves a remainder,
-        # which must not pass.  D is recorded to be restored after the test;
-        # the fault's code then replaces it.
-        inst = Instance((1, 9001), (1,))
-        argv = ["solve", "--a", "1,9001", "--b", "1"]
-        assert main(argv) == 0
-        right = capsys.readouterr().out
-        monkeypatch.setattr(recurrence, "path_denominator", recurrence.path_denominator)
-        answer = fill_table(inst)[0, 0]
-        exec(DENOMINATOR_FAULTS[fault], {"recurrence": recurrence})
-        # Only the unguessed reference starts at D, so only it can catch it.
-        with pytest.raises(AssertionError, match="inexact division"):
-            p_a_wins_recursive(inst)
-        assert main(argv + ["--method", "recursive"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "inexact division" in err
-        # From the answer's denominator, from 1 and from a wide guess.
-        for guess in (answer.denominator, 1, 2**4000):
-            assert p_a_wins_recursive(inst, guess) == answer
-        assert main(argv) == 0
-        assert capsys.readouterr().out == right
-
-
-# One side of an integer duel: one to five speeds up to 10^6, repeats
-# included, so that a duel's sums a_i + b_j lie below 2^16, above it, or both.
-mixed_duels = st.lists(
-    st.one_of(st.integers(1, 60), st.integers(1 << 16, 10**6)), min_size=1, max_size=5
-)
-
-
-@given(mixed_duels, mixed_duels)
-@example([1, 9001], [1])
-@example([70000, 3], [1 << 16, 5, 5])
-def test_path_denominator_is_a_multiple_of_every_path_product(a, b):
-    a, b = tuple(a), tuple(b)
-    assert path_denominator(a, b) % math.lcm(*path_products(a, b)) == 0
-    assert p_a_wins_recursive(Instance(a, b)) == fill_table(Instance(a, b))[0, 0]
-
-
-@given(mixed_duels, mixed_duels)
-def test_path_denominator_is_the_per_diagonal_lcm_product(a, b):
-    diagonals = {}
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            diagonals.setdefault(i + j, []).append(ai + bj)
-    expected = math.prod(math.lcm(*sums) for sums in diagonals.values())
-    assert path_denominator(tuple(a), tuple(b)) == expected
-
-
-@pytest.mark.parametrize("n", [FORKING_SIZE, 80, 120])
-def test_answer_denominator_divides_path_denominator(n):
-    # A guessed sweep may start at the answer's denominator because it
-    # divides D, and it pays to: here it has under a third of D's bits.
-    inst = seeded_duel(n)
-    denominator = path_denominator(*inst.integer_speeds())
-    answer = solve(inst).value.denominator
-    assert denominator % answer == 0
-    assert 3 * answer.bit_length() < denominator.bit_length()
+    @given(mixed_duels, mixed_duels)
+    @example([1, 9001], [1])
+    @example([70000, 3], [1 << 16, 5, 5])
+    def test_matches_full_table_with_sums_around_2_16(self, a, b):
+        assert_sweeps_match_full_table(Instance(tuple(a), tuple(b)))
 
 
 def band_rows(inst, bands, guess=None):
@@ -220,7 +132,7 @@ def band_rows(inst, bands, guess=None):
     straight up.  The scale starts as `p_a_wins_recursive(inst, guess)` starts it.
     """
     a, b = inst.integer_speeds()
-    scale = abs(guess) if guess else path_denominator(a, b)
+    scale = abs(guess or 1)
     bounds = [len(a) * t // bands for t in range(bands + 1)]
     rows = [[] for _ in range(bands)]
 
@@ -252,17 +164,16 @@ class TestRowBands:
         table = fill_table(inst)
         n = len(inst.b)
         for lo, row in zip(bounds, rows):
-            assert [Fraction(value, scale) for value, _ in row] == [
+            assert [Fraction(value, scale * growth) for value, growth in row] == [
                 table[lo, j] for j in range(n - 1, -1, -1)
             ]
-            # Started at D, no band ever widens.
-            assert {growth for _, growth in row} <= {1}
 
     @pytest.mark.parametrize("bands", [2, 3, 4])
     @pytest.mark.parametrize("inst", EXTREME_SPEEDS)
     def test_extreme_speeds(self, inst, bands):
         scale, _, rows = band_rows(inst, bands)
-        assert Fraction(rows[0][-1][0], scale) == fill_table(inst)[0, 0]
+        value, growth = rows[0][-1]
+        assert Fraction(value, scale * growth) == fill_table(inst)[0, 0]
 
 
 def guess_for(kind, value, inst, multiple, number):
@@ -303,7 +214,7 @@ class TestGuessedScale:
     )
     @example(Instance((3, 1, 4), (1, 5)), 2, "one", 2, 0)
     @example(Instance((2, 1), (1,)), 2, "prime-removed", 2, 0)
-    # A guess of 0 starts at D, and a negative one at its absolute value.
+    # A guess of 0 starts at 1, and a negative one at its absolute value.
     @example(Instance((3, 1, 4), (1, 5)), 2, "random", 2, 0)
     @example(Instance((3, 1, 4), (1, 5)), 3, "random", 2, -35)
     def test_any_guess_gives_the_value(self, inst, bands, kind, multiple, number):
@@ -331,25 +242,13 @@ class TestGuessedScale:
         assert p_a_wins_recursive(inst, guess_for(kind, value, inst, 7, 12345)) == value
 
 
-# The bands that the reference asks for on seeded duels: with
-# no guess, from the per-diagonal D, and from the answer's denominator, a
-# fraction of D's width.  The guessed column is the verify path's and must
-# not move.  The unhinted one is wider than it was under the former
-# tightened D (2, 5, 7 and 18 bands at 64, 84, 90 and 120), because only
-# the standalone reference starts at D: the per-diagonal D has 33 k bits at
-# 64v64 and 107 k at 120v120, where the answer's denominator has 10 k and
-# 17 k.
-BAND_COUNTS = [
-    (40, 0, 0),
-    (FORKING_SIZE, 4, 1),
-    (SOLVE_FORKING_SIZE, 11, 2),
-    (90, 15, 3),
-    (120, 46, 7),
-]
+# The bands that the reference asks for on seeded duels from the answer's
+# denominator.  These are the verify path's and must not move.
+BAND_COUNTS = [(40, 0), (64, 1), (SOLVE_FORKING_SIZE, 2), (90, 3), (120, 7)]
 
 
-@pytest.mark.parametrize("n, unhinted, guessed", BAND_COUNTS)
-def test_bands_asked_for(monkeypatch, n, unhinted, guessed):
+@pytest.mark.parametrize("n, guessed", BAND_COUNTS)
+def test_bands_asked_for(monkeypatch, n, guessed):
     """Two bands or more are asked of `streams.in_processes`; fewer are one band in the caller."""
     asked, scales = [], []
 
@@ -375,16 +274,17 @@ def test_bands_asked_for(monkeypatch, n, unhinted, guessed):
     value = p_a_wins_recursive(inst)
     answer = solve(inst).value.denominator
     assert p_a_wins_recursive(inst, answer) == value
-    assert asked == [unhinted, guessed]
-    # The guessed sweep starts at the answer's own width: it divides D.
-    assert scales == [path_denominator(*inst.integer_speeds()), answer]
+    # The unguessed reference starts at 1, one band that never loads `streams`.
+    assert scales == [1, answer]
+    assert asked[0] < 2
+    assert asked[1] == guessed
 
 
 # The factor by which the sweep from a right answer's denominator widens on
 # seeded duels: the part of its cells' denominators that the answer's lacks.
 # Like the guessed band counts, these fix the verify path's work and must
 # not move.
-GUESSED_GROWTH = {40: 76189, FORKING_SIZE: 94773229, SOLVE_FORKING_SIZE: 113, 90: 1, 120: 1}
+GUESSED_GROWTH = {40: 76189, 64: 94773229, SOLVE_FORKING_SIZE: 113, 90: 1, 120: 1}
 
 
 @pytest.mark.parametrize("n", GUESSED_GROWTH)
@@ -399,37 +299,33 @@ def test_guessed_sweep_widens(monkeypatch, n):
     assert p_a_wins_recursive(inst, value.denominator) == value
     [(_, growth)] = ends
     assert growth == GUESSED_GROWTH[n]
-    assert (path_denominator(*inst.integer_speeds()) // value.denominator) % growth == 0
 
 
-# Specific to the reference: a one-band sweep to compare with, and the duels.
-# The unguessed duels ask for 4 bands or more; FORK_PRELUDE's cap of two
-# cores keeps the forks the tests count the same on any host.
+# Specific to the reference: a one-band sweep from 1 to compare with, and the
+# duels.  Started at the answer's denominator, SOLVE_FORKING asks for two
+# bands and 90 for three; FORK_PRELUDE's cap of two cores keeps the forks
+# the tests count the same on any host.
 RECURRENCE_PRELUDE = """
 from skirmish import p_a_wins_recursive, recurrence
 
 def in_process(inst):
     a, b = inst.integer_speeds()
-    denominator = recurrence.path_denominator(a, b)
-    top = list(recurrence._sweep(a, b, 0, len(a), denominator, repeat((0, 1))))
-    return Fraction(top[-1][0], denominator)
+    top = list(recurrence._sweep(a, b, 0, len(a), 1, repeat((0, 1))))
+    return Fraction(*top[-1])
 """ + inspect.getsource(seeded_duel) + (
-    f"duel = seeded_duel\nFORKING = {FORKING_SIZE}\nSOLVE_FORKING = {SOLVE_FORKING_SIZE}\n"
+    f"duel = seeded_duel\nSOLVE_FORKING = {SOLVE_FORKING_SIZE}\n"
 )
 
 
 def test_fork_fixtures_fork():
-    """The duels the forked tests use are large enough for two row bands."""
-    for n in (FORKING_SIZE, 90):
-        a, b = seeded_duel(n).integer_speeds()
-        assert n * n * path_denominator(a, b).bit_length() >= 2 * recurrence.BAND_WORK
-    # A verified solve starts its reference at the answer's denominator: two
-    # bands' work still, and the lower band widens that start.
-    n = SOLVE_FORKING_SIZE
-    inst = seeded_duel(n)
-    guess = solve(inst).value.denominator
-    scale, _, rows = band_rows(inst, 2, guess)
-    assert n * n * scale.bit_length() >= 2 * recurrence.BAND_WORK
+    """The duels the forked tests use, started at the answer's denominator,
+    are large enough for two row bands, and 90 for three."""
+    for n, bands in ((SOLVE_FORKING_SIZE, 2), (90, 3)):
+        guess = solve(seeded_duel(n)).value.denominator
+        assert n * n * guess.bit_length() >= bands * recurrence.BAND_WORK
+    # At SOLVE_FORKING the lower band widens that start.
+    inst = seeded_duel(SOLVE_FORKING_SIZE)
+    _, _, rows = band_rows(inst, 2, solve(inst).value.denominator)
     assert rows[1][-1][1] > 1
 
 
@@ -450,11 +346,6 @@ FAILING_BOTTOM = (
 )
 
 
-def solve_argv(inst, *options):
-    a, b = (",".join(map(str, side)) for side in (inst.a, inst.b))
-    return ["solve", "--a", a, "--b", b, *options]
-
-
 @needs_fork
 class TestForkedBands:
     def test_values_match_in_process(self):
@@ -462,32 +353,35 @@ class TestForkedBands:
             "print('printed before the fork')\n"
             "fds = open_fds()\n"
             "report = []\n"
-            "for n in (FORKING, 90):\n"
+            "for n in (SOLVE_FORKING, 90):\n"
+            "    expected = in_process(duel(n))\n"
             "    before = len(forks)\n"
-            "    value = p_a_wins_recursive(duel(n))\n"
-            "    report.append([n, len(forks) - before, value == in_process(duel(n))])\n"
+            "    value = p_a_wins_recursive(duel(n), expected.denominator)\n"
+            "    report.append([n, len(forks) - before, value == expected])\n"
             "print(json.dumps({'report': report, 'fds': open_fds() - fds,"
             " 'children': children_left()}))\n"
         )
         assert seen == {
-            "report": [[FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "children": False
+            "report": [[SOLVE_FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "children": False
         }
         # stdout is a pipe, so block-buffered: a child that flushed it on exit
         # would print the line a second time.
         assert out.count("printed before the fork") == 1
 
     def test_failure_in_a_child_band_is_caught(self):
-        # Two bands: the lower one, rows 32..63, runs in the child.
+        # Two bands from the answer's denominator: the lower one, rows 42..83,
+        # runs in the child.  The guess is taken before the fault.
         _, seen = run_bands(
-            FAILING_BOTTOM
+            "guess = in_process(duel(SOLVE_FORKING)).denominator\n"
+            + FAILING_BOTTOM
             + "fds = open_fds()\n"
-            "inst = duel(FORKING)\n"
             "try:\n"
-            "    p_a_wins_recursive(inst)\n"
+            "    p_a_wins_recursive(duel(SOLVE_FORKING), guess)\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
             "checks = [len(forks), open_fds() - fds, children_left()]\n"
+            "inst = duel(64)\n"
             "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
             "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
             " '--b', ','.join(map(str, inst.b))])\n"
@@ -495,10 +389,10 @@ class TestForkedBands:
             "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
             " 'stderr': err.getvalue()}))\n"
         )
-        assert seen["message"] == "the bottom band, rows 32..63, failed"
-        # Forks so far, fds opened and not closed, a child left unreaped.  The
-        # solve's reference starts at the answer's denominator, one band's
-        # work, so it sweeps in one band, rows 0..63, and forks nothing.
+        assert seen["message"] == "the bottom band, rows 42..83, failed"
+        # Forks so far, fds opened and not closed, a child left unreaped.  At
+        # 64v64 the solve's reference, from the answer's denominator, is one
+        # band's work, so it sweeps in one band, rows 0..63, and forks nothing.
         assert seen["checks"] == [1, 0, False, 1, 0, False]
         assert seen["code"] == 3
         assert "the bottom band, rows 0..63, failed" in seen["stderr"]
@@ -518,11 +412,12 @@ class TestForkedBands:
             "recurrence._sweep = counted_top\n"
             "fds = open_fds()\n"
             "inst = duel(90)\n"
-            "checks = [p_a_wins_recursive(inst) == in_process(inst)]\n"
+            "value = in_process(inst)\n"
+            "checks = [p_a_wins_recursive(inst, value.denominator) == value]\n"
             "checks += [len(forks), open_fds() - fds, children_left()]\n"
             + FAILING_BOTTOM
             + "try:\n"
-            "    p_a_wins_recursive(inst)\n"
+            "    p_a_wins_recursive(inst, value.denominator)\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
@@ -536,9 +431,10 @@ class TestForkedBands:
         assert seen["held"] == [1, 1]
 
     def test_failure_in_the_top_band_leaves_no_child_waiting(self):
-        # The child's 64 columns of 2.2 KB each overfill the pipe once the top
+        # The child's 84 columns of 1.7 KB each overfill the pipe once the top
         # band stops reading; it must fail its write, not block the reaping.
         _, seen = run_bands(
+            "guess = in_process(duel(SOLVE_FORKING)).denominator\n"
             "sweep = recurrence._sweep\n"
             "def failing_top(a, b, lo, hi, scale, below):\n"
             "    rows = sweep(a, b, lo, hi, scale, below)\n"
@@ -549,7 +445,7 @@ class TestForkedBands:
             "recurrence._sweep = failing_top\n"
             "fds = open_fds()\n"
             "try:\n"
-            "    p_a_wins_recursive(duel(FORKING))\n"
+            "    p_a_wins_recursive(duel(SOLVE_FORKING), guess)\n"
             "    message = None\n"
             "except AssertionError as exc:\n"
             "    message = str(exc)\n"
@@ -594,47 +490,11 @@ class TestForkedBands:
     def test_one_band_without_a_fork(self, setup):
         _, seen = run_bands(
             setup
-            + "value = p_a_wins_recursive(duel(FORKING))\n"
-            "print(json.dumps({'forks': len(forks), 'same': value == in_process(duel(FORKING))}))\n"
+            + "expected = in_process(duel(SOLVE_FORKING))\n"
+            "value = p_a_wins_recursive(duel(SOLVE_FORKING), expected.denominator)\n"
+            "print(json.dumps({'forks': len(forks), 'same': value == expected}))\n"
         )
         assert seen == {"forks": 0, "same": True}
-
-    # D halved still clears every cell of this duel, since D is loose.
-    @pytest.mark.parametrize("fault", ["one", "dropped-prime", "short-chain"])
-    def test_too_small_denominator_is_caught(self, capsys, fault):
-        # The unguessed reference raises once every band is reaped, and the
-        # CLI's recursive route exits 3.  A verified solve builds no D, so it
-        # answers as it does without the fault.  D = 1 is one band's work.
-        forks = 0 if fault == "one" else 1
-        verified = solve_argv(seeded_duel(SOLVE_FORKING_SIZE))
-        recursive = solve_argv(seeded_duel(FORKING_SIZE), "--method", "recursive")
-        assert main(verified) == 0
-        right = capsys.readouterr().out
-        _, seen = run_bands(
-            DENOMINATOR_FAULTS[fault]
-            + "fds = open_fds()\n"
-            "try:\n"
-            "    p_a_wins_recursive(duel(FORKING))\n"
-            "    message = None\n"
-            "except AssertionError as exc:\n"
-            "    message = str(exc)\n"
-            "checks = [len(forks), open_fds() - fds, children_left()]\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out,"
-            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            f"    checks.append(main({recursive}))\n"
-            "checks += [out.getvalue(), 'inexact division' in err.getvalue()]\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            f"    checks.append(main({verified}))\n"
-            "checks += [out.getvalue(), len(forks), open_fds() - fds, children_left()]\n"
-            "print(json.dumps({'message': message, 'checks': checks}))\n"
-        )
-        assert seen["message"].startswith("inexact division")
-        # Forks by then, fds left open, a child left unreaped; the recursive
-        # route's exit code, stdout and stderr; the verified solve's exit
-        # code and stdout; forks, fds and children after both.
-        assert seen["checks"] == [
-            forks, 0, False, 3, "", True, 0, right, 2 * forks + 1, 0, False
-        ]
 
     def test_negative_guess_forks(self):
         # A forked child writes unsigned frames, so the sweep starts at |guess|:
