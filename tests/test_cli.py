@@ -1137,6 +1137,16 @@ class TestImportBudget:
         assert "skirmish.streams" in loaded
         assert not loaded & (UNBUDGETED_MODULES | DRAWING_MODULES - {"skirmish.streams"})
 
+    def test_the_recursive_route_loads_no_runner(self):
+        """The recursive route's reference starts at 1, one band's work, so it
+        forks nothing on the duel whose verified solve forks, nor at 120v120."""
+        recursive = [
+            SOLVE_FORKING + ["--method", "recursive"],
+            ["solve", "--a", ",".join(map(str, seeded_duel(120).a)),
+             "--b", ",".join(map(str, seeded_duel(120).b)), "--method", "recursive"],
+        ]
+        assert not modules_loaded_by(recursive) & (UNBUDGETED_MODULES | DRAWING_MODULES)
+
     @pytest.mark.parametrize(
         "command, modules",
         [

@@ -122,6 +122,22 @@ class TestFractionFreeKernel:
     def test_matches_full_table_with_sums_around_2_16(self, a, b):
         assert_sweeps_match_full_table(Instance(tuple(a), tuple(b)))
 
+    # Starts short of the value's denominator 18004 = 2^2 * 7 * 643 on
+    # (1, 9001) vs (1,): half of it, 1, its odd part, and it over its
+    # largest prime factor.  Each leaves a cell with a remainder.
+    @pytest.mark.parametrize(
+        "start", [9002, 1, 4501, 28], ids=["half", "one", "odd-part", "short-prime"]
+    )
+    def test_short_start_widens_to_the_value(self, start):
+        inst = Instance((1, 9001), (1,))
+        answer = fill_table(inst)[0, 0]
+        a, b = inst.integer_speeds()
+        value, growth = list(_sweep(a, b, 0, len(a), start, repeat((0, 1))))[-1]
+        # The sweep widens just to the value's denominator, and is exact.
+        assert growth > 1
+        assert start * growth == answer.denominator
+        assert Fraction(value, start * growth) == answer == p_a_wins_recursive(inst, start)
+
 
 def band_rows(inst, bands, guess=None):
     """The starting scale and each band's top row, from `bands` chained _sweep generators.
@@ -268,16 +284,34 @@ def test_bands_asked_for(monkeypatch, n, guessed):
             assert (asked[-1] < 2, bands, start) == (True, 1, None)
         return sweep(a, b, scale, bands, start)
 
+    inst = seeded_duel(n)
+    value = solve(inst).value
     monkeypatch.setattr(streams, "in_processes", in_processes)
     monkeypatch.setattr(recurrence, "_banded_sweep", banded_sweep)
+    assert p_a_wins_recursive(inst, value.denominator) == value
+    assert scales == [value.denominator]
+    assert asked == [guessed]
+
+
+@pytest.mark.parametrize("n", [n for n, _ in BAND_COUNTS])
+def test_unguessed_reference_is_one_band(monkeypatch, n):
+    """From 1, the reference is one band in the caller at every size above,
+    so it never loads `streams`: cells times 1 bit is far under BAND_WORK."""
+    calls = []
+
+    def in_processes(units, run):
+        pytest.fail(f"the unguessed reference asked for {units} bands")
+
+    sweep = recurrence._banded_sweep
     inst = seeded_duel(n)
-    value = p_a_wins_recursive(inst)
-    answer = solve(inst).value.denominator
-    assert p_a_wins_recursive(inst, answer) == value
-    # The unguessed reference starts at 1, one band that never loads `streams`.
-    assert scales == [1, answer]
-    assert asked[0] < 2
-    assert asked[1] == guessed
+    value = solve(inst).value
+    monkeypatch.setattr(streams, "in_processes", in_processes)
+    monkeypatch.setattr(
+        recurrence, "_banded_sweep", lambda a, b, *rest: calls.append(rest) or sweep(a, b, *rest)
+    )
+    assert p_a_wins_recursive(inst) == value
+    # The scale, the band count and the child starter.
+    assert calls == [(1, 1, None)]
 
 
 # The factor by which the sweep from a right answer's denominator widens on
@@ -327,6 +361,19 @@ def test_fork_fixtures_fork():
     inst = seeded_duel(SOLVE_FORKING_SIZE)
     _, _, rows = band_rows(inst, 2, solve(inst).value.denominator)
     assert rows[1][-1][1] > 1
+
+
+def short_start(kind, inst, d):
+    """A divisor of d short of it: 1, d's odd part, or d over the largest sum a_i + b_j dividing it.
+
+    The last two keep two bands' work at SOLVE_FORKING_SIZE.
+    """
+    if kind == "one":
+        return 1
+    if kind == "odd-part":
+        return d // (d & -d)
+    a, b = inst.integer_speeds()
+    return d // max(ai + bj for ai in a for bj in b if d % (ai + bj) == 0)
 
 
 def run_bands(body):
@@ -495,6 +542,23 @@ class TestForkedBands:
             "print(json.dumps({'forks': len(forks), 'same': value == expected}))\n"
         )
         assert seen == {"forks": 0, "same": True}
+
+    @pytest.mark.parametrize("kind, forks", [("one", 0), ("odd-part", 1), ("short-sum", 1)])
+    def test_short_start_widens_across_bands(self, kind, forks):
+        # From a start short of the answer's denominator the lower band widens
+        # further, and the top band must widen to the lcm of the two scales.
+        _, seen = run_bands(
+            inspect.getsource(short_start)
+            + "inst = duel(SOLVE_FORKING)\n"
+            "value = in_process(inst)\n"
+            f"start = short_start({kind!r}, inst, value.denominator)\n"
+            "fds = open_fds()\n"
+            "same = p_a_wins_recursive(inst, start) == value\n"
+            "print(json.dumps([start < value.denominator, value.denominator % start == 0,"
+            " same, len(forks), open_fds() - fds, children_left()]))\n"
+        )
+        # Short, a divisor, the value, forks, fds left open, a child left unreaped.
+        assert seen == [True, True, True, forks, 0, False]
 
     def test_negative_guess_forks(self):
         # A forked child writes unsigned frames, so the sweep starts at |guess|:
