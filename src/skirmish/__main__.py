@@ -1,8 +1,6 @@
 """Entry point for `python -m skirmish`."""
 
-import sys
-
 from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -23,9 +23,9 @@ is deterministic for fixed arguments and seed.
 `run` is the process entry (`python -m skirmish` and the `skirmish`
 script): once `main` returns, or argparse's `SystemExit` (help, usage
 error) leaves it, it flushes standard output and error and ends the
-process with `os._exit`, so the interpreter's teardown does not run.
-Call it only where the process exits next.  `main` is the in-process API
-and returns for every command that parses.
+process with `os._exit`, so the interpreter's teardown does not run:
+`run` never returns.  `main` is the in-process API and returns for every
+command that parses.
 
 A process pays only for its own command: `main` builds only the
 subparser `argv[0]` names.  The handlers of the commands that draw
@@ -47,33 +47,25 @@ from .relations import matching_curve_grid, relate, verify_cycle
 from .residues import ROUTES, Inconsistency, solve, verify
 
 
-def run(argv=None) -> int:
-    """`main(argv)` as the last act of a process, which ends in here.
+def run() -> None:
+    """`main()` as the last act of a process: never returns.
 
-    Returns only if a flush fails, as when standard output refused the
-    report or standard error a diagnostic: `main` has returned the code
-    for that, and the caller's exit then ends the process with it.
+    Flushes standard output and error, dropping a flush that fails (its
+    reader gone or its disk full, for which `main` has chosen the code),
+    and ends the process with `os._exit`, which discards what a stream
+    refused.
     """
     try:
-        code = main(argv)
+        code = main()
     except SystemExit as exc:
         # argparse printed help or a usage error and exits by itself, and
-        # `_Parser` dropped a write that failed; what a stream still buffers
-        # is left to the flushes below.
+        # `_Parser` dropped a write that failed.
         code = exc.code
-    refused = False
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
         except OSError:
-            # The bytes that the stream refused are still buffered, and
-            # CPython's own flush at exit would fail on them again, with a
-            # message and status 120.  As the `signal` docs advise ("Note on
-            # SIGPIPE"), send them to devnull, where that flush succeeds.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-            refused = True
-    if refused:
-        return code
+            pass
     os._exit(code)
 
 
@@ -348,4 +340,4 @@ COMMANDS = {
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

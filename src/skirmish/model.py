@@ -233,7 +233,7 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInstance(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise InvalidInstance('instance document must be {"a": [...], "b": [...]}')

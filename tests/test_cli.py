@@ -160,6 +160,15 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "--input", "/nonexistent/duel.json"]) == 2
 
+    def test_input_nested_too_deep_is_usage_error(self, tmp_path):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 100_000)
+        result = run_cli("solve", "--input", str(doc))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: invalid JSON: ")
+
     def test_distinct_on_repeated_a_is_usage_error(self, capsys):
         assert main(["solve", "--a", "1,1", "--b", "2", "--method", "distinct"]) == 2
 
@@ -788,7 +797,7 @@ ROUTE_PATCHES = {
     "residues.p_a_wins_distinct = crash\n",
 }
 # What a script adds to end as `python -m skirmish` and the console script end.
-RUN_TAIL = "from skirmish.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+RUN_TAIL = "from skirmish.cli import run\nrun()\n"
 
 
 def into_closed_pipe(command, stream, env=None):
@@ -847,7 +856,7 @@ class TestEntryPoints:
             "import sys\n"
             "from skirmish.cli import main, run\n"
             "print('main returned', main(sys.argv[1:]))\n"
-            "run(sys.argv[1:])\n"
+            "run()\n"
             "print('run returned')\n"
         )
         result = subprocess.run(
@@ -858,6 +867,26 @@ class TestEntryPoints:
         out, err = capsys.readouterr()
         assert result.stdout == f"{out}main returned {code}\n{out}"
         assert result.stderr == err + err
+
+    @pytest.mark.parametrize(
+        "argv, stream, code",
+        [
+            *((argv, "stdout", 141) for argv in REPORTS),
+            (["solve", "--a", "0", "--b", "1"], "stderr", 2),
+        ],
+        ids=[*REPORT_SIZES, "zero-speed"],
+    )
+    def test_run_never_returns(self, argv, stream, code):
+        """`run` ends the process itself, also when a stream refused its bytes.
+
+        Had it returned, the script would write `run returned` to a captured
+        stderr, or fail to write it to the closed one and exit 1.
+        """
+        script = "import os\nfrom skirmish.cli import run\nrun()\nos.write(2, b'run returned\\n')\n"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = into_closed_pipe([sys.executable, "-c", script, *argv], stream, env)
+        other = "stderr" if stream == "stdout" else "stdout"
+        assert (result.returncode, getattr(result, other)) == (code, b"")
 
     @pytest.mark.parametrize(
         "argv", [SOLVE_FORKING, ["curve", "--points", "20000"]], ids=["solve-forking", "curve"]
@@ -1000,7 +1029,7 @@ class TestEntryPoints:
         ],
     )
     def test_run_exit_codes_match_main(self, monkeypatch, capsys, patch, speeds, code):
-        """Through `sys.exit(run(argv))`, each exit code and stdout are `main`'s."""
+        """Through `run()`, each exit code and stdout are `main`'s."""
         argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
         script = ROUTE_PATCHES[patch] + RUN_TAIL
         result = subprocess.run(

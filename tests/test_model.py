@@ -81,6 +81,10 @@ class TestInstance:
         assert inst.swapped().swapped() == inst
 
 
+# An array nested far deeper than the interpreter's recursion limit.
+DEEP_ARRAY = "[" * 100_000
+
+
 class TestParseInstance:
     def test_plain_document(self):
         inst = parse_instance('{"a":["30","20"],"b":["15","36"]}')
@@ -118,6 +122,20 @@ class TestParseInstance:
         inst = Instance(("1/3", "0.5"), (2,))
         doc = json.dumps({"a": [str(s) for s in inst.a], "b": [str(s) for s in inst.b]})
         assert parse_instance(doc) == inst
+
+    @pytest.mark.parametrize(
+        "text", [DEEP_ARRAY, '{"a": %s, "b": [1]}' % DEEP_ARRAY], ids=["alone", "in-a"]
+    )
+    def test_rejects_nesting_too_deep_to_decode(self, text):
+        with pytest.raises(InvalidInstance, match="^invalid JSON: "):
+            parse_instance(text)
+
+    @given(st.text())
+    def test_any_text_is_an_instance_or_invalid(self, text):
+        try:
+            assert isinstance(parse_instance(text), Instance)
+        except InvalidInstance:
+            pass
 
 
 class TestGrouping:
