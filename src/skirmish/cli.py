@@ -16,9 +16,11 @@ A report that standard output refuses is none of these.  A closed pipe
 status a shell shows for a writer that SIGPIPE killed; any other failed
 write, such as a full disk (ENOSPC) or an I/O error (EIO), ends with
 `error: standard output: ...` and 4.
-Reports go to standard output as compact JSON (or --format plain),
-flushed as they are written; diagnostics go to standard error.  Output
-is deterministic for fixed arguments and seed.
+Each command's handler returns its report as (payload, plain text,
+disagreement or None) and prints nothing: `main` prints every report and
+maps each outcome to its code.  Reports go to standard output as compact
+JSON (or --format plain), flushed as they are written; diagnostics go to
+standard error.  Output is deterministic for fixed arguments and seed.
 
 `run` is the process entry (`python -m skirmish` and the `skirmish`
 script): once `main` returns, or argparse's `SystemExit` (help, usage
@@ -78,11 +80,17 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
-    except _Unwritten as exc:
-        if isinstance(exc.__cause__, BrokenPipeError):
+        payload, plain, failure = args.handler(args)
+        text = json.dumps(payload, separators=(",", ":")) if args.format == "json" else plain
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
             return 141  # 128 + SIGPIPE, and nobody left to tell
-        return _told(4, f"error: standard output: {exc.__cause__}\n")
+        except OSError as exc:
+            return _told(4, f"error: standard output: {exc}\n")
+        if failure:
+            raise Inconsistency(failure)
+        return 0
     except Inconsistency as exc:
         return _told(1, f"inconsistency: {exc}\n")
     except (ValueError, OSError) as exc:  # InvalidInstance is a ValueError
@@ -257,30 +265,14 @@ def _split_speeds(text) -> tuple:
     return tuple(part.strip() for part in text.split(","))
 
 
-class _Unwritten(Exception):
-    """Standard output refused the report; the OSError is the cause."""
-
-
-def _emit(args, payload: dict, plain: str) -> None:
-    """Print the report, flushed, so that a write it fails is `main`'s to report."""
-    text = json.dumps(payload, separators=(",", ":")) if args.format == "json" else plain
-    try:
-        print(text, flush=True)
-    except OSError as exc:  # told apart from the OSError of reading --input
-        raise _Unwritten from exc
-
-
-def _run_solve(args) -> int:
+def _run_solve(args) -> tuple[dict, str, str | None]:
     if args.epsilon is not None and args.method != "epsilon":
         raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
     inst = _read_instance(args)
     report = solve(inst, args.method, args.epsilon)
     _, failure = verify(inst, report)
     payload = report.to_json()
-    _emit(args, payload, _plain_value(payload))
-    if failure:
-        raise Inconsistency(failure)
-    return 0
+    return payload, _plain_value(payload), failure
 
 
 def _plain_value(payload: dict) -> str:
@@ -291,26 +283,24 @@ def _plain_value(payload: dict) -> str:
     return line
 
 
-def _run_relate(args) -> int:
+def _run_relate(args) -> tuple[dict, str, str | None]:
     inst = _read_instance(args)
     verdict = relate(inst.a, inst.b)
     payload = verdict.to_json()
-    _emit(args, payload, f"p = {payload['p']} = {payload['decimal']}: {payload['verdict']}")
-    return 0
+    return payload, f"p = {payload['p']} = {payload['decimal']}: {payload['verdict']}", None
 
 
-def _run_curve(args) -> int:
+def _run_curve(args) -> tuple[dict, str, str | None]:
     points = matching_curve_grid(1, args.points)
     payload = {"points": [{"x": str(x), "y": str(y)} for x, y in points]}
     # Only the plain table shows decimals, so json output skips working them out.
     rows = []
     if args.format == "plain":
         rows = [f"{decimal_str(x)},{decimal_str(y)}" for x, y in points]
-    _emit(args, payload, "\n".join(["x,y", *rows]))
-    return 0
+    return payload, "\n".join(["x,y", *rows]), None
 
 
-def _run_cycle(args) -> int:
+def _run_cycle(args) -> tuple[dict, str, str | None]:
     witness = verify_cycle(*(_split_speeds(text) for text in args.groups))
     payload = witness.to_json()
     lines = [
@@ -319,8 +309,7 @@ def _run_cycle(args) -> int:
         f"R vs P: {payload['pRP']} = {decimal_str(witness.p_rp)}",
         f"beats-cycle: {'yes' if witness.is_cycle else 'no'}",
     ]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines), None
 
 
 # Each command's help line and the function that adds its arguments, in

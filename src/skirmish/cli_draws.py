@@ -9,13 +9,13 @@ own estimator inside the function, so that `volume` does not load
 
 from __future__ import annotations
 
-from .cli import _emit, _read_instance
+from .cli import _read_instance
 from .model import InvalidInstance, decimal_str, group
-from .residues import Inconsistency, default_epsilon, parse_perturbation, solve, verify
+from .residues import default_epsilon, parse_perturbation, solve, verify
 from .streams import gate
 
 
-def _run_simulate(args) -> int:
+def _run_simulate(args) -> tuple[dict, str, str | None]:
     from .montecarlo import SimConfig, simulate
 
     inst = _read_instance(args)
@@ -24,11 +24,10 @@ def _run_simulate(args) -> int:
         f"A wins {report.a_wins}/{report.trials} = {report.estimate:.6f} "
         f"+/- {report.std_error:.6f} (seed {report.seed}, policy {report.policy})"
     )
-    _emit(args, report.to_json(), plain)
-    return 0
+    return report.to_json(), plain, None
 
 
-def _run_volume(args) -> int:
+def _run_volume(args) -> tuple[dict, str, str | None]:
     from .volume import estimate_volume
 
     inst = _read_instance(args)
@@ -37,11 +36,10 @@ def _run_volume(args) -> int:
         f"hit fraction {estimate.hits}/{estimate.samples} = {estimate.estimate:.6f} "
         f"+/- {estimate.std_error:.6f} (seed {estimate.seed})"
     )
-    _emit(args, estimate.to_json(), plain)
-    return 0
+    return estimate.to_json(), plain, None
 
 
-def _run_crosscheck(args) -> int:
+def _run_crosscheck(args) -> tuple[dict, str, str | None]:
     from .montecarlo import SimConfig, simulate
     from .volume import estimate_volume
 
@@ -110,7 +108,4 @@ def _run_crosscheck(args) -> int:
 
     payload["agree"] = not failures
     lines.append("agreement: " + ("NO" if failures else "yes"))
-    _emit(args, payload, "\n".join(lines))
-    if failures:
-        raise Inconsistency(failures[0])
-    return 0
+    return payload, "\n".join(lines), failures[0] if failures else None

@@ -233,7 +233,7 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         doc = json.loads(text, parse_float=Fraction)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidInstance(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise InvalidInstance('instance document must be {"a": [...], "b": [...]}')

@@ -25,7 +25,6 @@ Routes provided here, all exact, with `solve` as the one route table and
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .model import (
@@ -201,16 +200,12 @@ def _regular_coefficient(ratios: list[int], weights: list[int], degree: int) -> 
     return coefficients[degree]
 
 
-def balanced(terms: Iterable, combine):
-    """combine(terms), as `sum` or `math.prod`, pairwise in a tree: operands stay alike in size."""
-    terms = list(terms)
-    while len(terms) > 1:
-        terms = [combine(terms[k : k + 2]) for k in range(0, len(terms), 2)]
-    return combine(terms)
-
-
 def _total(residues: tuple) -> Fraction:
-    return balanced(residues, sum) if residues else Fraction(0)
+    """The residues' sum, pairwise in a tree: operands stay alike in size."""
+    terms = list(residues)
+    while len(terms) > 1:
+        terms = [sum(terms[k : k + 2]) for k in range(0, len(terms), 2)]
+    return terms[0] if terms else Fraction(0)
 
 
 def p_two_speeds(m: int, n: int, v) -> Fraction:

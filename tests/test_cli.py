@@ -169,6 +169,16 @@ class TestSolve:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: invalid JSON: ")
 
+    def test_input_past_the_digit_limit_is_solved(self, tmp_path, capsys):
+        """`main` lifts CPython's int<->str cap before it reads --input."""
+        speed = "1" * 5000
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"a":[%s],"b":[1]}' % speed)
+        assert main(["solve", "--input", str(doc)]) == 0
+        value = parse_huge(json.loads(capsys.readouterr().out)["value"])
+        a = parse_huge(speed)
+        assert value == a / (a + 1)
+
     def test_distinct_on_repeated_a_is_usage_error(self, capsys):
         assert main(["solve", "--a", "1,1", "--b", "2", "--method", "distinct"]) == 2
 
@@ -798,6 +808,9 @@ ROUTE_PATCHES = {
 }
 # What a script adds to end as `python -m skirmish` and the console script end.
 RUN_TAIL = "from skirmish.cli import run\nrun()\n"
+# Both reports, and a disagreement, whose refused report must outrank it.
+WRITES = [(None, argv) for argv in REPORTS] + [("wrong", ["solve", "--a", "1", "--b", "1"])]
+WRITE_IDS = [*REPORT_SIZES, "disagree"]
 
 
 def into_closed_pipe(command, stream, env=None):
@@ -905,16 +918,17 @@ class TestEntryPoints:
             assert result.returncode == 0, command
             assert result.stdout == expected, command
 
-    @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
-    def test_a_closed_pipe_ends_as_sigpipe_would(self, argv):
+    @pytest.mark.parametrize("patch, argv", WRITES, ids=WRITE_IDS)
+    def test_a_closed_pipe_ends_as_sigpipe_would(self, patch, argv):
         """With no reader left, the process ends as a writer killed by SIGPIPE
-        looks to a shell: status 141, and nothing on stderr.
+        looks to a shell: status 141, and nothing on stderr, even where the
+        routes disagree.
 
         A small report fails at its flush, a large one at its write, both
         inside `main`, which returns 141 in process too.
         """
         # `main`'s code, with no exit flush: that would fail on what the pipe refused.
-        returned = (
+        returned = ROUTE_PATCHES[patch] + (
             "import os, sys\n"
             "from skirmish.cli import main\n"
             "print(main(sys.argv[1:]), file=sys.stderr)\n"
@@ -922,8 +936,10 @@ class TestEntryPoints:
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         ends = []
-        commands = [[sys.executable, "-c", returned], [sys.executable, "-m", "skirmish"]]
-        for command in commands + script_commands():
+        entries = [[sys.executable, "-m", "skirmish"], *script_commands()]
+        if patch:
+            entries = [[sys.executable, "-c", ROUTE_PATCHES[patch] + RUN_TAIL]]
+        for command in [[sys.executable, "-c", returned], *entries]:
             result = into_closed_pipe([*command, *argv], "stdout", env)
             ends.append((result.returncode, result.stderr))
         assert ends == [(0, b"141\n")] + [(141, b"")] * (len(ends) - 1)
@@ -1005,12 +1021,16 @@ class TestEntryPoints:
         assert exited.value.code == code
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", REPORTS, ids=REPORT_SIZES)
-    def test_a_full_disk_exits_four(self, argv):
-        """A write that fails otherwise than on a closed pipe says so once, and exits 4."""
+    @pytest.mark.parametrize("patch, argv", WRITES, ids=WRITE_IDS)
+    def test_a_full_disk_exits_four(self, patch, argv):
+        """A write that fails otherwise than on a closed pipe says so once, and
+        exits 4, even where the routes disagree."""
+        command = [sys.executable, "-m", "skirmish"]
+        if patch:
+            command = [sys.executable, "-c", ROUTE_PATCHES[patch] + RUN_TAIL]
         with open("/dev/full", "wb") as full:
             result = subprocess.run(
-                [sys.executable, "-m", "skirmish", *argv],
+                [*command, *argv],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,

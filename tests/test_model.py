@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,18 @@ class TestParseInstance:
     def test_rejects_nesting_too_deep_to_decode(self, text):
         with pytest.raises(InvalidInstance, match="^invalid JSON: "):
             parse_instance(text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+    )
+    def test_rejects_an_integer_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(InvalidInstance, match="^invalid JSON: "):
+                parse_instance('{"a":[' + "1" * 5000 + '],"b":[1]}')
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(st.text())
     def test_any_text_is_an_instance_or_invalid(self, text):
