@@ -16,11 +16,15 @@ A report that standard output refuses is none of these.  A closed pipe
 status a shell shows for a writer that SIGPIPE killed; any other failed
 write, such as a full disk (ENOSPC) or an I/O error (EIO), ends with
 `error: standard output: ...` and 4.
-Each command's handler returns its report as (payload, plain text,
-disagreement or None) and prints nothing: `main` prints every report and
-maps each outcome to its code.  Reports go to standard output as compact
-JSON (or --format plain), flushed as they are written; diagnostics go to
-standard error.  Output is deterministic for fixed arguments and seed.
+Each command is one row of `COMMANDS`: its help line, whether it takes a
+duel (--a/--b or --input, which `main` reads and hands to the handler),
+the function that adds its own arguments and returns its handler, and its
+default --format.  Each handler returns its report as (payload, plain
+text, disagreement or None) and prints nothing: `main` prints every
+report and maps each outcome to its code.  Reports go to standard output
+as compact JSON (or --format plain), flushed as they are written;
+diagnostics go to standard error.  Output is deterministic for fixed
+arguments and seed.
 
 `run` is the process entry (`python -m skirmish` and the `skirmish`
 script): once `main` returns, or argparse's `SystemExit` (help, usage
@@ -32,9 +36,10 @@ command that parses.
 A process pays only for its own command: `main` builds only the
 subparser `argv[0]` names.  The handlers of the commands that draw
 (simulate, volume, crosscheck) live in `cli_draws`, which each of those
-commands' argument builders imports, and they import `montecarlo` and
-`volume`.  So the exact commands load none of these, nor `streams`,
-which only the drawing commands and a reference sweep that forks load.
+commands' argument builders imports and which imports nothing from `cli`;
+those handlers import `montecarlo` and `volume`.  So the exact commands
+load none of these, nor `streams`, which only the drawing commands and a
+reference sweep that forks load.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        payload, plain, failure = args.handler(args)
+        _, takes_duel, _, _ = COMMANDS[args.command]
+        duel = (_read_instance(args),) if takes_duel else ()
+        payload, plain, failure = args.handler(*duel, args)
         text = json.dumps(payload, separators=(",", ":")) if args.format == "json" else plain
         try:
             print(text, flush=True)
@@ -88,10 +95,8 @@ def main(argv=None) -> int:
             return 141  # 128 + SIGPIPE, and nobody left to tell
         except OSError as exc:
             return _told(4, f"error: standard output: {exc}\n")
-        if failure:
-            raise Inconsistency(failure)
-        return 0
-    except Inconsistency as exc:
+        return _told(1, f"inconsistency: {failure}\n") if failure else 0
+    except Inconsistency as exc:  # relate and cycle raise theirs
         return _told(1, f"inconsistency: {exc}\n")
     except (ValueError, OSError) as exc:  # InvalidInstance is a ValueError
         return _told(2, f"error: {exc}\n")
@@ -155,13 +160,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         names, listing = (command,), {"metavar": "{" + ",".join(COMMANDS) + "}"}
     commands = parser.add_subparsers(dest="command", required=True, **listing)
     for name in names:
-        summary, add_arguments = COMMANDS[name]
-        add_arguments(commands.add_parser(name, help=summary))
+        summary, takes_duel, add_arguments, output = COMMANDS[name]
+        sub = commands.add_parser(name, help=summary)
+        if takes_duel:
+            sub.add_argument("--a", help='comma-separated A speeds, e.g. "30,20" (may be empty)')
+            sub.add_argument("--b", help="comma-separated B speeds")
+            sub.add_argument("--input", help='path to a JSON file {"a": [...], "b": [...]}')
+        sub.set_defaults(handler=add_arguments(sub))
+        sub.add_argument("--format", choices=("json", "plain"), default=output)
     return parser
 
 
-def _solve_arguments(solve: argparse.ArgumentParser) -> None:
-    _instance_flags(solve)
+def _solve_arguments(solve: argparse.ArgumentParser):
     solve.add_argument(
         "--method",
         choices=("auto", *ROUTES),
@@ -169,62 +179,51 @@ def _solve_arguments(solve: argparse.ArgumentParser) -> None:
         help="solver route; auto picks distinct or series by repetition",
     )
     solve.add_argument("--epsilon", help="perturbation for --method epsilon (exact rational)")
-    _format_flag(solve)
-    solve.set_defaults(handler=_run_solve)
+    return _run_solve
 
 
-def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
+def _simulate_arguments(sim: argparse.ArgumentParser):
     from .cli_draws import _run_simulate
     from .montecarlo import POLICIES
 
-    _instance_flags(sim)
     sim.add_argument("--trials", type=integer, default=100_000)
     sim.add_argument("--seed", type=integer, default=0)
     sim.add_argument("--policy", choices=POLICIES, default="frontmost")
-    _format_flag(sim)
-    sim.set_defaults(handler=_run_simulate)
+    return _run_simulate
 
 
-def _volume_arguments(vol: argparse.ArgumentParser) -> None:
+def _volume_arguments(vol: argparse.ArgumentParser):
     from .cli_draws import _run_volume
 
-    _instance_flags(vol)
     vol.add_argument("--samples", type=integer, default=1_000_000)
     vol.add_argument("--seed", type=integer, default=0)
-    _format_flag(vol)
-    vol.set_defaults(handler=_run_volume)
+    return _run_volume
 
 
-def _relate_arguments(rel: argparse.ArgumentParser) -> None:
-    _instance_flags(rel)
-    _format_flag(rel)
-    rel.set_defaults(handler=_run_relate)
+def _relate_arguments(rel: argparse.ArgumentParser):
+    return _run_relate
 
 
-def _curve_arguments(curve: argparse.ArgumentParser) -> None:
+def _curve_arguments(curve: argparse.ArgumentParser):
     curve.add_argument("--points", type=integer, default=100, help="grid size; x = k/(points+1)")
-    _format_flag(curve, default="plain")
-    curve.set_defaults(handler=_run_curve)
+    return _run_curve
 
 
-def _cycle_arguments(cycle: argparse.ArgumentParser) -> None:
+def _cycle_arguments(cycle: argparse.ArgumentParser):
     cycle.add_argument(
         "groups", nargs=3, metavar="GROUP", help="comma-separated speeds, three groups"
     )
-    _format_flag(cycle)
-    cycle.set_defaults(handler=_run_cycle)
+    return _run_cycle
 
 
-def _crosscheck_arguments(cross: argparse.ArgumentParser) -> None:
+def _crosscheck_arguments(cross: argparse.ArgumentParser):
     from .cli_draws import _run_crosscheck
 
-    _instance_flags(cross)
     cross.add_argument("--trials", type=integer, default=200_000)
     cross.add_argument("--samples", type=integer, default=1_000_000)
     cross.add_argument("--seed", type=integer, default=0)
     cross.add_argument("--epsilon", help="override the default perturbation")
-    _format_flag(cross)
-    cross.set_defaults(handler=_run_crosscheck)
+    return _run_crosscheck
 
 
 def integer(text: str) -> int:
@@ -236,16 +235,6 @@ def integer(text: str) -> int:
         return int(ascii_number(text, "integer"))
     except InvalidInstance as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _instance_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument("--a", help='comma-separated A speeds, e.g. "30,20" (may be empty)')
-    command.add_argument("--b", help="comma-separated B speeds")
-    command.add_argument("--input", help='path to a JSON file {"a": [...], "b": [...]}')
-
-
-def _format_flag(command: argparse.ArgumentParser, default: str = "json") -> None:
-    command.add_argument("--format", choices=("json", "plain"), default=default)
 
 
 def _read_instance(args) -> Instance:
@@ -265,26 +254,20 @@ def _split_speeds(text) -> tuple:
     return tuple(part.strip() for part in text.split(","))
 
 
-def _run_solve(args) -> tuple[dict, str, str | None]:
+def _run_solve(inst: Instance, args) -> tuple[dict, str, str | None]:
     if args.epsilon is not None and args.method != "epsilon":
         raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
-    inst = _read_instance(args)
     report = solve(inst, args.method, args.epsilon)
     _, failure = verify(inst, report)
     payload = report.to_json()
-    return payload, _plain_value(payload), failure
-
-
-def _plain_value(payload: dict) -> str:
-    line = f"P(A wins) = {payload['value']} = {payload['decimal']} [{payload['method']}]"
+    plain = f"P(A wins) = {payload['value']} = {payload['decimal']} [{payload['method']}]"
     residues = payload.get("residues")
     if residues:
-        line += "\nresidues: " + ", ".join(residues)
-    return line
+        plain += "\nresidues: " + ", ".join(residues)
+    return payload, plain, failure
 
 
-def _run_relate(args) -> tuple[dict, str, str | None]:
-    inst = _read_instance(args)
+def _run_relate(inst: Instance, args) -> tuple[dict, str, str | None]:
     verdict = relate(inst.a, inst.b)
     payload = verdict.to_json()
     return payload, f"p = {payload['p']} = {payload['decimal']}: {payload['verdict']}", None
@@ -312,18 +295,26 @@ def _run_cycle(args) -> tuple[dict, str, str | None]:
     return payload, "\n".join(lines), None
 
 
-# Each command's help line and the function that adds its arguments, in
-# the order `skirmish -h` lists them.
+# One row a command, of the four fields the module docstring names, in the
+# order `skirmish -h` lists them.
 COMMANDS = {
-    "solve": ("exact (or perturbed) win probability", _solve_arguments),
-    "simulate": ("Monte Carlo play-out of the duel", _simulate_arguments),
-    "volume": ("hypercube-volume estimate of the win probability", _volume_arguments),
-    "relate": ("beats / matched / loses verdict for --a against --b", _relate_arguments),
-    "curve": ("pairs (x, y) that exactly match a lone speed-1 particle", _curve_arguments),
-    "cycle": ("check three groups for a beats-cycle", _cycle_arguments),
+    "solve": ("exact (or perturbed) win probability", True, _solve_arguments, "json"),
+    "simulate": ("Monte Carlo play-out of the duel", True, _simulate_arguments, "json"),
+    "volume": (
+        "hypercube-volume estimate of the win probability", True, _volume_arguments, "json"
+    ),
+    "relate": (
+        "beats / matched / loses verdict for --a against --b", True, _relate_arguments, "json"
+    ),
+    "curve": (
+        "pairs (x, y) that exactly match a lone speed-1 particle", False, _curve_arguments, "plain"
+    ),
+    "cycle": ("check three groups for a beats-cycle", False, _cycle_arguments, "json"),
     "crosscheck": (
         "run the reference, the auto route, epsilon and both estimators on one instance",
+        True,
         _crosscheck_arguments,
+        "json",
     ),
 }
 

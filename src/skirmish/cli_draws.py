@@ -2,23 +2,22 @@
 
 They live apart from `cli` so that the exact commands neither load nor
 compile them, nor `streams`, which they need: each command's argument
-builder in `cli` imports its handler from here.  Each handler imports its
-own estimator inside the function, so that `volume` does not load
-`montecarlo`, nor `simulate` `volume`.
+builder in `cli` imports its handler from here.  `cli.main` hands each
+handler its duel, so this module imports nothing from `cli`.  Each handler
+imports its own estimator inside the function, so that `volume` does not
+load `montecarlo`, nor `simulate` `volume`.
 """
 
 from __future__ import annotations
 
-from .cli import _read_instance
-from .model import InvalidInstance, decimal_str, group
+from .model import Instance, InvalidInstance, decimal_str, group
 from .residues import default_epsilon, parse_perturbation, solve, verify
 from .streams import gate
 
 
-def _run_simulate(args) -> tuple[dict, str, str | None]:
+def _run_simulate(inst: Instance, args) -> tuple[dict, str, str | None]:
     from .montecarlo import SimConfig, simulate
 
-    inst = _read_instance(args)
     report = simulate(inst, SimConfig(args.trials, args.seed, args.policy))
     plain = (
         f"A wins {report.a_wins}/{report.trials} = {report.estimate:.6f} "
@@ -27,10 +26,9 @@ def _run_simulate(args) -> tuple[dict, str, str | None]:
     return report.to_json(), plain, None
 
 
-def _run_volume(args) -> tuple[dict, str, str | None]:
+def _run_volume(inst: Instance, args) -> tuple[dict, str, str | None]:
     from .volume import estimate_volume
 
-    inst = _read_instance(args)
     estimate = estimate_volume(inst, args.samples, args.seed)
     plain = (
         f"hit fraction {estimate.hits}/{estimate.samples} = {estimate.estimate:.6f} "
@@ -39,11 +37,10 @@ def _run_volume(args) -> tuple[dict, str, str | None]:
     return estimate.to_json(), plain, None
 
 
-def _run_crosscheck(args) -> tuple[dict, str, str | None]:
+def _run_crosscheck(inst: Instance, args) -> tuple[dict, str, str | None]:
     from .montecarlo import SimConfig, simulate
     from .volume import estimate_volume
 
-    inst = _read_instance(args)
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
     # Read before any exact work, so that a bad --epsilon costs none.  The

@@ -1,11 +1,25 @@
-"""Shared hypothesis strategies for duel instances, flat and grouped."""
+"""Shared hypothesis strategies for duel instances, flat and grouped.
+
+Also the whole-number argument sites that test_model.py tests with Python's
+types and test_montecarlo.py with numpy's, and the route and sweep patches
+that several modules use.
+"""
 
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from skirmish import GroupedInstance, Instance, MethodReport, residues
+from skirmish import (
+    GroupedInstance,
+    Instance,
+    MethodReport,
+    SimConfig,
+    estimate_volume,
+    matching_curve_grid,
+    p_two_speeds,
+    residues,
+)
 
 # Small pool so repeated speeds actually happen; the open range keeps
 # denominators tame enough for exact arithmetic to stay fast.
@@ -48,6 +62,19 @@ def grouped_instances(draw):
         return tuple((s, draw(multiplicity)) for s in sorted(distinct))
 
     return GroupedInstance(side(1), side(0))
+
+
+# Every argument that must be a whole number: value -> what the library keeps of it.
+_FIGHT = Instance((30, 20), (15, 36))
+WHOLE_NUMBER_SITES = {
+    "multiplicity": lambda k: GroupedInstance(((1, k),), ((2, 1),)).a_groups[0][1],
+    "side-size": lambda k: p_two_speeds(k, 2, 1),
+    "trials": lambda k: SimConfig(k).trials,
+    "simulate-seed": lambda k: SimConfig(10, seed=k).seed,
+    "samples": lambda k: estimate_volume(_FIGHT, k).samples,
+    "volume-seed": lambda k: estimate_volume(_FIGHT, 10, k).seed,
+    "points": lambda k: matching_curve_grid(1, k),
+}
 
 
 def huge_rational_speeds(count, digits, seed):

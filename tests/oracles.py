@@ -30,7 +30,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from skirmish import (
@@ -135,6 +134,8 @@ def complement_estimates(inst: Instance, samples: int, seed: int = 0) -> tuple:
 
 def derived_seed(seed: int, index: int) -> int:
     """Stable 64-bit sub-seed for auxiliary runs (e.g. permutation probes)."""
+    import numpy as np
+
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 

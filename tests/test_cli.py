@@ -160,6 +160,18 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "--input", "/nonexistent/duel.json"]) == 2
 
+    def test_a_missing_file_outranks_a_misplaced_epsilon(self, tmp_path, capsys):
+        """`main` reads the duel before the handler checks its own flags."""
+        missing = tmp_path / "duel.json"
+        assert main(["solve", "--input", str(missing), "--epsilon", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert main(["solve", "--a", "1", "--b", "2", "--epsilon", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --epsilon applies only to --method epsilon, not auto\n"
+        )
+
     def test_input_nested_too_deep_is_usage_error(self, tmp_path):
         doc = tmp_path / "deep.json"
         doc.write_text("[" * 100_000)
@@ -1210,6 +1222,17 @@ class TestImportBudget:
         assert {"numpy", "skirmish.cli_draws", "skirmish.streams", *modules} <= loaded
         assert not loaded & (STOCHASTIC_MODULES - modules)
 
+    def test_the_drawing_handlers_load_no_cli(self):
+        """`cli_draws` takes its duel from `main`, so it imports nothing from `cli`."""
+        script = "import sys, skirmish.cli_draws\nprint('skirmish.cli' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+        )
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
     def test_every_public_name_resolves(self):
         """`__all__` resolves by attribute and by `from skirmish import`, the
         stochastic names on first use; a name outside it is an AttributeError."""
@@ -1266,3 +1289,21 @@ class TestRobustness:
             code = main([*command, f"--a={a}", f"--b={b}"])
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ARGVS)
+    def test_any_argv_keeps_the_exit_code_contract(self, argv):
+        """Through `main`, argparse's own exits included: 0, 1 or 2, never a
+        traceback, and JSON on standard output wherever it succeeds in JSON."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code, fmt = exc.code, None
+            else:
+                fmt = build_parser().parse_args(argv).format
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and fmt == "json":
+            strict_json(out.getvalue())

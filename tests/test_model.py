@@ -6,7 +6,6 @@ import pickle
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,16 +21,12 @@ from skirmish import (
     SimReport,
     VolumeEstimate,
     decimal_str,
-    estimate_volume,
     group,
-    matching_curve_grid,
-    p_two_speeds,
     parse_instance,
     parse_speed,
-    simulate,
 )
 
-from conftest import instances, speeds
+from conftest import WHOLE_NUMBER_SITES, instances, speeds
 from oracles import expand
 
 
@@ -275,45 +270,19 @@ class TestRecords:
             assert repr(clone) == repr(record)
 
 
-FIGHT = Instance((30, 20), (15, 36))
-
-# Every argument that must be a whole number: value -> what the library keeps of it.
-WHOLE_NUMBER_SITES = {
-    "multiplicity": lambda k: GroupedInstance(((1, k),), ((2, 1),)).a_groups[0][1],
-    "side-size": lambda k: p_two_speeds(k, 2, 1),
-    "trials": lambda k: SimConfig(k).trials,
-    "simulate-seed": lambda k: SimConfig(10, seed=k).seed,
-    "samples": lambda k: estimate_volume(FIGHT, k).samples,
-    "volume-seed": lambda k: estimate_volume(FIGHT, 10, k).seed,
-    "points": lambda k: matching_curve_grid(1, k),
-}
-
-
 class TestWholeNumbers:
-    """One rule for counts and seeds: any integer type in, a Python int kept."""
+    """One rule for counts and seeds: any integer type in, a Python int kept.
+
+    numpy's integer and float types are tested with the estimators, in
+    test_montecarlo.py, so that this module collects without numpy.
+    """
 
     @pytest.mark.parametrize("site", WHOLE_NUMBER_SITES.values(), ids=WHOLE_NUMBER_SITES)
-    @pytest.mark.parametrize("value", [np.int64(3), np.uint64(3), np.int8(3)], ids=repr)
-    def test_numpy_integers_are_kept_as_ints(self, site, value):
-        kept = site(value)
-        assert kept == site(3)
-        assert type(kept) is type(site(3))
-
-    @pytest.mark.parametrize("site", WHOLE_NUMBER_SITES.values(), ids=WHOLE_NUMBER_SITES)
-    @pytest.mark.parametrize("value", [True, 3.0, np.float64(3), "3", Fraction(3)], ids=repr)
+    @pytest.mark.parametrize("value", [True, 3.0, "3", Fraction(3)], ids=repr)
     def test_other_types_are_refused(self, site, value):
         # A bool or float would stand for an integer the record never shows.
         with pytest.raises(ValueError):
             site(value)
-
-    def test_numpy_seeded_reports_serialise(self):
-        seed = np.uint64(7)
-        reports = [
-            simulate(FIGHT, SimConfig(np.int64(10), seed=seed)),
-            estimate_volume(FIGHT, np.int64(10), seed),
-        ]
-        for report in reports:
-            assert json.loads(json.dumps(report.to_json()))["seed"] == 7
 
 
 class TestDecimalStr:

@@ -1,5 +1,6 @@
 """Monte Carlo play-out: determinism, partitioning, policies, statistics."""
 
+import json
 import math
 import os
 import tracemalloc
@@ -15,6 +16,7 @@ from skirmish import (
     Instance,
     InvalidInstance,
     SimConfig,
+    estimate_volume,
     p_a_wins_recursive,
     simulate,
     win_threshold,
@@ -22,7 +24,7 @@ from skirmish import (
 from skirmish import streams
 from skirmish.cli import main
 
-from conftest import instances, speeds
+from conftest import WHOLE_NUMBER_SITES, instances, speeds
 from oracles import check_blocks, order_invariance_probe, record_blocks, use_block_trials
 
 FIGHT = Instance((30, 20), (15, 36))
@@ -112,6 +114,34 @@ class TestConfig:
     def test_numpy_integer_seed_is_accepted(self):
         cfg = SimConfig(50, seed=np.uint64(7))
         assert simulate(FIGHT, cfg).a_wins == simulate(FIGHT, SimConfig(50, seed=7)).a_wins
+
+
+class TestNumpyWholeNumbers:
+    """numpy's integer types are whole numbers, kept as Python ints, at every
+    site that takes one; its floats are refused, as Python's are."""
+
+    @pytest.mark.parametrize("site", WHOLE_NUMBER_SITES.values(), ids=WHOLE_NUMBER_SITES)
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint64(3), np.int8(3)], ids=repr)
+    def test_numpy_integers_are_kept_as_ints(self, site, value):
+        kept = site(value)
+        assert kept == site(3)
+        assert type(kept) is type(site(3))
+
+    @pytest.mark.parametrize("site", WHOLE_NUMBER_SITES.values(), ids=WHOLE_NUMBER_SITES)
+    @pytest.mark.parametrize("value", [np.float64(3)], ids=repr)
+    def test_other_types_are_refused(self, site, value):
+        # A float would stand for an integer the record never shows.
+        with pytest.raises(ValueError):
+            site(value)
+
+    def test_numpy_seeded_reports_serialise(self):
+        seed = np.uint64(7)
+        reports = [
+            simulate(FIGHT, SimConfig(np.int64(10), seed=seed)),
+            estimate_volume(FIGHT, np.int64(10), seed),
+        ]
+        for report in reports:
+            assert json.loads(json.dumps(report.to_json()))["seed"] == 7
 
 
 class TestThreshold:
