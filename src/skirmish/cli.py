@@ -81,6 +81,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     # Exact results may have any number of digits: lift CPython's int<->str cap.
+    # The fallback serves 3.10.0-3.10.6, which predate the cap (3.10.7 added it).
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)

@@ -48,6 +48,7 @@ depend on the split.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
@@ -152,17 +153,6 @@ def _sweep(
         yield down, growth
 
 
-def _flat_sweep(*args) -> Iterator[int]:
-    """The pairs of `_sweep(*args)` as one stream of ints, as a child writes them."""
-    return chain.from_iterable(_sweep(*args))
-
-
-def _last(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    for value in values:
-        pass
-    return value
-
-
 def _banded_sweep(a, b, scale: int, bands: int, start) -> tuple[int, int]:
     """(N(0, 0), growth) from the top band, with every band below it swept in a child from `start`.
 
@@ -180,9 +170,11 @@ def _banded_sweep(a, b, scale: int, bands: int, start) -> tuple[int, int]:
         from .streams import frames
 
         held = pipe
-        pipe = start(partial(_flat_sweep, a, b, bounds[t], bounds[t + 1], scale, below))
+        # Made here, it sweeps nothing until the child first advances it.
+        top_row = _sweep(a, b, bounds[t], bounds[t + 1], scale, below)
+        pipe = start(partial(chain.from_iterable, top_row))
         if held is not None:
             held.close()
         values = frames(pipe)
         below = zip(values, values)
-    return _last(_sweep(a, b, 0, bounds[1], scale, below))
+    return deque(_sweep(a, b, 0, bounds[1], scale, below), maxlen=1).pop()

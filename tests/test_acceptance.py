@@ -159,6 +159,7 @@ def test_criterion_5_epsilon_convergence(criterion):
         assert errors[2] / exact < Fraction(1, 10_000)
 
 
+@pytest.mark.draws
 def test_criterion_6_stochastic_oracles(criterion):
     duels = [
         (Instance(("30", "20"), ("15", "36")), Fraction(270, 539)),

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import ast
+import collections
 import errno
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skirmish import ROUTES, Instance, p_a_wins_recursive
+from skirmish import POLICIES, ROUTES, Instance, p_a_wins_recursive
 from skirmish import cli, residues, streams
 from skirmish.cli import build_parser, main
 
@@ -267,6 +268,7 @@ class TestSolve:
 
 
 class TestSimulate:
+    @pytest.mark.draws
     def test_json_shape_and_determinism(self, capsys):
         argv = ["simulate", "--a", "1", "--b", "1", "--trials", "2000", "--seed", "7"]
         assert main(argv) == 0
@@ -279,6 +281,7 @@ class TestSimulate:
         assert payload["policy"] == "frontmost"
         assert 0 <= payload["aWins"] <= 2000
 
+    @pytest.mark.draws
     def test_policy_flag(self, capsys):
         argv = [
             "simulate", "--a", "2,1", "--b", "1",
@@ -295,6 +298,7 @@ class TestSimulate:
 
 
 class TestVolume:
+    @pytest.mark.draws
     def test_json_shape(self, capsys):
         assert main(["volume", "--a", "1", "--b", "1,1", "--samples", "5000"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -304,6 +308,7 @@ class TestVolume:
     def test_empty_side_is_usage_error(self, capsys):
         assert main(["volume", "--a", "1", "--b", ""]) == 2
 
+    @pytest.mark.draws
     def test_speed_beyond_float_range(self, capsys):
         assert main(["volume", "--a", "1e400", "--b", "1", "--samples", "1000"]) == 0
         assert json.loads(capsys.readouterr().out)["hits"] == 1000
@@ -388,6 +393,7 @@ class TestIntegerOptions:
         assert f"argument {option}: malformed integer {text!r}" in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.draws
     def test_ascii_trials_still_run(self, capsys):
         assert main(["simulate", "--a", "1", "--b", "1", "--trials", "100", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -435,6 +441,8 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+# The commands that draw, and so need numpy.
+DRAWING_COMMANDS = ("simulate", "volume", "crosscheck")
 
 
 class TestReadmeExamples:
@@ -445,7 +453,16 @@ class TestReadmeExamples:
         assert {argv[0] for argv, _ in README_EXAMPLES} == set(commands.choices)
 
     @pytest.mark.parametrize(
-        "argv, stdout", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+        "argv, stdout",
+        [
+            pytest.param(
+                argv,
+                stdout,
+                id=" ".join(argv),
+                marks=pytest.mark.draws if argv[0] in DRAWING_COMMANDS else (),
+            )
+            for argv, stdout in README_EXAMPLES
+        ],
     )
     def test_example_output(self, capsys, argv, stdout):
         assert main(argv) == 0
@@ -551,6 +568,7 @@ def assert_crosscheck_bytes(capsys, argv, code, pinned, err=""):
 
 
 class TestCrosscheck:
+    @pytest.mark.draws
     def test_distinct_instance_agrees(self, capsys):
         argv = [
             "crosscheck", "--a", "30,20", "--b", "15,36",
@@ -564,6 +582,7 @@ class TestCrosscheck:
         assert methods == ["recursive", "distinct", "epsilon", "montecarlo", "hypervolume"]
         assert_crosscheck_bytes(capsys, argv, 0, AGREEING_BYTES)
 
+    @pytest.mark.draws
     def test_repeated_speeds_use_series(self, capsys):
         argv = [
             "crosscheck", "--a", "1,1,1", "--b", "1,1",
@@ -578,6 +597,7 @@ class TestCrosscheck:
         result = run_cli("crosscheck", "--a", "5", "--b", "")
         assert result.returncode == 2
 
+    @pytest.mark.draws
     def test_epsilon_override(self, capsys):
         argv = [
             "crosscheck", "--a", "1,1", "--b", "1",
@@ -602,6 +622,7 @@ class TestCrosscheck:
         )
         assert sweeps == []
 
+    @pytest.mark.draws
     def test_exact_mismatch_exits_one(self, capsys, monkeypatch):
         break_route(monkeypatch)
         argv = [
@@ -616,6 +637,7 @@ class TestCrosscheck:
         assert_crosscheck_bytes(capsys, argv, 1, EXACT_MISMATCH_BYTES, captured.err)
 
     @pytest.mark.parametrize("kind", WRONG_ANSWERS)
+    @pytest.mark.draws
     def test_wrong_auto_route_leaves_the_exact_value(self, capsys, monkeypatch, kind):
         # The reference starts at the wrong answer's denominator, and still
         # gives the value that every other row is compared with.
@@ -637,6 +659,7 @@ class TestCrosscheck:
         assert payload["methods"][1] == {"method": "distinct", "value": str(wrong), "agree": False}
 
     @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.draws
     def test_one_reference_sweep_from_the_auto_denominator(self, capsys, monkeypatch, broken):
         # The CLI reaches the reference only through `verify`, which sweeps
         # it once, from the denominator of the answer it checks.
@@ -655,6 +678,7 @@ class TestCrosscheck:
         capsys.readouterr()
         assert guesses == [answer.denominator]
 
+    @pytest.mark.draws
     def test_single_trial_is_no_false_alarm(self, capsys):
         argv = ["crosscheck", "--a", "1", "--b", "1", "--trials", "1", "--samples", "1"]
         assert main(argv) == 0
@@ -674,12 +698,14 @@ class TestCrosscheck:
         assert agree is False
         assert math.isfinite(sigmas) and sigmas > 1e150
 
+    @pytest.mark.draws
     def test_speed_beyond_float_range(self, capsys):
         argv = ["crosscheck", "--a", "1e400", "--b", "1", "--trials", "1000", "--samples", "1000"]
         assert main(argv) == 0
         payload = strict_json(capsys.readouterr().out)
         assert payload["agree"] is True
 
+    @pytest.mark.draws
     def test_result_beyond_the_digit_limit(self, capsys):
         argv = ["crosscheck", "--a", HUGE_A, "--b", HUGE_B, "--trials", "100", "--samples", "100"]
         assert main(argv) == 0
@@ -687,6 +713,7 @@ class TestCrosscheck:
         assert payload["agree"] is True
         assert parse_huge(payload["value"]) == huge_reference()
 
+    @pytest.mark.draws
     def test_plain_table(self, capsys):
         argv = [
             "crosscheck", "--a", "2,1", "--b", "1",
@@ -697,6 +724,7 @@ class TestCrosscheck:
         assert "agreement: yes" in out
         assert "recursive" in out and "montecarlo" in out
 
+    @pytest.mark.draws
     def test_wrong_exact_speeds_are_caught_by_both_estimators(self, capsys, monkeypatch):
         integer_speeds = Instance.integer_speeds
 
@@ -1216,6 +1244,7 @@ class TestImportBudget:
             (["crosscheck", "--trials", "10", "--samples", "10"], STOCHASTIC_MODULES),
         ],
     )
+    @pytest.mark.draws
     def test_drawing_commands_load_numpy_and_their_estimators(self, command, modules):
         """... and no other estimator."""
         loaded = modules_loaded_by([[*command, "--a", "1", "--b", "2"]])
@@ -1279,6 +1308,141 @@ _COMMANDS = st.sampled_from(
 )
 
 
+# The exit-code fuzz's grammar, one entry per row of `cli.COMMANDS`: each
+# option of the row with its flag, valid texts, texts that the handler
+# refuses, texts that argparse itself refuses, and whether the option is
+# always given (the drawing commands' counts, whose defaults are too large
+# for a test).
+_NOT_INTEGERS = ["1_0", "\u0663", "\uff11", "x", ""]
+_TRIALS = ("--trials", ["1", "2", "17", "200"], ["0", "-3"], _NOT_INTEGERS, True)
+_SAMPLES = ("--samples", ["1", "2", "17", "500"], ["0", "-3"], _NOT_INTEGERS, True)
+_SEED = ("--seed", ["0", "7", str(2**64 - 1)], ["-1", str(2**64)], _NOT_INTEGERS, False)
+_EPSILON = ("--epsilon", ["1/1000", "1e-9", "0.5", "3"], ["0", "-1/2", "1/0", "", "x"], [], False)
+_FORMAT = ("--format", ["json", "plain"], [], ["xml"], False)
+_OPTIONS = {
+    "solve": [("--method", ["auto", *ROUTES], [], ["bogus"], False), _EPSILON],
+    "simulate": [_TRIALS, _SEED, ("--policy", list(POLICIES), [], ["bogus"], False)],
+    "volume": [_SAMPLES, _SEED],
+    "relate": [],
+    "curve": [("--points", ["1", "3", "40"], ["0", "-1"], _NOT_INTEGERS, False)],
+    "cycle": [],
+    "crosscheck": [_TRIALS, _SAMPLES, _SEED, _EPSILON],
+}
+assert set(_OPTIONS) == set(cli.COMMANDS)
+
+
+def _option(flag, valid, wrong, refused, always):
+    """`flag=text`, six times in eight with a valid text, else with a wrong or
+    a refused one; absent half the time unless `always`."""
+    pools = [valid] * 6 + [wrong or valid, refused or valid]
+    given = st.sampled_from(pools).flatmap(st.sampled_from).map(lambda text: [f"{flag}={text}"])
+    return given if always else st.one_of(st.just([]), given)
+
+
+# Speed texts with signs, spaces and exponents within +-20, and wrong ones:
+# non-positive, non-ASCII, with '_' separators or empty.  Half the lists hold
+# one to six valid texts, so that the reports are reached too.
+_VALID_SPEED = st.one_of(
+    st.integers(1, 60).map(str),
+    st.builds(
+        "{}{}e{}".format, st.sampled_from(["", "+"]), st.integers(1, 99), st.integers(-20, 20)
+    ),
+    st.builds("{}/{}".format, st.integers(1, 60), st.integers(1, 60)),
+    st.sampled_from([" 7", "3 ", "+2", "0.25"]),
+)
+_WRONG_SPEED = st.sampled_from(
+    ["-1", "-2e3", "0", "0/5", "", "1_0", "\u0663", "\uff11", "1/0", "x"]
+)
+_SPEED_LIST = st.one_of(
+    st.lists(_VALID_SPEED, min_size=1, max_size=6),
+    st.lists(st.one_of(_VALID_SPEED, _WRONG_SPEED), max_size=6),
+).map(",".join)
+# JSON values in place of a speed, of every type, and whole documents of the
+# wrong shape, nested past the recursion limit, or holding a 5000-digit
+# integer, as a number and as a string.  Half the lists are valid here too.
+_VALID_JSON_SPEED = st.one_of(st.integers(1, 60), st.sampled_from([0.5, 1e300]), _VALID_SPEED)
+_WRONG_JSON_SPEED = st.one_of(
+    st.integers(-2, 0), _WRONG_SPEED, st.sampled_from([True, None, [], [1], {}])
+)
+_JSON_SPEEDS = st.one_of(
+    st.lists(_VALID_JSON_SPEED, min_size=1, max_size=6),
+    st.lists(st.one_of(_VALID_JSON_SPEED, _WRONG_JSON_SPEED), max_size=6),
+)
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DOCUMENT = st.one_of(
+    st.builds(lambda a, b: json.dumps({"a": a, "b": b}), _JSON_SPEEDS, _JSON_SPEEDS),
+    st.sampled_from(
+        [
+            "",
+            "{",
+            "null",
+            "[]",
+            '"a"',
+            '{"a": [1]}',
+            '{"a": 1, "b": [2]}',
+            '{"a": "1,2", "b": [3]}',
+            _DEEP,
+            f'{{"a": {_DEEP}, "b": [1]}}',
+            '{"a": [1' + "0" * 4999 + '], "b": [3, 4]}',
+            '{"a": ["' + "7" * 5000 + '"], "b": [3]}',
+        ]
+    ),
+)
+_INPUT = "<the --input file>"
+# (argv tokens, --input document or None): inline speeds five times in
+# eight, a document twice, and once no duel at all.
+_DUEL = st.sampled_from(
+    [st.builds(lambda a, b: ([f"--a={a}", f"--b={b}"], None), _SPEED_LIST, _SPEED_LIST)] * 5
+    + [_DOCUMENT.map(lambda document: (["--input", _INPUT], document))] * 2
+    + [st.just(([], None))]
+).flatmap(lambda duel: duel)
+
+
+@st.composite
+def _command_lines(draw, commands):
+    """(argv, document) for one of `commands`, drawn from the row's own grammar."""
+    command = draw(st.sampled_from(commands))
+    _, takes_duel, _, _ = cli.COMMANDS[command]
+    argv = [command]
+    for option in [*_OPTIONS[command], _FORMAT]:
+        argv += draw(_option(*option))
+    duel, document = draw(_DUEL) if takes_duel else ([], None)
+    if command == "cycle":
+        duel = ["--", *draw(st.lists(_SPEED_LIST, min_size=3, max_size=3))]
+    return argv + duel, document
+
+
+def _fuzzed_ends(command_lines, tmp_path):
+    """How `main` ended on 400 (argv, document) examples of `command_lines`,
+    counted by (who exited: argparse or main, code), each checked against the
+    exit-code contract: 0, 1 or 2, argparse's own exits included, never a
+    traceback, and JSON on standard output wherever `main` succeeds in JSON."""
+    ends = collections.Counter()
+    path = tmp_path / "duel.json"
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines)
+    def end(command_line):
+        argv, document = command_line
+        if document is not None:
+            path.write_text(document, encoding="utf-8")
+        argv = [str(path) if token == _INPUT else token for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code, by = main(argv), "main"
+            except SystemExit as exc:
+                code, by = exc.code, "argparse"
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if by == "main" and code == 0 and build_parser().parse_args(argv).format == "json":
+            strict_json(out.getvalue())
+        ends[by, code] += 1
+
+    end()
+    return ends
+
+
 class TestRobustness:
     @settings(max_examples=80, deadline=None)
     @given(_COMMANDS, _SIDES, _SIDES)
@@ -1290,20 +1454,22 @@ class TestRobustness:
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
-    @settings(max_examples=400, deadline=None)
-    @given(_ARGVS)
-    def test_any_argv_keeps_the_exit_code_contract(self, argv):
-        """Through `main`, argparse's own exits included: 0, 1 or 2, never a
-        traceback, and JSON on standard output wherever it succeeds in JSON."""
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code, fmt = exc.code, None
-            else:
-                fmt = build_parser().parse_args(argv).format
-        assert code in (0, 1, 2), err.getvalue()
-        assert "Traceback" not in err.getvalue()
-        if code == 0 and fmt == "json":
-            strict_json(out.getvalue())
+    @pytest.mark.parametrize(
+        "commands",
+        [
+            pytest.param(sorted(set(cli.COMMANDS) - set(DRAWING_COMMANDS)), id="exact"),
+            pytest.param(list(DRAWING_COMMANDS), id="drawing", marks=pytest.mark.draws),
+        ],
+    )
+    def test_each_command_s_grammar_reaches_its_handler(self, tmp_path, commands):
+        """Command lines drawn from the rows' own grammars keep the contract,
+        and at least half get past argparse to a handler's report or error.
+        The drawing commands run at most 200 trials and 500 samples."""
+        ends = _fuzzed_ends(_command_lines(commands), tmp_path)
+        reached = sum(count for (by, _), count in ends.items() if by == "main")
+        assert 2 * reached >= sum(ends.values()), ends
+
+    # Marked: an argv of `simulate`, `volume` or `crosscheck` may reach its handler.
+    @pytest.mark.draws
+    def test_any_argv_keeps_the_exit_code_contract(self, tmp_path):
+        _fuzzed_ends(_ARGVS.map(lambda argv: (argv, None)), tmp_path)

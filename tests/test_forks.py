@@ -114,6 +114,7 @@ def run_blocks(body):
 
 
 @needs_fork
+@pytest.mark.draws
 class TestForkedBlocks:
     def test_counts_match_one_worker(self):
         out, seen = run_blocks(
@@ -197,6 +198,7 @@ def all_counts():
     return counts
 
 
+@pytest.mark.draws
 class TestInProcess:
     @pytest.mark.parametrize("broken", ["fork", "pipe"])
     def test_failed_fork_or_pipe_gives_the_same_counts(self, monkeypatch, capsys, broken):

@@ -6,7 +6,6 @@ import os
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +25,10 @@ from skirmish.cli import main
 
 from conftest import WHOLE_NUMBER_SITES, instances, speeds
 from oracles import check_blocks, order_invariance_probe, record_blocks, use_block_trials
+
+# Skipped at collection, not failed, where numpy is absent.
+np = pytest.importorskip("numpy")
+pytestmark = pytest.mark.draws
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = Fraction(270, 539)

@@ -17,6 +17,8 @@ from skirmish import Instance, SimConfig, estimate_volume, simulate, streams, vo
 
 from oracles import complement_estimates, use_block_trials
 
+pytestmark = pytest.mark.draws
+
 FIGHT = Instance((30, 20), (15, 36))
 TWELVE = Instance(tuple(range(1, 13)), tuple(F(k, 3) for k in range(20, 44, 2)))
 

@@ -4,7 +4,6 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +17,10 @@ from skirmish import (
 from skirmish import streams
 
 from oracles import check_blocks, complement_estimates, record_blocks, use_block_trials
+
+# Skipped at collection, not failed, where numpy is absent.
+np = pytest.importorskip("numpy")
+pytestmark = pytest.mark.draws
 
 FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = Fraction(270, 539)
