@@ -88,13 +88,12 @@ __all__ = [
     "simulate",
     "solve",
     "verify_cycle",
-    "win_threshold",
     "__version__",
 ]
 
 
 def __getattr__(name: str):
-    if name in ("POLICIES", "SimConfig", "SimReport", "simulate", "win_threshold"):
+    if name in ("POLICIES", "SimConfig", "SimReport", "simulate"):
         from . import montecarlo as module
     elif name in ("VolumeEstimate", "estimate_volume"):
         from . import volume as module

@@ -18,10 +18,10 @@ from skirmish import (
     estimate_volume,
     p_a_wins_recursive,
     simulate,
-    win_threshold,
 )
 from skirmish import streams
 from skirmish.cli import main
+from skirmish.montecarlo import win_threshold
 
 from conftest import WHOLE_NUMBER_SITES, instances, speeds
 from oracles import check_blocks, order_invariance_probe, record_blocks, use_block_trials
