@@ -36,9 +36,9 @@ starts with one OS thread and its BLAS calls work.  Where forking is
 unsafe, unavailable or fails, the computation runs in one process, with
 the same result.
 
-`gate` is the one test of an estimate: is it within SIGMAS standard
-errors of the exact value?  crosscheck, the release gate and the tests
-all ask it.
+`gate` is the one test of an estimate: could `hits` out of `draws` come
+from the exact value, at a false-alarm rate of at most ALPHA whatever the
+count?  crosscheck, the release gate and the tests all ask it.
 
 numpy is imported inside the functions that draw, not at module level, so
 the exact commands, which never draw, start without loading it.
@@ -68,7 +68,7 @@ if TYPE_CHECKING:
 
 OUTPUTS_PER_BLOCK = 4  # Philox4x64 emits four 64-bit words per counter tick
 BLOCK_BYTES = 1 << 20  # raw draws per block of trials
-SIGMAS = 4  # how many standard errors an estimate may stray from the exact value
+ALPHA = 6.334e-5  # the gate's false-alarm bound: the two-sided normal tail beyond 4 sigma
 
 
 def check_seed(seed) -> int:
@@ -83,15 +83,29 @@ def binomial(hits: int, draws: int) -> tuple[float, float]:
 
 
 def gate(hits: int, draws: int, p: Fraction) -> tuple[bool, float]:
-    """(agree, sigmas): is `hits` out of `draws` within SIGMAS standard errors of p?
+    """(agree, sigmas): could `hits` out of `draws` come from the exact p?
 
-    The standard error is the null one, sqrt(draws*p*(1-p)) at the exact p
-    (a Fraction strictly between 0 and 1), so a run that hits always or
-    never is judged like any other.  agree compares z^2 <= SIGMAS^2
-    exactly; sigmas is |z| as a float, capped at the float range.
+    agree is the Chernoff-Hoeffding relative-entropy test: it passes when
+    draws * KL(hits/draws || p) <= ln(2/ALPHA), which bounds each tail's
+    chance by ALPHA/2 at every count, so a right answer fails at most ALPHA
+    of the time however few the draws or however near p is to 0 or 1.
+    The logarithms of p and 1 - p are taken from p's numerator and
+    denominator (a Fraction strictly between 0 and 1), so they stay finite
+    where float(p) would round to 0 or 1.  sigmas is |z| against the null
+    standard error sqrt(draws*p*(1-p)), as a float capped at the float
+    range: the report's measure of the miss, not the test.
     """
+    log_p = math.log(p.numerator) - math.log(p.denominator)
+    log_q = math.log(p.denominator - p.numerator) - math.log(p.denominator)
+    misses = draws - hits
+    # n * KL(h/n || p), with the 0 * log 0 terms dropped.
+    divergence = 0.0
+    if hits:
+        divergence += hits * (math.log(hits) - math.log(draws) - log_p)
+    if misses:
+        divergence += misses * (math.log(misses) - math.log(draws) - log_q)
     z_squared = (hits - draws * p) ** 2 / (draws * p * (1 - p))
-    return z_squared <= SIGMAS**2, math.sqrt(min(z_squared, sys.float_info.max))
+    return divergence <= math.log(2 / ALPHA), math.sqrt(min(z_squared, sys.float_info.max))
 
 
 def slot_width(draws: int) -> int:

@@ -209,10 +209,11 @@ def check_blocks(drawn, block, total):
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Without PYTHONUNBUFFERED a piped stdout is block-buffered, as it is for
-# most callers: what a forked child must never flush a second time.
-INHERITED_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-# ... with this tree's source first on the import path.
-BUFFERED_ENV = {**INHERITED_BUFFERED_ENV, "PYTHONPATH": str(SRC)}
+# most callers: what a forked child must never flush a second time.  This
+# tree's source is first on the import path.
+BUFFERED_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(SRC)
+}
 
 # A fresh interpreter has no Python thread but its main one, so it forks
 # where the library forks.  `os.fork` is wrapped to count its calls; the

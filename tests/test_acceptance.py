@@ -2,7 +2,8 @@
 
 Every deterministic check is exact rational arithmetic at zero tolerance;
 the two stochastic checks use fixed seeds and `streams.gate`, the
-four-standard-error test that crosscheck applies.
+relative-entropy test that crosscheck applies, whose false-alarm rate is
+at most `streams.ALPHA` at every count.
 Run with plain pytest; each criterion prints `[acceptance] criterion N:
 PASS` (or FAIL) directly to the terminal.
 """

@@ -12,7 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,15 +32,7 @@ from conftest import (
     seeded_duel,
     wrong_answer,
 )
-from oracles import BUFFERED_ENV, INHERITED_BUFFERED_ENV, needs_fork, run_fresh
-
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "skirmish", *argv],
-        capture_output=True,
-        text=True,
-    )
+from oracles import needs_fork, run_fresh
 
 
 def strict_json(text):
@@ -91,7 +83,7 @@ def toml_reader():
 
 class TestSolve:
     def test_auto_distinct_json_exact_bytes(self):
-        result = run_cli("solve", "--a", "30,20", "--b", "15,36")
+        result = spawn(["solve", "--a", "30,20", "--b", "15,36"])
         assert result.returncode == 0
         assert result.stdout == (
             '{"value":"270/539","decimal":"0.500927643785",'
@@ -178,7 +170,7 @@ class TestSolve:
     def test_input_nested_too_deep_is_usage_error(self, tmp_path):
         doc = tmp_path / "deep.json"
         doc.write_text("[" * 100_000)
-        result = run_cli("solve", "--input", str(doc))
+        result = spawn(["solve", "--input", str(doc)])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
@@ -198,7 +190,7 @@ class TestSolve:
         assert main(["solve", "--a", "1,1", "--b", "2", "--method", "distinct"]) == 2
 
     def test_bad_speed(self):
-        result = run_cli("solve", "--a", "30,0", "--b", "15")
+        result = spawn(["solve", "--a", "30,0", "--b", "15"])
         assert result.returncode == 2
         assert "error:" in result.stderr
 
@@ -208,7 +200,7 @@ class TestSolve:
         assert "malformed speed" in capsys.readouterr().err
 
     def test_unknown_method_is_usage_error(self):
-        result = run_cli("solve", "--a", "1", "--b", "1", "--method", "newton")
+        result = spawn(["solve", "--a", "1", "--b", "1", "--method", "newton"])
         assert result.returncode == 2
 
     def test_method_choices_are_the_route_table(self):
@@ -234,8 +226,9 @@ class TestSolve:
         assert "Traceback" in err and "RuntimeError: route crashed" in err
 
     def test_epsilon_division_by_zero_is_usage_error(self):
-        result = run_cli("solve", "--a", "1,1", "--b", "2", "--method", "epsilon",
-                         "--epsilon", "1/0")
+        result = spawn(
+            ["solve", "--a", "1,1", "--b", "2", "--method", "epsilon", "--epsilon", "1/0"]
+        )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "error: perturbation" in result.stderr
@@ -406,7 +399,7 @@ class TestCycle:
         assert "beats-cycle: no" in capsys.readouterr().out
 
     def test_needs_three_groups(self):
-        result = run_cli("cycle", "1", "2")
+        result = spawn(["cycle", "1", "2"])
         assert result.returncode == 2
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
@@ -583,7 +576,7 @@ class TestCrosscheck:
         assert payload["methods"][1]["method"] == "series"
 
     def test_empty_side_is_usage_error(self):
-        result = run_cli("crosscheck", "--a", "5", "--b", "")
+        result = spawn(["crosscheck", "--a", "5", "--b", ""])
         assert result.returncode == 2
 
     @pytest.mark.draws
@@ -598,7 +591,7 @@ class TestCrosscheck:
         assert eps_row["epsilon"] == "1/5000"
 
     def test_epsilon_division_by_zero_is_usage_error(self):
-        result = run_cli("crosscheck", "--a", "1,1", "--b", "2", "--epsilon", "1/0")
+        result = spawn(["crosscheck", "--a", "1,1", "--b", "2", "--epsilon", "1/0"])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "error: perturbation" in result.stderr
@@ -677,15 +670,57 @@ class TestCrosscheck:
         assert_crosscheck_bytes(capsys, argv, 0, SINGLE_TRIAL_BYTES)
 
     def test_gate_uses_the_exact_probability(self):
-        # 2000 trials of a fair duel: 1000 +/- 4*sqrt(500) hits pass, one more fails.
-        assert streams.gate(1089, 2000, Fraction(1, 2))[0] is True
-        agree, sigmas = streams.gate(1090, 2000, Fraction(1, 2))
+        # 2000 trials of a fair duel: 1101 hits pass (2000 * KL = 10.218) and
+        # 1102 fail (10.422), either side of ln(2 / ALPHA) = 10.360.
+        assert streams.gate(1101, 2000, Fraction(1, 2))[0] is True
+        agree, sigmas = streams.gate(1102, 2000, Fraction(1, 2))
         assert agree is False
-        assert sigmas == pytest.approx(90 / 500**0.5)
+        assert sigmas == pytest.approx(102 / 500**0.5)
         # No hits where p is within 1e-400 of one: a z-score past the float range.
         agree, sigmas = streams.gate(0, 1000, 1 - Fraction(1, 10**400))
         assert agree is False
         assert math.isfinite(sigmas) and sigmas > 1e150
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 2), Fraction(60, 61), Fraction(1, 1000), 1 - Fraction(1, 10**6)], ids=str
+    )
+    def test_gate_false_alarm_rate_holds_at_every_count(self, p):
+        """At each count, the exact chance that `gate` refuses hits drawn at p,
+        the binomial pmf summed over every refused hit count, is at most ALPHA."""
+        log_p = math.log(p.numerator) - math.log(p.denominator)
+        log_q = math.log(p.denominator - p.numerator) - math.log(p.denominator)
+
+        def pmf(hits, draws):
+            return math.exp(
+                math.lgamma(draws + 1) - math.lgamma(hits + 1) - math.lgamma(draws - hits + 1)
+                + hits * log_p + (draws - hits) * log_q
+            )
+
+        rates = {
+            draws: math.fsum(
+                pmf(hits, draws) for hits in range(draws + 1)
+                if not streams.gate(hits, draws, p)[0]
+            )
+            for draws in [*range(1, 201), 500, 1000, 2000, 5000]
+        }
+        worst = max(rates, key=rates.get)
+        assert rates[worst] <= streams.ALPHA, (worst, rates[worst])
+
+    @pytest.mark.parametrize("seed", [93, 98])
+    @pytest.mark.draws
+    def test_a_near_certain_win_is_no_false_alarm(self, capsys, seed):
+        """At default counts, 1e6 v 1 loses 0.2 trials in expectation: two
+        losses read as 4.0 sigma on these seeds, and still pass."""
+        assert main(["crosscheck", "--a", "1000000", "--b", "1", "--seed", str(seed)]) == 0
+        assert strict_json(capsys.readouterr().out)["agree"] is True
+
+    @pytest.mark.draws
+    def test_two_trials_are_no_false_alarm(self, capsys):
+        """60 v 1 at two trials and two samples agrees on every seed of 0-199."""
+        argv = ["crosscheck", "--a", "60", "--b", "1", "--trials", "2", "--samples", "2"]
+        codes = collections.Counter(main([*argv, "--seed", str(seed)]) for seed in range(200))
+        capsys.readouterr()
+        assert codes == {0: 200}
 
     @pytest.mark.draws
     def test_speed_beyond_float_range(self, capsys):
@@ -942,13 +977,9 @@ class TestOneParser:
         reason="argparse's wording is pinned on the Python version it was recorded on",
     )
     @pytest.mark.parametrize("pin", USAGE_PINS["pins"], ids=lambda pin: " ".join(pin["argv"]))
-    def test_usage_bytes_are_pinned(self, pin):
-        result = subprocess.run(
-            [sys.executable, "-m", "skirmish", *pin["argv"]],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "COLUMNS": str(USAGE_PINS["columns"])},
-        )
+    def test_usage_bytes_are_pinned(self, monkeypatch, pin):
+        monkeypatch.setenv("COLUMNS", str(USAGE_PINS["columns"]))
+        result = spawn(pin["argv"])
         assert (result.returncode, result.stdout, result.stderr) == (
             pin["code"], pin["stdout"], pin["stderr"]
         )
@@ -964,10 +995,6 @@ SOLVE_FORKING = [
 ]
 
 
-# A report small enough to wait in stdout's buffer, and one too large to.
-REPORTS = [["solve", "--a", "1", "--b", "2"], ["curve", "--points", "20000"]]
-REPORT_SIZES = ["small", "large"]
-
 # Script lines that make `solve --method auto` at 1v1 disagree with the
 # reference ("wrong", exit 1) or crash ("raise", exit 3) in a fresh interpreter.
 _PATCH_PRELUDE = "import sys\nfrom fractions import Fraction\nfrom skirmish import residues\n"
@@ -980,23 +1007,70 @@ ROUTE_PATCHES = {
     + "def crash(inst):\n    raise RuntimeError('route crashed')\n"
     "residues.p_a_wins_distinct = crash\n",
 }
-# What a script adds to end as `python -m skirmish` and the console script end.
-RUN_TAIL = "from skirmish.cli import run\nrun()\n"
-# Both reports, and a disagreement, whose refused report must outrank it.
-WRITES = [(None, argv) for argv in REPORTS] + [("wrong", ["solve", "--a", "1", "--b", "1"])]
-WRITE_IDS = [*REPORT_SIZES, "disagree"]
+
+ONE_V_ONE, ZERO_SPEED = ["solve", "--a", "1", "--b", "1"], ["solve", "--a", "0", "--b", "1"]
+# A report small enough to wait in stdout's buffer, and one too large to.
+SMALL, LARGE = ["solve", "--a", "1", "--b", "2"], ["curve", "--points", "20000"]
+
+# The CLI's process contract, one row a way out of the process: the route
+# patch, the argv, how stdout ends ("pipe", "closed": a pipe whose reader
+# has gone, or "full": /dev/full), how stderr ends ("pipe" or "closed"),
+# whether PYTHONUNBUFFERED is set, and the exit code.
+# `test_the_process_contract` runs each row through every entry.
+CONTRACT = {
+    "1v1": (None, ONE_V_ONE, "pipe", "pipe", False, 0),
+    "1v2": (None, SMALL, "pipe", "pipe", False, 0),
+    "no-command": (None, [], "pipe", "pipe", False, 2),
+    "zero-speed": (None, ZERO_SPEED, "pipe", "pipe", False, 2),
+    "disagree": ("wrong", ONE_V_ONE, "pipe", "pipe", False, 1),
+    "crash": ("raise", SMALL, "pipe", "pipe", False, 3),
+    "solve-forking": (None, SOLVE_FORKING, "pipe", "pipe", False, 0),
+    "curve": (None, LARGE, "pipe", "pipe", False, 0),
+    # A closed stdout ends as a writer killed by SIGPIPE looks to a shell,
+    # and a full disk says so once; a disagreement's code does not outrank either.
+    "closed-stdout-small": (None, SMALL, "closed", "pipe", False, 141),
+    "closed-stdout-large": (None, LARGE, "closed", "pipe", False, 141),
+    "closed-stdout-disagree": ("wrong", ONE_V_ONE, "closed", "pipe", False, 141),
+    "full-small": (None, SMALL, "full", "pipe", False, 4),
+    "full-large": (None, LARGE, "full", "pipe", False, 4),
+    "full-disagree": ("wrong", ONE_V_ONE, "full", "pipe", False, 4),
+    # A diagnostic that stderr refuses is lost, and its code stands.
+    "closed-stderr-zero-speed": (None, ZERO_SPEED, "pipe", "closed", False, 2),
+    "closed-stderr-not-a-number": (None, ["solve", "--a", "x"], "pipe", "closed", False, 2),
+    "closed-stderr-disagree": ("wrong", ONE_V_ONE, "pipe", "closed", False, 1),
+    "closed-stderr-crash": ("raise", SMALL, "pipe", "closed", False, 3),
+    # argparse prints and exits by itself, outside `main`'s handlers.
+    "help-buffered": (None, ["-h"], "closed", "pipe", False, 0),
+    "help-unbuffered": (None, ["-h"], "closed", "pipe", True, 0),
+    "solve-help-buffered": (None, ["solve", "-h"], "closed", "pipe", False, 0),
+    "solve-help-unbuffered": (None, ["solve", "-h"], "closed", "pipe", True, 0),
+    "unknown-command-buffered": (None, ["nope"], "pipe", "closed", False, 2),
+    "unknown-command-unbuffered": (None, ["nope"], "pipe", "closed", True, 2),
+}
+FULL_DISK = f"error: standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+SKIRMISH = [sys.executable, "-m", "skirmish"]
 
 
-def into_closed_pipe(command, stream, env=INHERITED_BUFFERED_ENV):
-    """Run `command` with `stream` ("stdout" or "stderr") a pipe whose reader
-    has gone; the other stream is captured."""
+def spawn(argv, command=SKIRMISH, stdout="pipe", stderr="pipe", unbuffered=False):
+    """Run `command` on `argv` with each stream ended as a CONTRACT row ends
+    it, block-buffered unless `unbuffered`; a stream not piped reads None."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with ExitStack() as ends:
+        out, err = (_stream_end(end, ends) for end in (stdout, stderr))
+        return subprocess.run([*command, *argv], stdout=out, stderr=err, env=env, text=True)
+
+
+def _stream_end(end, ends):
+    if end == "full":
+        return ends.enter_context(open("/dev/full", "wb"))
+    if end == "pipe":
+        return subprocess.PIPE
     read, write = os.pipe()
     os.close(read)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
-    try:
-        return subprocess.run(command, env=env, **streams)
-    finally:
-        os.close(write)
+    ends.callback(os.close, write)
+    return write
 
 
 class TestEntryPoints:
@@ -1010,166 +1084,62 @@ class TestEntryPoints:
         with pytest.raises(SyntaxError):
             ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
-    def test_module_invocation(self):
-        result = run_cli("solve", "--a", "1", "--b", "1")
-        assert result.returncode == 0
-        assert json.loads(result.stdout)["value"] == "1/2"
+    @pytest.mark.parametrize("row", CONTRACT.values(), ids=CONTRACT)
+    def test_the_process_contract(self, monkeypatch, capsys, row):
+        """Every entry ends the process with the row's code, and the stream
+        left unbroken holds what that stream holds from `main` in process.
 
-    def test_console_script(self):
-        """The `skirmish` script declared in pyproject.toml works.
-
-        Its `module:function` target is run the way the installer's
-        generated wrapper runs it, so no install is needed; an installed
-        `skirmish` on PATH is run as well.
+        In process, with the row's patch, `main` returns the code, or
+        argparse leaves it by its SystemExit.  A refused stdout leaves stderr
+        empty, and a full disk leaves only its error line.  Where a stream is
+        broken, `main` also runs in an interpreter that then writes the code
+        it returned and ends by `os._exit(0)`, so that no exit flush fails on
+        what the stream refused.  `run`, called as the console script calls
+        it, ends the process itself: a write of `run returned` follows it.
+        Unpatched rows also run as `python -m skirmish` and as an installed
+        `skirmish`.  Of a crash, only the `Traceback` that opens it is compared.
         """
-        for command in script_commands():
-            result = subprocess.run(
-                [*command, "solve", "--a", "1", "--b", "1"],
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-            assert json.loads(result.stdout)["value"] == "1/2", result.stderr
-
-    def test_no_command_is_usage_error(self):
-        result = run_cli()
-        assert result.returncode == 2
-
-    @pytest.mark.parametrize("speeds, code", [(("1", "2"), 0), (("0", "2"), 2)])
-    def test_run_ends_the_process_and_main_returns(self, capsys, speeds, code):
-        """`run` ends the process with `main`'s code; `main` returns in process."""
-        argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
-        script = (
-            "import sys\n"
-            "from skirmish.cli import main, run\n"
-            "print('main returned', main(sys.argv[1:]))\n"
-            "run()\n"
-            "print('run returned')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == code, result.stderr
-        assert main(argv) == code
+        patch, argv, stdout, stderr, unbuffered, code = row
+        if stdout == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to it
+        if patch == "wrong":
+            break_route(monkeypatch)
+        elif patch == "raise":
+            monkeypatch.setattr(residues, "p_a_wins_distinct", _crash)
+        try:
+            returned, exited = main(argv), False
+        except SystemExit as exc:
+            returned, exited = exc.code, True
         out, err = capsys.readouterr()
-        assert result.stdout == f"{out}main returned {code}\n{out}"
-        assert result.stderr == err + err
-
-    @pytest.mark.parametrize(
-        "argv, stream, code",
-        [
-            *((argv, "stdout", 141) for argv in REPORTS),
-            (["solve", "--a", "0", "--b", "1"], "stderr", 2),
-        ],
-        ids=[*REPORT_SIZES, "zero-speed"],
-    )
-    def test_run_never_returns(self, argv, stream, code):
-        """`run` ends the process itself, also when a stream refused its bytes.
-
-        Had it returned, the script would write `run returned` to a captured
-        stderr, or fail to write it to the closed one and exit 1.
-        """
-        script = "import os\nfrom skirmish.cli import run\nrun()\nos.write(2, b'run returned\\n')\n"
-        result = into_closed_pipe([sys.executable, "-c", script, *argv], stream)
-        other = "stderr" if stream == "stdout" else "stdout"
-        assert (result.returncode, getattr(result, other)) == (code, b"")
-
-    @pytest.mark.parametrize(
-        "argv", [SOLVE_FORKING, ["curve", "--points", "20000"]], ids=["solve-forking", "curve"]
-    )
-    def test_piped_stdout_is_mains(self, capsys, argv):
-        """All that `main` prints reaches a pipe before `run` ends the process.
-
-        Block-buffered, as for most callers, so that the report is written
-        only by a flush, as `main` does.
-        """
-        assert main(argv) == 0
-        expected = capsys.readouterr().out.encode()
-        for command in entry_commands():
-            result = subprocess.run(
-                [*command, *argv], stdout=subprocess.PIPE, env=INHERITED_BUFFERED_ENV
-            )
-            assert result.returncode == 0, command
-            assert result.stdout == expected, command
-
-    @pytest.mark.parametrize("patch, argv", WRITES, ids=WRITE_IDS)
-    def test_a_closed_pipe_ends_as_sigpipe_would(self, patch, argv):
-        """With no reader left, the process ends as a writer killed by SIGPIPE
-        looks to a shell: status 141, and nothing on stderr, even where the
-        routes disagree.
-
-        A small report fails at its flush, a large one at its write, both
-        inside `main`, which returns 141 in process too.
-        """
-        # `main`'s code, with no exit flush: that would fail on what the pipe refused.
-        returned = ROUTE_PATCHES[patch] + (
-            "import os, sys\n"
-            "from skirmish.cli import main\n"
-            "print(main(sys.argv[1:]), file=sys.stderr)\n"
-            "os._exit(0)\n"
-        )
-        ends = []
-        entries = entry_commands()
-        if patch:
-            entries = [[sys.executable, "-c", ROUTE_PATCHES[patch] + RUN_TAIL]]
-        for command in [[sys.executable, "-c", returned], *entries]:
-            result = into_closed_pipe([*command, *argv], "stdout")
-            ends.append((result.returncode, result.stderr))
-        assert ends == [(0, b"141\n")] + [(141, b"")] * (len(ends) - 1)
-
-    @pytest.mark.parametrize(
-        "patch, argv, code",
-        [
-            (None, ["solve", "--a", "0", "--b", "1"], 2),
-            (None, ["solve", "--a", "x"], 2),
-            ("wrong", ["solve", "--a", "1", "--b", "1"], 1),
-            ("raise", ["solve", "--a", "1", "--b", "2"], 3),
-        ],
-        ids=["zero-speed", "not-a-number", "disagree", "crash"],
-    )
-    def test_a_closed_stderr_keeps_the_exit_code(self, patch, argv, code):
-        """A diagnostic that standard error refuses is lost, and its code stands.
-
-        `main` returns the code in process, and `run` ends the process with
-        it.  The disagreement and the crash are patched into the interpreter
-        that runs them; the validation errors also run as the real commands.
-        """
-        returns = (
-            "import os\nfrom skirmish.cli import main\n"
-            # No exit flush: that would fail on what the pipe refused.
-            "print(main(sys.argv[1:]), flush=True)\nos._exit(0)\n"
-        )
-        in_process, ended = (
-            into_closed_pipe([sys.executable, "-c", ROUTE_PATCHES[patch] + tail, *argv], "stderr")
-            for tail in (returns, RUN_TAIL)
-        )
-        assert (in_process.returncode, ended.returncode) == (0, code)
-        # Only the disagreement has a report to print, before it is found.
-        assert in_process.stdout == ended.stdout + f"{code}\n".encode()
-        assert (ended.stdout == b"") == (code != 1)
+        if stdout == stderr == "pipe":
+            assert returned == code
+        if stdout != "pipe":
+            out, err = None, "" if stdout == "closed" else FULL_DISK
+        if stderr != "pipe":
+            err = None
+        if code == 3 and err is not None:  # its frames name the entry
+            assert err.startswith("Traceback")
+            err = "Traceback"
+        # The stream that a child can still write to once the command has ended.
+        fd = 1 if stdout == "pipe" else 2
+        ended = [code, out, err]
+        runs = [(run_entry(patch, fd), ended)]
+        if not exited and None in (out, err):
+            told = [0, out, err]
+            told[fd] += f"{code}\n"
+            runs.append((main_entry(patch, fd), told))
         if patch is None:
-            for command in entry_commands():
-                result = into_closed_pipe([*command, *argv], "stderr")
-                assert (result.returncode, result.stdout) == (code, b""), command
-
-    @pytest.mark.parametrize(
-        "argv, stream, code",
-        [(["-h"], "stdout", 0), (["solve", "-h"], "stdout", 0), (["nope"], "stderr", 2)],
-        ids=["help", "solve-help", "unknown-command"],
-    )
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_argparse_exits_into_a_closed_pipe(self, argv, stream, code, unbuffered):
-        """argparse prints help or a usage error and exits by itself, outside
-        `main`'s handlers, and skirmish's parser drops a write that fails: its
-        own status, and nothing on the other stream, even when the refused
-        bytes stay buffered."""
-        env = INHERITED_BUFFERED_ENV
-        if unbuffered:
-            env = {**env, "PYTHONUNBUFFERED": "1"}
-        other = "stderr" if stream == "stdout" else "stdout"
-        for command in entry_commands():
-            result = into_closed_pipe([*command, *argv], stream, env)
-            assert (result.returncode, getattr(result, other)) == (code, b""), command
+            runs.append((SKIRMISH, ended))
+            installed = shutil.which("skirmish")
+            if installed:
+                runs.append(([installed], ended))
+        for command, ends in runs:
+            result = spawn(argv, command, stdout, stderr, unbuffered)
+            seen = [result.returncode, result.stdout, result.stderr]
+            if code == 3 and err is not None:
+                seen[2] = seen[2][: len(err)]
+            assert seen == ends, command
 
     @pytest.mark.parametrize(
         "argv, stream, code",
@@ -1190,62 +1160,16 @@ class TestEntryPoints:
             build_parser(argv[0]).parse_args(argv)
         assert exited.value.code == code
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("patch, argv", WRITES, ids=WRITE_IDS)
-    def test_a_full_disk_exits_four(self, patch, argv):
-        """A write that fails otherwise than on a closed pipe says so once, and
-        exits 4, even where the routes disagree."""
-        command = [sys.executable, "-m", "skirmish"]
-        if patch:
-            command = [sys.executable, "-c", ROUTE_PATCHES[patch] + RUN_TAIL]
-        with open("/dev/full", "wb") as full:
-            result = subprocess.run(
-                [*command, *argv],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-        assert (result.returncode, result.stderr) == (
-            4, f"error: standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
-        )
-
-    @pytest.mark.parametrize(
-        "patch, speeds, code",
-        [
-            (None, ("1", "2"), 0),
-            (None, ("0", "2"), 2),
-            ("wrong", ("1", "1"), 1),
-            ("raise", ("1", "2"), 3),
-        ],
-    )
-    def test_run_exit_codes_match_main(self, monkeypatch, capsys, patch, speeds, code):
-        """Through `run()`, each exit code and stdout are `main`'s."""
-        argv = ["solve", "--a", speeds[0], "--b", speeds[1]]
-        script = ROUTE_PATCHES[patch] + RUN_TAIL
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True
-        )
-        assert result.returncode == code, result.stderr
-        assert ("Traceback" in result.stderr) == (code == 3)
-
-        if patch == "wrong":
-            break_route(monkeypatch)
-        elif patch == "raise":
-            monkeypatch.setattr(residues, "p_a_wins_distinct", _crash)
-        assert main(argv) == code
-        assert result.stdout == capsys.readouterr().out
-
     @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
     def test_stdout_through_a_pipe_matches_one_core(self):
         """Forked row bands print nothing: the piped stdout equals the one-band run's."""
-        command = [sys.executable, "-m", "skirmish", *SOLVE_FORKING]
         # Block-buffered, as for most callers: what a child must not flush again.
         bands, one_core = (
-            subprocess.run(prefix + command, stdout=subprocess.PIPE, env=BUFFERED_ENV)
+            spawn(SOLVE_FORKING, prefix + SKIRMISH)
             for prefix in ([], ["taskset", "-c", str(min(os.sched_getaffinity(0)))])
         )
         assert bands.returncode == one_core.returncode == 0
-        assert bands.stdout.count(b"\n") == 1
+        assert bands.stdout.count("\n") == 1
         assert bands.stdout == one_core.stdout
 
     @needs_fork
@@ -1264,26 +1188,27 @@ def _crash(inst):
     raise RuntimeError("route crashed")
 
 
-def entry_commands():
-    """`python -m skirmish`, then each of `script_commands()`."""
-    return [[sys.executable, "-m", "skirmish"], *script_commands()]
-
-
-def script_commands():
-    """The `skirmish` console script, run as the installer's wrapper runs its
-    pyproject.toml target, and an installed `skirmish` on PATH if there is one."""
+def run_entry(patch, fd):
+    """The `skirmish` console script's pyproject.toml target, called after the
+    route patch as the installer's wrapper calls it, then a write of
+    `run returned` to `fd`: a target that ends the process never makes it."""
     with PYPROJECT.open("rb") as f:
         target = toml_reader().load(f)["project"]["scripts"]["skirmish"]
     module, function = target.split(":")
-    wrapper = (
-        f"import sys\nfrom {module} import {function}\n"
-        f"sys.argv[0] = 'skirmish'\nsys.exit({function}())"
-    )
-    commands = [[sys.executable, "-c", wrapper]]
-    installed = shutil.which("skirmish")
-    if installed:
-        commands.append([installed])
-    return commands
+    return [sys.executable, "-c", ROUTE_PATCHES[patch] + (
+        f"import os\nfrom {module} import {function}\nsys.argv[0] = 'skirmish'\n"
+        f"code = {function}()\nos.write({fd}, b'run returned\\n')\nsys.exit(code)\n"
+    )]
+
+
+def main_entry(patch, fd):
+    """`main` after the route patch, then a write of the code it returned to
+    `fd`; it ends by `os._exit(0)`, as an exit flush would fail on what a
+    broken stream refused."""
+    return [sys.executable, "-c", ROUTE_PATCHES[patch] + (
+        f"import os\nfrom skirmish.cli import main\n"
+        f"os.write({fd}, b'%d\\n' % main(sys.argv[1:]))\nos._exit(0)\n"
+    )]
 
 
 def modules_loaded_by(commands):

@@ -34,7 +34,7 @@ FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = Fraction(270, 539)
 
 
-def within_four_sigma(report, exact):
+def passes_gate(report, exact):
     return streams.gate(report.a_wins, report.trials, exact)[0]
 
 
@@ -212,21 +212,21 @@ class TestSimulate:
         assert report.seed == 2 and report.policy == "frontmost"
 
     def test_estimates_track_exact_values(self):
-        assert within_four_sigma(simulate(FIGHT, SimConfig(60_000, seed=0)), FIGHT_P)
+        assert passes_gate(simulate(FIGHT, SimConfig(60_000, seed=0)), FIGHT_P)
         quarter = simulate(Instance((1,), (1, 1)), SimConfig(60_000, seed=0))
-        assert within_four_sigma(quarter, Fraction(1, 4))
+        assert passes_gate(quarter, Fraction(1, 4))
 
     def test_a_run_that_never_wins_is_no_false_alarm(self):
         # P(A wins) = 1/1001: ten trials are expected to have no win, and
         # have none; the plug-in standard error of that estimate is 0.
         report = simulate(Instance((1,), (1000,)), SimConfig(10, seed=0))
         assert (report.a_wins, report.std_error) == (0, 0.0)
-        assert within_four_sigma(report, Fraction(1, 1001))
+        assert passes_gate(report, Fraction(1, 1001))
 
     def test_random_adjacent_policy_agrees(self):
         report = simulate(FIGHT, SimConfig(20_000, seed=5, policy="random-adjacent"))
         assert report.policy == "random-adjacent"
-        assert within_four_sigma(report, FIGHT_P)
+        assert passes_gate(report, FIGHT_P)
 
     def test_policies_draw_from_independent_layouts(self):
         # Same seed, different draw interpretation; both must stay unbiased.
@@ -235,8 +235,8 @@ class TestSimulate:
             Instance((2, 1), (1,)), SimConfig(30_000, seed=8, policy="random-adjacent")
         )
         exact = Fraction(5, 6)
-        assert within_four_sigma(front, exact)
-        assert within_four_sigma(randomized, exact)
+        assert passes_gate(front, exact)
+        assert passes_gate(randomized, exact)
 
     def test_frontmost_matches_scalar_reference(self):
         # Re-play the trials one draw at a time from the same stream and
@@ -351,13 +351,13 @@ class TestOrderInvarianceProbe:
         exact = p_a_wins_recursive(FIGHT)
         reports = order_invariance_probe(FIGHT, SimConfig(20_000, seed=11), 5)
         assert 1 < len(reports) <= 5
-        assert all(within_four_sigma(r, exact) for r in reports)
+        assert all(passes_gate(r, exact) for r in reports)
         # Derived seeds differ run to run.
         assert len({r.seed for r in reports}) == len(reports)
 
     def test_small_instance(self):
         reports = order_invariance_probe(Instance((2, 1), (1,)), SimConfig(20_000, 2), 3)
-        assert all(within_four_sigma(r, Fraction(5, 6)) for r in reports)
+        assert all(passes_gate(r, Fraction(5, 6)) for r in reports)
 
     def test_deterministic(self):
         first = order_invariance_probe(FIGHT, SimConfig(2_000, seed=4), 4)

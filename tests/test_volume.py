@@ -26,7 +26,7 @@ FIGHT = Instance((30, 20), (15, 36))
 FIGHT_P = Fraction(270, 539)
 
 
-def within_four_sigma(estimate, exact):
+def passes_gate(estimate, exact):
     return streams.gate(estimate.hits, estimate.samples, exact)[0]
 
 
@@ -56,14 +56,14 @@ class TestValidation:
 class TestEstimates:
     def test_symmetric_duel(self):
         est = estimate_volume(Instance((1,), (1,)), 100_000, seed=0)
-        assert within_four_sigma(est, Fraction(1, 2))
+        assert passes_gate(est, Fraction(1, 2))
 
     def test_two_on_two_duel(self):
-        assert within_four_sigma(estimate_volume(FIGHT, 200_000, seed=0), FIGHT_P)
+        assert passes_gate(estimate_volume(FIGHT, 200_000, seed=0), FIGHT_P)
 
     def test_product_formula_instance(self):
         est = estimate_volume(Instance((1,), (1, 1)), 200_000, seed=0)
-        assert within_four_sigma(est, Fraction(1, 4))
+        assert passes_gate(est, Fraction(1, 4))
 
     def test_report_arithmetic(self):
         est = estimate_volume(FIGHT, 10_000, seed=6)
@@ -141,8 +141,8 @@ class TestComplementSharing:
     def test_both_sides_track_their_exact_values(self):
         forward, backward = complement_estimates(FIGHT, 200_000, seed=0)
         p = p_a_wins_recursive(FIGHT)
-        assert within_four_sigma(forward, p)
-        assert within_four_sigma(backward, 1 - p)
+        assert passes_gate(forward, p)
+        assert passes_gate(backward, 1 - p)
 
 
 class TestPermutationInvariance:
@@ -163,7 +163,7 @@ class TestPermutationInvariance:
 
     def test_reordered_speeds_stay_unbiased(self):
         est = estimate_volume(Instance((20, 30), (36, 15)), 200_000, seed=0)
-        assert within_four_sigma(est, FIGHT_P)
+        assert passes_gate(est, FIGHT_P)
 
 
 class TestJson:
