@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the library: solve (any route of the one
 route table, `residues.solve`), simulate (Monte Carlo play-out), volume
 (hypercube sampling), relate / curve / cycle (group relations), and
-crosscheck, which compares the auto route, epsilon and both estimators
-with the reference from `residues.verify`, the one owner of that check.
+crosscheck, which prints the table of exact checks from `residues.verify`
+(the reference, then the auto route), epsilon and both estimators.
 
 Exit codes: 0 success, 1 cross-method inconsistency (the CI tripwire),
 2 usage or validation error, 3 any other (unexpected) error, with its
@@ -259,7 +259,7 @@ def _run_solve(inst: Instance, args) -> tuple[dict, str, str | None]:
     if args.epsilon is not None and args.method != "epsilon":
         raise ValueError(f"--epsilon applies only to --method epsilon, not {args.method}")
     report = solve(inst, args.method, args.epsilon)
-    _, failure = verify(inst, report)
+    failure = next((failure for _, _, failure in verify(inst, report) if failure), None)
     payload = report.to_json()
     plain = f"P(A wins) = {payload['value']} = {payload['decimal']} [{payload['method']}]"
     residues = payload.get("residues")

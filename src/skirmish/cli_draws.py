@@ -5,7 +5,8 @@ compile them, nor `streams`, which they need: each command's argument
 builder in `cli` imports its handler from here.  `cli.main` hands each
 handler its duel, so this module imports nothing from `cli`.  Each handler
 imports its own estimator inside the function, so that `volume` does not
-load `montecarlo`, nor `simulate` `volume`.
+load `montecarlo`, nor `simulate` `volume`.  crosscheck decides no exact check:
+it prints one row for each entry of `residues.verify`'s table.
 """
 
 from __future__ import annotations
@@ -43,15 +44,13 @@ def _run_crosscheck(inst: Instance, args) -> tuple[dict, str, str | None]:
 
     if not inst.a or not inst.b:
         raise InvalidInstance("crosscheck needs particles on both sides")
-    # Read before any exact work, so that a bad --epsilon costs none.  The
+    # Tried before any exact work, so that a bad --epsilon costs no sweep.  The
     # epsilon row prints the perturbation, so the default is resolved here.
-    eps = (
-        default_epsilon(group(inst))
-        if args.epsilon is None
-        else parse_perturbation(args.epsilon)
-    )
-    report = solve(inst)
-    exact, failure = verify(inst, report)
+    eps = args.epsilon
+    eps = default_epsilon(group(inst)) if eps is None else parse_perturbation(eps)
+    eps_report = solve(inst, "epsilon", eps)
+    checks = verify(inst, solve(inst))
+    exact = checks[0][1]
     payload = {"value": str(exact), "decimal": decimal_str(exact), "methods": []}
     lines = [f"exact value: {exact} = {payload['decimal']}"]
     failures = []
@@ -62,14 +61,11 @@ def _run_crosscheck(inst: Instance, args) -> tuple[dict, str, str | None]:
         if failure:
             failures.append(failure)
 
-    add({"method": "recursive", "value": str(exact), "agree": True}, f"{exact}  (reference)")
-    add(
-        {"method": report.method, "value": str(report.value), "agree": not failure},
-        f"{report.value}  ({'MISMATCH' if failure else 'exact match'})",
-        failure,
-    )
+    for index, (method, value, failure) in enumerate(checks):
+        note = "MISMATCH" if failure else "exact match" if index else "reference"
+        row = {"method": method, "value": str(value), "agree": not failure}
+        add(row, f"{value}  ({note})", failure)
 
-    eps_report = solve(inst, "epsilon", eps)
     abs_error = decimal_str(abs(eps_report.value - exact), 3)
     # Informational row: the perturbation is approximate by design, so its
     # deviation is reported but never gates the exit code.

@@ -2,10 +2,10 @@
 
 A group beats another when its exact win probability exceeds one half, and
 the two are matched when the probability is exactly one half.  Verdicts
-come from `solve`, checked by `verify`, the one owner of the reference
-check (a mismatch raises `Inconsistency`); no float tolerance is ever
-involved, which is what lets a near-match (a decimal truncated just off a
-matching curve) be told from a true match.
+come from `solve`, checked by each entry of `verify`'s table of exact
+checks (the first failure raises `Inconsistency`); no float tolerance is
+ever involved, which is what lets a near-match (a decimal truncated just
+off a matching curve) be told from a true match.
 
 Beating is not transitive: `verify_cycle` checks a witness triple where
 each group beats the next around a ring.
@@ -43,9 +43,9 @@ def relate(group1: Iterable, group2: Iterable) -> RelationVerdict:
         raise InvalidInstance("a relation needs two non-empty groups")
     inst = Instance(first, second)
     report = solve(inst)
-    _, failure = verify(inst, report)
-    if failure:
-        raise Inconsistency(failure)
+    for _, _, failure in verify(inst, report):
+        if failure:
+            raise Inconsistency(failure)
     p = report.value
     if p > HALF:
         verdict = "beats"

@@ -11,7 +11,7 @@ distinct B speed; all residues sum to zero.  P(A wins) is minus the sum of
 the a-pole residues, so swapping the sides gives the complement.
 
 Routes provided here, all exact, with `solve` as the one route table and
-`verify` as the one owner of the reference check:
+`verify` as the one table of an answer's exact checks, reference first:
 
 * `p_a_wins_distinct`: simple poles only, closed product formula.
 * `p_a_wins_series`: poles of any order, one Taylor coefficient per pole
@@ -91,19 +91,24 @@ class Inconsistency(Exception):
     """Two routes to the same value disagree; the exit-1 condition."""
 
 
-def verify(inst: Instance, report: MethodReport) -> tuple[Fraction | None, str | None]:
-    """(reference, failure or None): an exact route must equal the recursive reference.
+def verify(inst: Instance, report: MethodReport) -> tuple[tuple[str, Fraction, str | None], ...]:
+    """The answer's exact checks, reference first: ((method, value, failure or None), ...).
 
-    Recursive is the reference and epsilon is approximate, so neither is
-    compared nor swept: (None, None).  The sweep starts at the width of the
-    report's denominator, which sets its speed, never its value.
+    An exact route must equal the recursive reference, swept once from the
+    width of its denominator, which sets the sweep's speed, never its value.
+    A recursive report is the reference, checked by the auto route; epsilon
+    is approximate: ().  Only a mismatch formats its values, which may be huge.
     """
-    if report.method in ("recursive", "epsilon"):
-        return None, None
-    reference = p_a_wins_recursive(inst, report.value.denominator)
-    if report.value == reference:
-        return reference, None
-    return reference, f"{report.method} gave {report.value}, recursive reference gives {reference}"
+    if report.method == "epsilon":
+        return ()
+    if report.method == "recursive":
+        reference, report = report.value, solve(inst)
+    else:
+        reference = p_a_wins_recursive(inst, report.value.denominator)
+    failure = None
+    if report.value != reference:
+        failure = f"{report.method} gave {report.value}, recursive reference gives {reference}"
+    return ("recursive", reference, None), (report.method, report.value, failure)
 
 
 def p_a_wins_distinct(inst: Instance) -> MethodReport:

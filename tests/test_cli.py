@@ -597,11 +597,15 @@ class TestCrosscheck:
         assert "error: perturbation" in result.stderr
 
     def test_empty_epsilon_is_usage_error(self, capsys, monkeypatch):
+        # A perturbation that does not parse, and one that makes two speeds
+        # coincide: neither costs a sweep of the reference.
         sweeps = record_sweeps(monkeypatch)
-        assert main(["crosscheck", "--a", "1,1", "--b", "2", "--epsilon", ""]) == 2
-        assert "error: perturbation must be an exact positive rational, got ''" in (
-            capsys.readouterr().err
-        )
+        for a, eps, message in (
+            ("1,1", "", "perturbation must be an exact positive rational, got ''"),
+            ("1,1,2", "1", "eps=1 makes two perturbed a-speeds coincide"),
+        ):
+            assert main(["crosscheck", "--a", a, "--b", "2", "--epsilon", eps]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
         assert sweeps == []
 
     @pytest.mark.draws

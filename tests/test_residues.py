@@ -420,33 +420,51 @@ class TestVerify:
 
     @pytest.mark.parametrize("route", EXACT_ROUTES)
     def test_agreeing_route_passes(self, route):
-        reference = None if route == "recursive" else F(4, 25)
-        assert verify(self.INST, solve(self.INST, route)) == (reference, None)
+        # A recursive report is the reference, checked by the auto route.
+        report = solve(self.INST, route)
+        checked = solve(self.INST) if route == "recursive" else report
+        assert verify(self.INST, report) == (
+            ("recursive", F(4, 25), None),
+            (checked.method, F(4, 25), None),
+        )
 
     @pytest.mark.parametrize("method", ["recursive", "epsilon"])
     def test_reference_and_epsilon_are_not_compared(self, monkeypatch, method):
+        # Neither is compared with a sweep of the reference.  Epsilon is not
+        # checked at all; a recursive report is itself the reference that the
+        # auto route is compared with.
         report = solve(self.INST, method)
 
         def refuse(inst, guess=None):
             raise AssertionError("the reference was swept")
 
         monkeypatch.setattr(residues, "p_a_wins_recursive", refuse)
-        assert verify(self.INST, report) == (None, None)
-        assert verify(self.INST, MethodReport(F(1, 3), method, None)) == (None, None)
+        wrong = MethodReport(F(1, 3), method, None)
+        if method == "epsilon":
+            assert verify(self.INST, report) == verify(self.INST, wrong) == ()
+            return
+        assert verify(self.INST, report) == (
+            ("recursive", F(4, 25), None),
+            ("distinct", F(4, 25), None),
+        )
+        assert verify(self.INST, wrong) == (
+            ("recursive", F(1, 3), None),
+            ("distinct", F(4, 25), "distinct gave 4/25, recursive reference gives 1/3"),
+        )
 
     @pytest.mark.parametrize("route", ["distinct", "series", "closed-form"])
     def test_wrong_exact_route_reports_mismatch(self, route):
         report = solve(self.INST, route)
         wrong = MethodReport(F(1, 3), report.method, report.residues)
         assert verify(self.INST, wrong) == (
-            F(4, 25),
-            f"{report.method} gave 1/3, recursive reference gives 4/25",
+            ("recursive", F(4, 25), None),
+            (report.method, F(1, 3), f"{report.method} gave 1/3, recursive reference gives 4/25"),
         )
 
     @pytest.mark.parametrize("value", [F(4, 25), F(1, 3)])
     def test_one_sweep_from_the_report_denominator(self, monkeypatch, value):
         guesses = record_sweeps(monkeypatch)
-        reference, _ = verify(self.INST, MethodReport(value, "distinct", None))
+        (_, reference, _), _ = verify(self.INST, MethodReport(value, "distinct", None))
         assert (reference, guesses) == (F(4, 25), [value.denominator])
 
     @pytest.mark.parametrize("kind", WRONG_ANSWERS)
@@ -456,10 +474,34 @@ class TestVerify:
         value = p_a_wins_recursive(inst)
         wrong = wrong_answer(kind, value)
         message = f"distinct gave {wrong}, recursive reference gives {value}"
-        assert verify(inst, MethodReport(wrong, "distinct", None)) == (value, message)
+        assert verify(inst, MethodReport(wrong, "distinct", None)) == (
+            ("recursive", value, None),
+            ("distinct", wrong, message),
+        )
         break_route(monkeypatch, value=wrong)
         argv = ["solve", "--a", ",".join(map(str, inst.a)), "--b", ",".join(map(str, inst.b))]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert json.loads(out)["value"] == str(wrong)
         assert err == f"inconsistency: {message}\n"
+
+    def test_recursive_solve_is_checked_by_auto(self, monkeypatch, capsys):
+        monkeypatch.setattr(residues, "p_a_wins_recursive", lambda inst, guess=None: F(1, 3))
+        assert main(["solve", "--method", "recursive", "--a", "60", "--b", "20,30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == '{"value":"1/3","decimal":"0.333333333333","method":"recursive"}\n'
+        assert err == "inconsistency: distinct gave 1/2, recursive reference gives 1/3\n"
+
+    @given(instances())
+    def test_every_check_of_a_right_answer_passes(self, inst):
+        # One sweep checks an exact route; a recursive report is the reference.
+        one_speed = len(set(inst.a)) == len(set(inst.b)) == 1
+        reference = ("recursive", p_a_wins_recursive(inst), None)
+        for route in ("auto", "recursive", *(("closed-form",) if one_speed else ())):
+            report = solve(inst, route)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                guesses = record_sweeps(monkeypatch)
+                checks = verify(inst, report)
+            assert not any(failure for _, _, failure in checks)
+            assert checks[0] == reference
+            assert len(guesses) == (route != "recursive")
