@@ -2,12 +2,11 @@
 
 `use_block_trials` and `record_blocks` set and observe how many trials each
 block of `streams.block_sums` holds, and which process drew it, for the
-partitioning tests.  `run_fresh` runs a script after FORK_PRELUDE in a new
-interpreter, for the tests of forked workers.
-`order_invariance_probe` replays one duel under random reorderings of both
-sides, each under its own derived seed: the winner distribution does not
-depend on firing order, so every estimate must land near the same exact
-value.  Nothing in the CLI or the benchmark needs it, so it lives here.
+partitioning tests.  `order_invariance_probe` replays one duel under
+random reorderings of both sides, each under its own derived seed: the
+winner distribution does not depend on firing order, so every estimate
+must land near the same exact value.  Nothing in the CLI or the benchmark
+needs it, so it lives here.
 
 The exact oracles restate a solver the plain way, one reduced Fraction per
 factor or term: `p_a_wins_single_a` (one A particle must win every
@@ -21,16 +20,10 @@ side-swap; only the tests compare the two.  `expand` spells a grouped
 instance back out, for the tests that hand one to the flat reference.
 """
 
-import json
 import math
 import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
-
-import pytest
 
 from skirmish import (
     GroupedInstance,
@@ -205,69 +198,3 @@ def check_blocks(drawn, block, total):
     workers = min(streams.usable_cores(), len(sizes)) if streams.can_fork() else 1
     assert len({pid for pid, _ in drawn}) == workers
     assert os.getpid() in {pid for pid, _ in drawn}
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-# Without PYTHONUNBUFFERED a piped stdout is block-buffered, as it is for
-# most callers: what a forked child must never flush a second time.  This
-# tree's source is first on the import path.
-BUFFERED_ENV = {
-    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(SRC)
-}
-
-# A fresh interpreter has no Python thread but its main one, so it forks
-# where the library forks.  `os.fork` is wrapped to count its calls; the
-# script reports what it saw as JSON on its last line.  At most two cores
-# are granted, so that the forks a test counts do not grow with the host;
-# a test that needs more sets its own count.
-FORK_PRELUDE = """
-import contextlib, io, json, os, random, sys
-from fractions import Fraction
-from itertools import repeat
-from skirmish import Instance, streams
-from skirmish.cli import main
-
-host_cores = streams.usable_cores
-streams.usable_cores = lambda: min(2, host_cores())
-
-forks = []
-real_fork = os.fork
-
-def counting_fork():
-    forks.append(1)
-    return real_fork()
-
-os.fork = counting_fork
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-def children_left():
-    # Any child, exited or still running: none may outlive the call that forked it.
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return False
-    return True
-"""
-
-
-def run_fresh(script):
-    """Run FORK_PRELUDE + script in a new interpreter; its stdout and its last line as JSON."""
-    result = subprocess.run(
-        [sys.executable, "-c", FORK_PRELUDE + script],
-        capture_output=True,
-        text=True,
-        env=BUFFERED_ENV,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout, json.loads(result.stdout.splitlines()[-1])
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork")
-    or not os.path.isdir("/proc/self/task")
-    or len(os.sched_getaffinity(0)) < 2,
-    reason="forked workers need os.fork, /proc and two usable cores",
-)

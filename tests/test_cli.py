@@ -32,7 +32,6 @@ from conftest import (
     seeded_duel,
     wrong_answer,
 )
-from oracles import needs_fork, run_fresh
 
 
 def strict_json(text):
@@ -991,7 +990,7 @@ class TestOneParser:
 
 # A seeded duel whose verified reference, started at the answer's
 # denominator, is swept in forked row bands wherever two cores are usable
-# (`test_solve_forking_forks`).
+# (`test_forks.py::test_forked[bands-solve]`).
 SOLVE_FORKING = [
     "solve",
     "--a", ",".join(map(str, seeded_duel(SOLVE_FORKING_SIZE).a)),
@@ -1175,17 +1174,6 @@ class TestEntryPoints:
         assert bands.returncode == one_core.returncode == 0
         assert bands.stdout.count("\n") == 1
         assert bands.stdout == one_core.stdout
-
-    @needs_fork
-    def test_solve_forking_forks(self):
-        """The premise of the tests that run SOLVE_FORKING: its solve forks once."""
-        _, seen = run_fresh(
-            f"argv = {SOLVE_FORKING!r}\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(argv)\n"
-            "print(json.dumps([code, len(forks), children_left()]))\n"
-        )
-        assert seen == [0, 1, False]
 
 
 def _crash(inst):

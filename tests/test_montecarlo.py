@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from skirmish import (
     simulate,
 )
 from skirmish import streams
-from skirmish.cli import main
 from skirmish.montecarlo import win_threshold
 
 from conftest import WHOLE_NUMBER_SITES, instances, speeds
@@ -289,25 +287,6 @@ class TestSimulate:
         monkeypatch.setattr(streams, "slot_width", lambda draws: 4)
         with pytest.raises(AssertionError, match="draw budget"):
             simulate(Instance((1,) * 4, (1,) * 4), SimConfig(200, seed=1))
-
-    @pytest.mark.parametrize("policy", mc.POLICIES)
-    def test_short_draw_budget_is_caught_in_a_worker(self, monkeypatch, capsys, tmp_path, policy):
-        # 29 blocks on three workers, two of them forked children: the error
-        # reaches the caller as a crash, and no child outlives the call.
-        monkeypatch.setattr(streams, "slot_width", lambda draws: 4)
-        monkeypatch.setattr(streams, "usable_cores", lambda: 3)
-        use_block_trials(monkeypatch, 7, 4)
-        blocks = record_blocks(monkeypatch, tmp_path / "blocks")
-        argv = ["simulate", "--a", "1,1,1,1", "--b", "1,1,1,1", "--trials", "200"]
-        assert main([*argv, "--seed", "1", "--policy", policy]) == 3
-        assert "AssertionError: a duel failed to finish within its draw budget" in (
-            capsys.readouterr().err
-        )
-        drawing = {pid for pid, _ in blocks()}
-        assert os.getpid() in drawing
-        assert len(drawing) == (3 if streams.can_fork() else 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("policy, side", [("frontmost", 40), ("random-adjacent", 8)])
     def test_one_worker_holds_one_block_of_draws(self, monkeypatch, policy, side):

@@ -1,6 +1,5 @@
 """The reference solver, its full-table oracle and the one-A product."""
 
-import inspect
 import math
 from fractions import Fraction
 from itertools import repeat
@@ -21,16 +20,14 @@ from skirmish.recurrence import _sweep, fill_table
 
 from conftest import (
     SOLVE_FORKING_SIZE,
-    WRONG_ANSWERS,
     grouped_instances,
     huge_rational_speeds,
     instances,
     seeded_duel,
     speed_lists,
     speeds,
-    wrong_answer,
 )
-from oracles import expand, needs_fork, p_a_wins_single_a, run_fresh
+from oracles import expand, p_a_wins_single_a
 
 
 class TestKnownValues:
@@ -335,22 +332,6 @@ def test_guessed_sweep_widens(monkeypatch, n):
     assert growth == GUESSED_GROWTH[n]
 
 
-# Specific to the reference: a one-band sweep from 1 to compare with, and the
-# duels.  Started at the answer's denominator, SOLVE_FORKING asks for two
-# bands and 90 for three; FORK_PRELUDE's cap of two cores keeps the forks
-# the tests count the same on any host.
-RECURRENCE_PRELUDE = """
-from skirmish import p_a_wins_recursive, recurrence
-
-def in_process(inst):
-    a, b = inst.integer_speeds()
-    top = list(recurrence._sweep(a, b, 0, len(a), 1, repeat((0, 1))))
-    return Fraction(*top[-1])
-""" + inspect.getsource(seeded_duel) + (
-    f"duel = seeded_duel\nSOLVE_FORKING = {SOLVE_FORKING_SIZE}\n"
-)
-
-
 def test_fork_fixtures_fork():
     """The duels the forked tests use, started at the answer's denominator,
     are large enough for two row bands, and 90 for three."""
@@ -361,245 +342,6 @@ def test_fork_fixtures_fork():
     inst = seeded_duel(SOLVE_FORKING_SIZE)
     _, _, rows = band_rows(inst, 2, solve(inst).value.denominator)
     assert rows[1][-1][1] > 1
-
-
-def short_start(kind, inst, d):
-    """A divisor of d short of it: 1, d's odd part, or d over the largest sum a_i + b_j dividing it.
-
-    The last two keep two bands' work at SOLVE_FORKING_SIZE.
-    """
-    if kind == "one":
-        return 1
-    if kind == "odd-part":
-        return d // (d & -d)
-    a, b = inst.integer_speeds()
-    return d // max(ai + bj for ai in a for bj in b if d % (ai + bj) == 0)
-
-
-def run_bands(body):
-    return run_fresh(RECURRENCE_PRELUDE + body)
-
-
-# Makes the bottom band, rows lo..m-1, fail before its first column, in
-# whatever process sweeps it: a child wherever the table forks.
-FAILING_BOTTOM = (
-    "inner = recurrence._sweep\n"
-    "def failing_bottom(a, b, lo, hi, scale, below):\n"
-    "    rows = inner(a, b, lo, hi, scale, below)\n"
-    "    if hi == len(a):\n"
-    "        raise AssertionError(f'the bottom band, rows {lo}..{hi - 1}, failed')\n"
-    "    yield from rows\n"
-    "recurrence._sweep = failing_bottom\n"
-)
-
-
-@needs_fork
-class TestForkedBands:
-    def test_values_match_in_process(self):
-        out, seen = run_bands(
-            "print('printed before the fork')\n"
-            "fds = open_fds()\n"
-            "report = []\n"
-            "for n in (SOLVE_FORKING, 90):\n"
-            "    expected = in_process(duel(n))\n"
-            "    before = len(forks)\n"
-            "    value = p_a_wins_recursive(duel(n), expected.denominator)\n"
-            "    report.append([n, len(forks) - before, value == expected])\n"
-            "print(json.dumps({'report': report, 'fds': open_fds() - fds,"
-            " 'children': children_left()}))\n"
-        )
-        assert seen == {
-            "report": [[SOLVE_FORKING_SIZE, 1, True], [90, 1, True]], "fds": 0, "children": False
-        }
-        # stdout is a pipe, so block-buffered: a child that flushed it on exit
-        # would print the line a second time.
-        assert out.count("printed before the fork") == 1
-
-    def test_failure_in_a_child_band_is_caught(self):
-        # Two bands from the answer's denominator: the lower one, rows 42..83,
-        # runs in the child.  The guess is taken before the fault.
-        _, seen = run_bands(
-            "guess = in_process(duel(SOLVE_FORKING)).denominator\n"
-            + FAILING_BOTTOM
-            + "fds = open_fds()\n"
-            "try:\n"
-            "    p_a_wins_recursive(duel(SOLVE_FORKING), guess)\n"
-            "    message = None\n"
-            "except AssertionError as exc:\n"
-            "    message = str(exc)\n"
-            "checks = [len(forks), open_fds() - fds, children_left()]\n"
-            "inst = duel(64)\n"
-            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
-            " '--b', ','.join(map(str, inst.b))])\n"
-            "checks += [len(forks), open_fds() - fds, children_left()]\n"
-            "print(json.dumps({'message': message, 'checks': checks, 'code': code,"
-            " 'stderr': err.getvalue()}))\n"
-        )
-        assert seen["message"] == "the bottom band, rows 42..83, failed"
-        # Forks so far, fds opened and not closed, a child left unreaped.  At
-        # 64v64 the solve's reference, from the answer's denominator, is one
-        # band's work, so it sweeps in one band, rows 0..63, and forks nothing.
-        assert seen["checks"] == [1, 0, False, 1, 0, False]
-        assert seen["code"] == 3
-        assert "the bottom band, rows 0..63, failed" in seen["stderr"]
-
-    def test_three_bands_chain_their_pipes(self):
-        # Three bands: the middle child reads the bottom child's pipe, and
-        # the parent closes the middle pipe once it holds the top one, before
-        # the top band starts.  A failure in the bottom band crosses both pipes.
-        _, seen = run_bands(
-            "streams.usable_cores = lambda: 3\n"
-            "sweep = recurrence._sweep\n"
-            "held = []\n"
-            "def counted_top(a, b, lo, hi, scale, below):\n"
-            "    if lo == 0 and hi < len(a):\n"
-            "        held.append(open_fds() - fds)\n"
-            "    return sweep(a, b, lo, hi, scale, below)\n"
-            "recurrence._sweep = counted_top\n"
-            "fds = open_fds()\n"
-            "inst = duel(90)\n"
-            "value = in_process(inst)\n"
-            "checks = [p_a_wins_recursive(inst, value.denominator) == value]\n"
-            "checks += [len(forks), open_fds() - fds, children_left()]\n"
-            + FAILING_BOTTOM
-            + "try:\n"
-            "    p_a_wins_recursive(inst, value.denominator)\n"
-            "    message = None\n"
-            "except AssertionError as exc:\n"
-            "    message = str(exc)\n"
-            "checks += [len(forks), open_fds() - fds, children_left()]\n"
-            "print(json.dumps({'message': message, 'checks': checks, 'held': held}))\n"
-        )
-        assert seen["message"] == "the bottom band, rows 60..89, failed"
-        # Equal to the one band; forks so far, fds left open, a child left unreaped.
-        assert seen["checks"] == [True, 2, 0, False, 4, 0, False]
-        # Fds the parent held as its top band started, in each of the two calls.
-        assert seen["held"] == [1, 1]
-
-    def test_failure_in_the_top_band_leaves_no_child_waiting(self):
-        # The child's 84 columns of 1.7 KB each overfill the pipe once the top
-        # band stops reading; it must fail its write, not block the reaping.
-        _, seen = run_bands(
-            "guess = in_process(duel(SOLVE_FORKING)).denominator\n"
-            "sweep = recurrence._sweep\n"
-            "def failing_top(a, b, lo, hi, scale, below):\n"
-            "    rows = sweep(a, b, lo, hi, scale, below)\n"
-            "    if lo == 0:\n"
-            "        next(rows)\n"
-            "        raise AssertionError('the top band failed first')\n"
-            "    yield from rows\n"
-            "recurrence._sweep = failing_top\n"
-            "fds = open_fds()\n"
-            "try:\n"
-            "    p_a_wins_recursive(duel(SOLVE_FORKING), guess)\n"
-            "    message = None\n"
-            "except AssertionError as exc:\n"
-            "    message = str(exc)\n"
-            "print(json.dumps([message, len(forks), open_fds() - fds, children_left()]))\n"
-        )
-        assert seen == ["the top band failed first", 1, 0, False]
-
-    def test_failed_fork_falls_back_to_one_band(self):
-        _, seen = run_bands(
-            "import errno\n"
-            "inst = duel(SOLVE_FORKING)\n"
-            "argv = ['solve', '--a', ','.join(map(str, inst.a)),"
-            " '--b', ','.join(map(str, inst.b))]\n"
-            "def failing_fork():\n"
-            "    forks.append(1)\n"
-            "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
-            "os.fork = failing_fork\n"
-            "fds = open_fds()\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out,"
-            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            "    code = main(argv)\n"
-            "checks = [code, len(forks), open_fds() - fds, children_left(), err.getvalue()]\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as one_core:\n"
-            "    checks.append(main(argv))\n"
-            "checks.append(out.getvalue() == one_core.getvalue() != '')\n"
-            "print(json.dumps(checks))\n"
-        )
-        # Exit code, forks tried, fds left open, a child left unreaped,
-        # stderr; then the one-core run's exit code and matching stdout.
-        assert seen == [0, 1, 0, False, "", 0, True]
-
-    @pytest.mark.parametrize(
-        "setup",
-        [
-            "import threading\n"
-            "threading.Thread(target=threading.Event().wait, daemon=True).start()\n",
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n",
-        ],
-        ids=["second-thread", "one-core"],
-    )
-    def test_one_band_without_a_fork(self, setup):
-        _, seen = run_bands(
-            setup
-            + "expected = in_process(duel(SOLVE_FORKING))\n"
-            "value = p_a_wins_recursive(duel(SOLVE_FORKING), expected.denominator)\n"
-            "print(json.dumps({'forks': len(forks), 'same': value == expected}))\n"
-        )
-        assert seen == {"forks": 0, "same": True}
-
-    @pytest.mark.parametrize("kind, forks", [("one", 0), ("odd-part", 1), ("short-sum", 1)])
-    def test_short_start_widens_across_bands(self, kind, forks):
-        # From a start short of the answer's denominator the lower band widens
-        # further, and the top band must widen to the lcm of the two scales.
-        _, seen = run_bands(
-            inspect.getsource(short_start)
-            + "inst = duel(SOLVE_FORKING)\n"
-            "value = in_process(inst)\n"
-            f"start = short_start({kind!r}, inst, value.denominator)\n"
-            "fds = open_fds()\n"
-            "same = p_a_wins_recursive(inst, start) == value\n"
-            "print(json.dumps([start < value.denominator, value.denominator % start == 0,"
-            " same, len(forks), open_fds() - fds, children_left()]))\n"
-        )
-        # Short, a divisor, the value, forks, fds left open, a child left unreaped.
-        assert seen == [True, True, True, forks, 0, False]
-
-    def test_negative_guess_forks(self):
-        # A forked child writes unsigned frames, so the sweep starts at |guess|:
-        # here the answer's width, two bands' work (`test_fork_fixtures_fork`).
-        _, seen = run_bands(
-            "inst = duel(SOLVE_FORKING)\n"
-            "value = in_process(inst)\n"
-            "fds = open_fds()\n"
-            "same = p_a_wins_recursive(inst, -value.denominator) == value\n"
-            "print(json.dumps([same, len(forks), open_fds() - fds, children_left()]))\n"
-        )
-        assert seen == [True, 1, 0, False]
-
-    @pytest.mark.parametrize(
-        "kind, forks", [("wrong-numerator", 1), ("denominator-1", 0), ("extra-prime", 1)]
-    )
-    def test_wrong_route_with_its_denominator_as_guess(self, kind, forks):
-        # The reference starts at the wrong denominator.  From the right
-        # denominator that is two bands, and the lower one must widen its
-        # start (`test_fork_fixtures_fork`); from 1 it is one band's work.
-        _, seen = run_bands(
-            f"kind = {kind!r}\n"
-            + inspect.getsource(wrong_answer)
-            + "from skirmish import residues\n"
-            "inst = duel(SOLVE_FORKING)\n"
-            "value = in_process(inst)\n"
-            "wrong = wrong_answer(kind, value)\n"
-            "residues.p_a_wins_distinct = lambda inst: residues.MethodReport("
-            "wrong, 'distinct', (-wrong,))\n"
-            "fds = open_fds()\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out,"
-            " contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            "    code = main(['solve', '--a', ','.join(map(str, inst.a)),"
-            " '--b', ','.join(map(str, inst.b))])\n"
-            "expected = f'inconsistency: distinct gave {wrong},"
-            " recursive reference gives {value}\\n'\n"
-            "print(json.dumps([code, err.getvalue() == expected, out.getvalue().count('\\n'),"
-            " len(forks), open_fds() - fds, children_left()]))\n"
-        )
-        # Exit code, the message, stdout lines, forks, fds left open, a child left unreaped.
-        assert seen == [1, True, 1, forks, 0, False]
 
 
 class TestSingleAFastPath:
